@@ -16,7 +16,6 @@ from .geometry import (GeometrySpec, INFINITY, ball_volume_constant,
 from .weights import (WeightSequence, explicit_weights, normalize_min_one,
                       power_law_weights, prefix_mass, second_moment,
                       uniform_weights, weights_from_file)
-from .sampling import SumTree, weighted_draw_without_replacement
 from .voronoi import (RegionCountResult, RelevanceCertificate, WeightedSites,
                       compute_R_A, count_regions_monte_carlo,
                       generate_worst_case_sites, k_nearest_sites,

@@ -3,7 +3,9 @@
 The emitted format is the standard one: comment lines ``c key = value``
 carrying model parameters, a header ``p cnf n m``, then one clause per
 line as signed 1-based integers in draw order terminated by 0.  Parsing
-back an emitted file reproduces the formula literal-for-literal.
+back an emitted file reproduces the formula literal-for-literal.  The
+parser reads the body as one token stream, so it also accepts clauses
+that span lines, several clauses on a line and the SATLIB ``%`` trailer.
 """
 
 import json
@@ -14,15 +16,29 @@ from .generate import Formula
 from .voronoi import WeightedSites
 
 
+# rows (or lines) converted to Python objects at once: bounds the transient
+# ints and token strings that bulk conversion creates
+_BLOCK = 4096
+
+
+def _clause_lines(literals):
+    return [" ".join(map(str, row)) + " 0"
+            for i in range(0, len(literals), _BLOCK)
+            for row in literals[i:i + _BLOCK].tolist()]
+
+
+def _int_tokens(lines):
+    parts = [np.array(" ".join(lines[i:i + _BLOCK]).split(), dtype=np.int64)
+             for i in range(0, len(lines), _BLOCK)]
+    return np.concatenate([np.empty(0, dtype=np.int64), *parts])
+
+
 def emit_dimacs(f, destination, comments=None):
     """Write a formula as DIMACS CNF; ``comments`` is a mapping echoed as
     ``c key = value`` lines (model parameters, seed, ...)."""
-    lines = []
-    for key, value in (comments or {}).items():
-        lines.append(f"c {key} = {value}")
+    lines = [f"c {key} = {value}" for key, value in (comments or {}).items()]
     lines.append(f"p cnf {f.n} {f.m}")
-    for row in f.literals:
-        lines.append(" ".join(str(int(l)) for l in row) + " 0")
+    lines += _clause_lines(f.literals)
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
@@ -44,33 +60,33 @@ def parse_dimacs(source):
             text = fh.read()
     comments = []
     n = m = None
-    clauses = []
+    body = []
     for line in text.splitlines():
         line = line.strip()
-        if not line:
-            continue
         if line.startswith("c"):
             comments.append(line[1:].strip())
-            continue
-        if line.startswith("p"):
+        elif line.startswith("p"):
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"bad problem line: {line!r}")
             n, m = int(parts[2]), int(parts[3])
-            continue
-        lits = [int(tok) for tok in line.split()]
-        if not lits or lits[-1] != 0:
-            raise ValueError(f"clause line must end with 0: {line!r}")
-        clauses.append(lits[:-1])
+        elif line.startswith("%"):
+            break
+        elif line:
+            body.append(line)
     if n is None:
         raise ValueError("missing 'p cnf' header")
-    if len(clauses) != m:
-        raise ValueError(f"header announces {m} clauses, found {len(clauses)}")
-    widths = {len(cl) for cl in clauses}
+    tokens = _int_tokens(body)
+    if len(tokens) and tokens[-1] != 0:
+        raise ValueError("last clause is not terminated by 0")
+    ends = np.flatnonzero(tokens == 0)
+    if len(ends) != m:
+        raise ValueError(f"header announces {m} clauses, found {len(ends)}")
+    widths = np.unique(np.diff(ends, prepend=-1) - 1)
     if len(widths) > 1:
-        raise ValueError(f"mixed clause widths {sorted(widths)} unsupported")
-    k = widths.pop() if widths else 0
-    lits = np.asarray(clauses, dtype=np.int64).reshape(m, k)
+        raise ValueError(f"mixed clause widths {widths.tolist()} unsupported")
+    k = int(widths[0]) if len(widths) else 0
+    lits = tokens.reshape(m, k + 1)[:, :k].copy()
     return Formula(n=n, k=k, literals=lits), comments
 
 
@@ -87,8 +103,7 @@ def core_dimacs_fragment(f, core):
     """The core's clauses as a standalone DIMACS fragment string."""
     lines = [f"c unsat core over variables {' '.join(map(str, core.variables))}",
              f"p cnf {f.n} {len(core.clause_indices)}"]
-    for c in core.clause_indices:
-        lines.append(" ".join(str(int(l)) for l in f.literals[c]) + " 0")
+    lines += _clause_lines(f.literals[list(core.clause_indices)])
     return "\n".join(lines) + "\n"
 
 

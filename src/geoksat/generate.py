@@ -3,7 +3,8 @@
 Non-uniform model: each clause draws k variables sequentially without
 replacement with probability proportional to their weights, then negates
 each literal independently with probability 1/2.  The power-law model is
-the non-uniform model with power-law weights.
+the non-uniform model with power-law weights.  All m clauses are drawn at
+once by the cumsum/searchsorted kernel in ``sampling``.
 
 Geometric model: variables and clauses get uniform positions on the torus;
 for temperature T > 0 the k variables are drawn without repetition with
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometrySpec
-from .sampling import SumTree, draw_k_from_tree
+from .sampling import sequential_weighted_draws
 from .voronoi import WeightedSites, rank_k_smallest, weighted_score_matrix
 from . import weights as weights_mod
 
@@ -132,16 +133,8 @@ def sample_nonuniform_formula(n, m, k, ws, seed):
     rng = np.random.default_rng(seed)
     draw_u = rng.random((m, k))
     negate = rng.random((m, k)) < 0.5
-
-    tree = SumTree(w)
-    literals = np.empty((m, k), dtype=np.int64)
-    for i in range(m):
-        drawn = draw_k_from_tree(tree, draw_u[i])
-        for t, idx in enumerate(drawn):
-            literals[i, t] = -(idx + 1) if negate[i, t] else (idx + 1)
-        for idx in drawn:
-            tree.update(idx, w[idx])
-    return Formula(n=n, k=k, literals=literals)
+    var = sequential_weighted_draws(w, draw_u) + 1
+    return Formula(n=n, k=k, literals=np.where(negate, -var, var))
 
 
 def _exponent_for_race(g, T):

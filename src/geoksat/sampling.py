@@ -1,105 +1,60 @@
-"""Sequential weighted sampling without replacement.
+"""Sequential weighted sampling without replacement, vectorised over rows.
 
-A Fenwick (binary indexed) tree over the weights supports logarithmic-time
-draws and weight updates, so drawing k items and restoring the removed
-weights costs O(k log n) per clause.
+Each row draws k distinct indices one after another, each with probability
+proportional to its weight among the indices not yet drawn in that row.
+Draw j inverts its uniform against one cumulative sum of the full weight
+vector: the target ``u * (remaining mass)`` is searched in the cumsum, and
+each earlier pick of the row at or below the hit shifts the target up by
+its weight (at most k - 1 corrections).  The cost is O(k^2) vector passes
+of O(m log n) each, in O(m k + n) memory.
 """
 
 import numpy as np
 
 
-class SumTree:
-    """Fenwick-backed prefix-sum structure over nonnegative weights."""
+def sequential_weighted_draws(weights, uniforms):
+    """(m, k) int64 indices; row i draws len(uniforms[i]) distinct indices
+    in order, draw j being the first index whose cumulative remaining
+    weight exceeds ``uniforms[i, j]`` times the remaining mass.
 
-    def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1:
-            raise ValueError("weights must be 1-d")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        self.size = len(w)
-        self._weights = w.copy()
-        # tree[i] holds the sum over the Fenwick range ending at i (1-based)
-        tree = np.zeros(self.size + 1)
-        tree[1:] = w
-        for i in range(1, self.size + 1):
-            parent = i + (i & -i)
-            if parent <= self.size:
-                tree[parent] += tree[i]
-        self._tree = tree
-        self._highbit = 1 << max(0, self.size.bit_length() - 1)
-
-    @property
-    def total(self):
-        return self.prefix_sum(self.size)
-
-    def weight(self, i):
-        return self._weights[i]
-
-    def prefix_sum(self, i):
-        """Sum of weights[0:i]."""
-        s = 0.0
-        while i > 0:
-            s += self._tree[i]
-            i -= i & -i
-        return s
-
-    def update(self, i, value):
-        """Set weights[i] = value (0-based index)."""
-        if value < 0:
-            raise ValueError("weights must be nonnegative")
-        delta = value - self._weights[i]
-        self._weights[i] = value
-        j = i + 1
-        while j <= self.size:
-            self._tree[j] += delta
-            j += j & -j
-
-    def draw_index(self, u):
-        """Index of the first item whose cumulative weight exceeds u * total.
-
-        ``u`` must lie in [0, 1); zero-weight items are never returned.
-        """
-        target = u * self.total
-        pos = 0
-        bit = self._highbit
-        while bit > 0:
-            nxt = pos + bit
-            if nxt <= self.size and self._tree[nxt] <= target:
-                target -= self._tree[nxt]
-                pos = nxt
-            bit >>= 1
-        # pos counts the leaves passed, so it is the 0-based result index;
-        # floating-point edges can land on a zero-weight leaf, skip forward
-        while pos < self.size and self._weights[pos] == 0.0:
-            pos += 1
-        if pos >= self.size:
-            pos = int(np.flatnonzero(self._weights > 0)[-1])
-        return pos
-
-
-def weighted_draw_without_replacement(weights, k, rng):
-    """Draw k distinct indices sequentially, each proportional to the
-    current weight among the undrawn items; returns them in draw order."""
-    tree = SumTree(weights)
-    if int((tree._weights > 0).sum()) < k:
-        raise ValueError(f"need at least {k} positive-weight items")
-    u = rng.random(k)
-    out = draw_k_from_tree(tree, u)
-    for i in out:
-        tree.update(i, weights[i])
-    return out
-
-
-def draw_k_from_tree(tree, uniforms):
-    """Draw len(uniforms) items from ``tree``, zeroing each drawn weight.
-
-    Caller restores the weights afterwards; this split lets one tree serve
-    many clauses.
+    Zero-weight indices are never drawn; ``weights`` is not modified.
     """
-    out = []
-    for u in uniforms:
-        i = tree.draw_index(u)
-        out.append(i)
-        tree.update(i, 0.0)
+    w = np.asarray(weights, dtype=float)
+    u = np.asarray(uniforms, dtype=float)
+    if w.ndim != 1:
+        raise ValueError("weights must be 1-d")
+    if u.ndim != 2:
+        raise ValueError("uniforms must be an (m, k) array")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    m, k = u.shape
+    positive = np.flatnonzero(w > 0)
+    if len(positive) < max(k, 1):
+        raise ValueError(f"need at least {max(k, 1)} positive-weight items, "
+                         f"got {len(positive)}")
+    n = len(w)
+    cum = np.cumsum(w)
+    out = np.empty((m, k), dtype=np.int64)
+    rest = np.full(m, cum[-1])  # mass not yet drawn, per row
+    for j in range(k):
+        target = u[:, j] * rest
+        x = np.searchsorted(cum, target, side="right")
+        shift = np.zeros(m)
+        # once a pick lies above the hit, every later (larger) pick does too
+        for r in np.sort(out[:, :j], axis=1).T:
+            below = np.flatnonzero(x >= r)
+            if not len(below):
+                break
+            shift[below] += w[r[below]]
+            x[below] = np.searchsorted(cum, target[below] + shift[below], side="right")
+        xc = np.minimum(x, n - 1)
+        edge = (x >= n) | (w[xc] == 0) | np.any(out[:, :j] == xc[:, None], axis=1)
+        for i in np.flatnonzero(edge):
+            # float edge: the last positive-weight index not yet drawn
+            x[i] = next(p for p in positive[::-1] if p not in out[i, :j])
+        out[:, j] = x
+        rest -= w[x]
     return out
+

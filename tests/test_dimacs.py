@@ -78,6 +78,35 @@ def test_parse_rejects_malformed():
         parse_dimacs(io.StringIO("p cnf 3 2\n1 2 0\n1 2 3 0\n"))  # mixed width
 
 
+def test_parse_clause_spanning_lines():
+    f, _ = parse_dimacs(io.StringIO("p cnf 4 2\n1 -2\n3 0 -4\n2\n-1 0\n"))
+    assert f.literals.tolist() == [[1, -2, 3], [-4, 2, -1]]
+
+
+def test_parse_several_clauses_on_one_line():
+    f, _ = parse_dimacs(io.StringIO("p cnf 3 3\n1 -2 0 2 3 0\n-3 1 0\n"))
+    assert f.literals.tolist() == [[1, -2], [2, 3], [-3, 1]]
+
+
+def test_parse_satlib_percent_trailer():
+    text = "c SATLIB style\np cnf 3 2\n 1 -3 0\n 2 3 0\n%\n0\n\n"
+    f, comments = parse_dimacs(io.StringIO(text))
+    assert comments == ["SATLIB style"]
+    assert f.n == 3 and f.literals.tolist() == [[1, -3], [2, 3]]
+
+
+def test_emit_bytes_match_fixture():
+    f = formula_from_clauses(12, 3, [[1, -12, 7], [-10, 2, 11], [-3, -4, -5]])
+    buf = io.StringIO()
+    emit_dimacs(f, buf, {"model": "powerlaw", "beta": 2.5})
+    assert buf.getvalue() == ("c model = powerlaw\n"
+                              "c beta = 2.5\n"
+                              "p cnf 12 3\n"
+                              "1 -12 7 0\n"
+                              "-10 2 11 0\n"
+                              "-3 -4 -5 0\n")
+
+
 def test_core_certificate_and_fragment(tmp_path):
     clauses = [[(v if (pat >> i) & 1 == 0 else -v) for i, v in enumerate((1, 2))]
                for pat in range(4)]

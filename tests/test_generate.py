@@ -33,6 +33,18 @@ def test_nonuniform_determinism():
     assert not np.array_equal(a.literals, c.literals)
 
 
+@pytest.mark.parametrize("weights,message", [
+    ([1.0, 0.0, 0.0], "at least 2 positive"),
+    ([1.0, np.nan, 1.0], "finite"),
+    ([1.0, np.inf, 1.0], "finite"),
+    ([1.0, -1.0, 1.0], "nonnegative"),
+    ([[1.0], [1.0], [1.0]], "1-d"),
+], ids=["too_few_positive", "nan", "inf", "negative", "two_d"])
+def test_nonuniform_rejects_degenerate_weights(weights, message):
+    with pytest.raises(ValueError, match=message):
+        sample_nonuniform_formula(3, 5, 2, np.array(weights), 0)
+
+
 def test_k_equals_n_forces_all_variables():
     f = sample_nonuniform_formula(4, 50, 4, uniform_weights(4), seed=0)
     sets = f.sorted_variable_sets()
