@@ -15,19 +15,17 @@ import numpy as np
 
 from ._version import __version__
 from .geometry import GeometrySpec, INFINITY
-from .generate import (_exponent_for_race, sample_geometric_formula,
+from .generate import (_race_keys, sample_geometric_formula,
                        sample_nonuniform_formula)
 from .structure import (_subset_budget, check_expansion_exact,
                         check_expansion_sampled, find_unsat_core,
                         incidence_graph, DEFAULT_ENUM_CAP)
-from .voronoi import (count_regions_monte_carlo, random_sites,
+from .voronoi import (_CLAUSE_BLOCK, count_regions_monte_carlo, random_sites,
                       rank_k_smallest, weighted_score_matrix)
 from . import weights as weights_mod
 
 EXPERIMENT_KINDS = ("REGION_SCALING", "NICE_FRACTION", "CORE_DETECTION",
                     "EXPANSION_PROBE", "BALLS_BINS", "MOMENT_CHECK")
-
-_CLAUSE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -197,8 +195,11 @@ def nice_fraction_audit(sites, g, k, T, audit, seed):
 
     Clause draws are i.i.d. given the variable positions, so auditing
     freshly drawn clauses is distribution-identical to auditing a random
-    subset of a full instance; this keeps the cost at O(audit * n).
+    subset of a full instance; this keeps the cost at O(audit * n).  At
+    T = 0 a clause's draw is its k-nearest ranking, so every clause is nice.
     """
+    if T == 0:
+        return audit
     rng = np.random.default_rng(seed)
     nice = 0
     done = 0
@@ -207,11 +208,7 @@ def nice_fraction_audit(sites, g, k, T, audit, seed):
         pts = rng.random((block, g.d))
         scores = weighted_score_matrix(pts, sites, g)
         ranked = rank_k_smallest(scores, k)
-        if T == 0:
-            drawn = ranked
-        else:
-            race = scores * rng.standard_exponential(scores.shape) ** _exponent_for_race(g, T)
-            drawn = rank_k_smallest(race, k)
+        drawn = rank_k_smallest(_race_keys(scores, g, T, rng), k)
         nice += int(np.all(drawn == ranked, axis=1).sum())
         done += block
     return nice

@@ -21,12 +21,12 @@ import numpy as np
 
 from .geometry import GeometrySpec
 from .sampling import sequential_weighted_draws
-from .voronoi import WeightedSites, rank_k_smallest, weighted_score_matrix
+from .voronoi import (_CLAUSE_BLOCK, WeightedSites, knearest, rank_k_smallest,
+                      weighted_score_matrix)
 from . import weights as weights_mod
 
-# clause draws are processed in fixed-size blocks so that RNG stream
-# consumption (and thus the instance) never depends on memory heuristics
-_CLAUSE_BLOCK = 1024
+# smallest normal double: a race key below it has lost its significant digits
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -137,53 +137,83 @@ def sample_nonuniform_formula(n, m, k, ws, seed):
     return Formula(n=n, k=k, literals=np.where(negate, -var, var))
 
 
-def _exponent_for_race(g, T):
-    # ranking E/X(c,v) is preserved under the monotone map y -> y^(T*p/d)
-    # (y -> y^(T/d) for the max norm), which turns the race key into
-    # E^e * score with score the rootless weighted-distance score
-    if g.is_max_norm:
-        return T / g.d
-    return T * int(g.p_norm) / g.d
+def _race_keys(scores, g, T, rng):
+    """Exponential-race keys for a (clauses, n) block of scores at T > 0:
+    the k smallest of a row, in order, are k sequential draws proportional
+    to X(c, v).  Consumes scores.shape exponentials E from ``rng``.
+
+    Ranking E/X(c,v) is preserved under the monotone map y -> y^(T*p/d)
+    (y -> y^(T/d) for the max norm), which turns the key into E^e * score
+    with score the rootless weighted-distance score.  A row with a key that
+    overflows to inf or underflows to zero or a subnormal (large T) is
+    ranked by log(score) + e*log(E) instead, the same order in the log
+    domain (the Gumbel-top-k form of the race).
+    """
+    e = T / g.d if g.is_max_norm else T * int(g.p_norm) / g.d
+    state = rng.bit_generator.state
+    # range errors are expected here and handled by the log-domain rows
+    with np.errstate(all="ignore"):
+        keys = scores * rng.standard_exponential(scores.shape) ** e
+        bad = np.flatnonzero(~((keys.min(axis=1) >= _TINY)
+                               & (keys.max(axis=1) < np.inf)))
+        if len(bad):
+            # the same exponentials again, replayed from the state before
+            # the draw: holding on to a block's exponentials slows every
+            # block, and only a high T overflows
+            twin = np.random.Generator(type(rng.bit_generator)())
+            twin.bit_generator.state = state
+            expo = twin.standard_exponential((bad[-1] + 1, scores.shape[1]))[bad]
+            keys[bad] = np.log(scores[bad]) + e * np.log(expo)
+    return keys
 
 
 def draw_geometric_clause_vars(clause_positions, sites, k, T, g, rng):
     """(count, k) variable indices for clauses at the given positions.
 
     T = 0: the k smallest weighted distances, increasing, ties by smaller
-    index.  T > 0: sequential draws proportional to X(c, v), realized as
-    an exponential race (smallest E_v / X(c,v) first), which has exactly
-    the sequential-draw distribution.  Consumes (count, n) exponentials
-    from ``rng`` when T > 0, in fixed-size clause blocks.
+    index (``knearest``).  T > 0: sequential draws proportional to X(c, v),
+    realized as an exponential race (smallest E_v / X(c,v) first), which
+    has exactly the sequential-draw distribution.  Consumes (count, n)
+    exponentials from ``rng`` when T > 0, in fixed-size clause blocks.
     """
     pts = np.atleast_2d(np.asarray(clause_positions, dtype=float))
+    if T == 0:
+        return knearest(pts, sites, k, g)
     out = np.empty((len(pts), k), dtype=np.int64)
-    e_exp = _exponent_for_race(g, T) if T > 0 else None
     for a in range(0, len(pts), _CLAUSE_BLOCK):
-        block = pts[a:a + _CLAUSE_BLOCK]
-        scores = weighted_score_matrix(block, sites, g)
-        if T == 0:
-            out[a:a + len(block)] = rank_k_smallest(scores, k)
-        else:
-            race = scores * rng.standard_exponential(scores.shape) ** e_exp
-            out[a:a + len(block)] = rank_k_smallest(race, k)
+        scores = weighted_score_matrix(pts[a:a + _CLAUSE_BLOCK], sites, g)
+        out[a:a + len(scores)] = rank_k_smallest(_race_keys(scores, g, T, rng), k)
     return out
 
 
-def _apply_sign_patterns(drawn, ledger, pattern_u):
-    """Map drawn variable matrix (0-based) to signed literals via the
-    ledger, applied in clause-index order."""
+def _apply_sign_patterns(drawn, pattern_u):
+    """Map the drawn variable matrix (0-based) to signed literals, with a
+    fresh ledger applied in clause-index order.
+
+    Clauses are grouped by variable set (lexsort of the sorted rows).  A
+    set drawn once takes the first pattern of an empty ledger entry,
+    floor(u * 2^k) capped at 2^k - 1; only sets drawn again go through
+    ``SignLedger.draw_pattern``.
+    """
     m, k = drawn.shape
-    literals = np.empty((m, k), dtype=np.int64)
-    order = np.argsort(drawn, axis=1, kind="stable")
-    rank_of = np.empty_like(order)
-    np.put_along_axis(rank_of, order, np.arange(k)[None, :].repeat(m, axis=0), axis=1)
-    for i in range(m):
-        key = tuple(int(v) for v in np.sort(drawn[i]))
-        pat = ledger.draw_pattern(key, pattern_u[i])
-        for t in range(k):
-            v = int(drawn[i, t]) + 1
-            literals[i, t] = -v if (pat >> rank_of[i, t]) & 1 else v
-    return literals
+    total = 1 << k
+    sets = np.sort(drawn, axis=1)
+    order = np.lexsort(sets.T[::-1])
+    sorted_sets = sets[order]
+    starts = np.ones(m, dtype=bool)
+    starts[1:] = np.any(sorted_sets[1:] != sorted_sets[:-1], axis=1)
+    group = np.cumsum(starts) - 1
+    repeated = np.zeros(m, dtype=bool)
+    repeated[order] = np.bincount(group)[group] > 1
+
+    pat = np.minimum((pattern_u * total).astype(np.int64), total - 1)
+    ledger = SignLedger(k)
+    again = np.flatnonzero(repeated)
+    pat[again] = [ledger.draw_pattern(key, u) for key, u in
+                  zip(map(tuple, sets[again].tolist()), pattern_u[again].tolist())]
+    rank_of = np.argsort(np.argsort(drawn, axis=1), axis=1)
+    var = drawn + 1
+    return np.where((pat[:, None] >> rank_of) & 1, -var, var)
 
 
 def sample_geometric_formula(n, m, k, g, T, ws, seed):
@@ -207,7 +237,7 @@ def sample_geometric_formula(n, m, k, g, T, ws, seed):
     clause_pos = rng.random((m, g.d))
     pattern_u = rng.random(m)
     drawn = draw_geometric_clause_vars(clause_pos, sites, k, T, g, rng)
-    literals = _apply_sign_patterns(drawn, SignLedger(k), pattern_u)
+    literals = _apply_sign_patterns(drawn, pattern_u)
     formula = Formula(n=n, k=k, literals=literals)
     return GeometricInstance(formula=formula, clause_positions=clause_pos,
                              sites=sites, g=g, T=float(T))

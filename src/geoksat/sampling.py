@@ -7,9 +7,29 @@ vector: the target ``u * (remaining mass)`` is searched in the cumsum, and
 each earlier pick of the row at or below the hit shifts the target up by
 its weight (at most k - 1 corrections).  The cost is O(k^2) vector passes
 of O(m log n) each, in O(m k + n) memory.
+
+The cumsum carries a rounding error of up to about n * eps times the total.
+A row whose undrawn mass is not far above that error (weights spanning
+more than about 2^53) is drawn against a cumsum of its own remaining
+weights instead, one row at a time.
 """
 
 import numpy as np
+
+# a row draws against its own cumsum when its undrawn mass falls below this
+# multiple of n * eps * total, so the shared cumsum's rounding error stays
+# below 2^-20 of the mass it draws from
+_LOST_MASS = 2.0**20 * np.finfo(float).eps
+
+
+def _draw_own(w, taken, u):
+    """One draw against the cumsum of the weights not yet ``taken``."""
+    own = w.copy()
+    own[taken] = 0.0
+    cum = np.cumsum(own)
+    x = int(np.searchsorted(cum, u * cum[-1], side="right"))
+    # float edge: the last positive-weight index not yet drawn
+    return x if x < len(w) else int(np.flatnonzero(own)[-1])
 
 
 def sequential_weighted_draws(weights, uniforms):
@@ -38,6 +58,7 @@ def sequential_weighted_draws(weights, uniforms):
     cum = np.cumsum(w)
     out = np.empty((m, k), dtype=np.int64)
     rest = np.full(m, cum[-1])  # mass not yet drawn, per row
+    lost_below = _LOST_MASS * n * cum[-1]
     for j in range(k):
         target = u[:, j] * rest
         x = np.searchsorted(cum, target, side="right")
@@ -51,9 +72,12 @@ def sequential_weighted_draws(weights, uniforms):
             x[below] = np.searchsorted(cum, target[below] + shift[below], side="right")
         xc = np.minimum(x, n - 1)
         edge = (x >= n) | (w[xc] == 0) | np.any(out[:, :j] == xc[:, None], axis=1)
-        for i in np.flatnonzero(edge):
+        lost = rest <= lost_below
+        for i in np.flatnonzero(edge & ~lost):
             # float edge: the last positive-weight index not yet drawn
             x[i] = next(p for p in positive[::-1] if p not in out[i, :j])
+        for i in np.flatnonzero(lost):
+            x[i] = _draw_own(w, out[i, :j], u[i, j])
         out[:, j] = x
         rest -= w[x]
     return out

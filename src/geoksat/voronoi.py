@@ -6,10 +6,12 @@ size-k set A is the set of points whose k weighted-nearest sites are
 exactly A.  Regions are never constructed explicitly; non-empty regions
 are discovered by Monte Carlo sampling of k-nearest queries.
 
-k-nearest queries default to an exact full scan.  For unweighted sites a
-cKDTree with periodic boxsize can be enabled (``method="tree"``), which is
-an optimization flag only; both paths are exact and tested against each
-other.
+``knearest`` is the one exact k-nearest kernel.  It ranks by the dense
+score matrix for weighted sites; for unweighted sites it re-ranks a few
+periodic cKDTree candidates with the same arithmetic and falls back to the
+scan on rows with near-ties, so both backends return the same indices.
+Monte Carlo counting keeps its own ``method`` choice: its tree path takes
+the tree's keys as they are, without re-ranking.
 """
 
 import math
@@ -26,6 +28,12 @@ from .geometry import cross_distances, torus_distance
 _MC_BLOCK = 1 << 15
 # cap on distance-matrix entries processed at once
 _SCAN_ENTRIES = 4_000_000
+# clause draws are processed in fixed-size blocks so that RNG stream
+# consumption (and thus the instance) never depends on memory heuristics
+_CLAUSE_BLOCK = 1024
+# a tree row whose last candidate lies within this relative distance of its
+# k-th one may hide a tie with a site the tree did not return
+_TIE_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,19 +105,17 @@ def _pow_rows(a, e):
     return a**e
 
 
-def weighted_score_matrix(points, sites, g):
-    """(Q, n) matrix monotone in weighted distance: (sum |delta|^p) / w^(p/d).
+def _pnorm_scores(pts, site_pos, g):
+    """(Q, c) rootless distances sum |delta|^p (max |delta| for the max
+    norm) between ``pts`` (Q, d) and ``site_pos`` (1 or Q, c, d).
 
-    Avoids p-th roots; rankings and region keys are unchanged under the
-    strictly increasing map x -> x^p.  Accumulates one dimension at a time
-    with in-place updates to keep the memory traffic at (Q, n).
+    Accumulates one dimension at a time with in-place updates to keep the
+    memory traffic at (Q, c).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    pos = sites.positions
     base = None
     scratch = None
-    for j in range(sites.d):
-        diff = np.abs(pts[:, j, None] - pos[None, :, j])
+    for j in range(site_pos.shape[2]):
+        diff = np.abs(pts[:, j, None] - site_pos[:, :, j])
         if g.wrap:
             if scratch is None:
                 scratch = np.empty_like(diff)
@@ -124,6 +130,17 @@ def weighted_score_matrix(points, sites, g):
             elif p != 1:
                 np.power(diff, p, out=diff)
             base = diff if base is None else np.add(base, diff, out=base)
+    return base
+
+
+def weighted_score_matrix(points, sites, g):
+    """(Q, n) matrix monotone in weighted distance: (sum |delta|^p) / w^(p/d).
+
+    Avoids p-th roots; rankings and region keys are unchanged under the
+    strictly increasing map x -> x^p.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    base = _pnorm_scores(pts, sites.positions[None], g)
     if not sites.unweighted:
         if g.is_max_norm:
             denom = sites.normalized_weights
@@ -153,6 +170,52 @@ def rank_k_smallest(values, k):
     for r in ambiguous:
         sel[r] = np.argsort(values[r], kind="stable")[:k]
     return sel
+
+
+def _in_unit_cube(x):
+    return bool(np.all((x >= 0.0) & (x < 1.0)))
+
+
+def _rank_scan(points, sites, k, g):
+    """``knearest`` by the dense score matrix, in blocks of bounded size."""
+    out = np.empty((len(points), k), dtype=np.int64)
+    step = max(1, _SCAN_ENTRIES // max(1, sites.n))
+    for a in range(0, len(points), step):
+        block = points[a:a + step]
+        scores = weighted_score_matrix(block, sites, g)
+        out[a:a + len(block)] = rank_k_smallest(scores, k)
+    return out
+
+
+def knearest(points, sites, k, g):
+    """(rows, k) indices of the k sites of smallest weighted distance to
+    each point, ranked by increasing distance with ties broken by smaller
+    index: ``rank_k_smallest`` on ``weighted_score_matrix``, row for row.
+
+    For unweighted sites inside [0, 1)^d (and points there too) a periodic
+    cKDTree returns k + 2 candidates per point, which are re-ranked by the
+    score matrix's own arithmetic in (score, index) order.  Every site left
+    out is farther than the k-th candidate unless the last candidate's tree
+    distance is within a relative ``_TIE_GAP`` of the k-th; such rows, and
+    all rows of any other input, are ranked by the dense scan.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if k > sites.n:
+        raise ValueError(f"k = {k} exceeds site count {sites.n}")
+    pos = sites.positions
+    if not (sites.unweighted and k + 2 <= sites.n
+            and _in_unit_cube(pos) and _in_unit_cube(pts)):
+        return _rank_scan(pts, sites, k, g)
+    tree = cKDTree(pos, boxsize=1.0 if g.wrap else None)
+    dist, cand = tree.query(pts, k=k + 2,
+                            p=np.inf if g.is_max_norm else int(g.p_norm))
+    scores = _pnorm_scores(pts, pos[cand], g)
+    order = np.lexsort((cand, scores))
+    ranked = np.take_along_axis(cand, order[:, :k], axis=1).astype(np.int64)
+    tie = np.flatnonzero(dist[:, k + 1] <= dist[:, k - 1] * (1.0 + _TIE_GAP))
+    if len(tie):
+        ranked[tie] = _rank_scan(pts[tie], sites, k, g)
+    return ranked
 
 
 def k_nearest_sites(p, sites, k, g):
@@ -193,12 +256,7 @@ class RegionCountResult:
 
 
 def _keys_via_scan(points, sites, k, g):
-    out = np.empty((len(points), k), dtype=np.int64)
-    step = max(1, _SCAN_ENTRIES // max(1, sites.n))
-    for a in range(0, len(points), step):
-        block = points[a:a + step]
-        scores = weighted_score_matrix(block, sites, g)
-        out[a:a + len(block)] = rank_k_smallest(scores, k)
+    out = _rank_scan(points, sites, k, g)
     out.sort(axis=1)
     return out
 
@@ -236,6 +294,11 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, method="auto",
         raise ValueError(f"unknown method {method!r}")
 
     marks = sorted(int(c) for c in checkpoints if 0 < c <= samples)
+    # a sorted key row is one int64 in mixed radix n when n^k fits
+    radix = None
+    if sites.n ** k < 1 << 63:
+        radix = sites.n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    seen = np.empty(0, dtype=np.int64)  # sorted codes of the keys found
     rng = np.random.default_rng(seed)
     keys = set()
     witnesses = {}
@@ -255,13 +318,20 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, method="auto",
                 counts_at[done + hi] = len(keys)
                 continue
             seg = rows[lo:hi]
-            uniq, first = np.unique(seg, axis=0, return_index=True)
-            # restore discovery order so witnesses are the earliest points
-            for j in np.argsort(first):
-                key = tuple(int(v) for v in uniq[j])
-                if key not in keys:
-                    keys.add(key)
-                    witnesses[key] = pts[lo + first[j]].copy()
+            if radix is not None:
+                uniq, first = np.unique(seg @ radix, return_index=True)
+                new = ~np.isin(uniq, seen, assume_unique=True)
+                seen = np.sort(np.concatenate((seen, uniq[new])))
+                fresh = np.sort(first[new])
+            else:
+                _, first = np.unique(seg, axis=0, return_index=True)
+                fresh = [i for i in np.sort(first)
+                         if tuple(seg[i].tolist()) not in keys]
+            # in discovery order, so witnesses are the earliest points
+            for i in fresh:
+                key = tuple(seg[i].tolist())
+                keys.add(key)
+                witnesses[key] = pts[lo + i].copy()
             if hi in cuts:
                 counts_at[done + hi] = len(keys)
         done += block

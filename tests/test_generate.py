@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from geoksat.geometry import GeometrySpec
-from geoksat.generate import (SignLedger, draw_geometric_clause_vars,
+from geoksat.generate import (SignLedger, _apply_sign_patterns, _race_keys,
+                              draw_geometric_clause_vars,
                               formula_from_clauses, sample_geometric_formula,
                               sample_nonuniform_formula)
 from geoksat.structure import is_nice
@@ -209,3 +211,73 @@ def test_sign_ledger_invariant_on_instances():
 def test_geometric_accepts_high_temperature():
     inst = sample_geometric_formula(40, 100, 2, G2, 1.5, None, seed=31)
     assert inst.T == 1.5
+
+
+def _signs_one_by_one(drawn, pattern_u):
+    """Reference: every clause through one ledger, in clause-index order."""
+    ledger = SignLedger(drawn.shape[1])
+    out = []
+    for row, u in zip(drawn.tolist(), pattern_u):
+        key = tuple(sorted(row))
+        pat = ledger.draw_pattern(key, u)
+        out.append([-(v + 1) if (pat >> key.index(v)) & 1 else v + 1 for v in row])
+    return np.array(out, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 4), spare=st.integers(0, 3), m=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_grouped_signs_match_sequential_ledger(k, spare, m, seed):
+    # few variables, so sets repeat and saturate (all 2^k patterns used)
+    rng = np.random.default_rng(seed)
+    drawn = np.array([rng.permutation(k + spare)[:k] for _ in range(m)])
+    u = rng.random(m)
+    u[::7] = 0.0
+    u[3::7] = 1.0 - np.finfo(float).eps
+    assert np.array_equal(_apply_sign_patterns(drawn, u), _signs_one_by_one(drawn, u))
+
+
+@pytest.mark.parametrize("T", [300.0, 1000.0])
+def test_race_at_high_temperature_is_not_index_biased(T):
+    # E**(T*p/d) under- and overflows at large T; positions are i.i.d., so
+    # the first draw lands on each tenth of the indices about equally often
+    rng = np.random.default_rng(43)
+    sites = WeightedSites(rng.random((200, 2)), np.ones(200))
+    drawn = draw_geometric_clause_vars(rng.random((4000, 2)), sites, 3, T, G2, rng)
+    assert abs(np.mean(drawn[:, 0] < 20) - 0.10) < 0.03
+
+
+def test_race_keys_are_the_product_without_overflow():
+    rng = np.random.default_rng(47)
+    sites = WeightedSites.from_raw(rng.random((300, 2)), rng.uniform(1, 5, 300))
+    scores = weighted_score_matrix(rng.random((500, 2)), sites, G2)
+    for seed, T in enumerate((0.3, 0.5, 1.0, 2.0)):
+        e = T * 2 / 2
+        expo = np.random.default_rng(seed).standard_exponential(scores.shape)
+        want = scores * expo**e
+        assert np.all(np.isfinite(want)) and want.min() > np.finfo(float).tiny
+        got = _race_keys(scores, G2, T, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", ["underflow", "overflow"])
+def test_race_keys_at_high_temperature_use_the_drawn_exponentials(case):
+    rng = np.random.default_rng(53)
+    if case == "underflow":  # E**100 below the smallest normal double
+        scores = weighted_score_matrix(rng.random((300, 2)),
+                                       WeightedSites(rng.random((100, 2)), np.ones(100)), G2)
+        T = 100.0
+    else:  # keys above the largest double
+        scores, T = np.full((300, 3), 1e308), 1.0
+    e = T * 2 / 2
+    got_rng, ref_rng = np.random.default_rng(59), np.random.default_rng(59)
+    got = _race_keys(scores, G2, T, got_rng)
+    expo = ref_rng.standard_exponential(scores.shape)
+    with np.errstate(over="ignore", under="ignore"):
+        product = scores * expo**e
+    bad = ~np.all(np.isfinite(product) & (product >= np.finfo(float).tiny), axis=1)
+    assert 0 < bad.sum() < len(scores)
+    assert np.array_equal(got[bad], np.log(scores[bad]) + e * np.log(expo[bad]))
+    assert np.array_equal(got[~bad], product[~bad])
+    # the stream continues where the block's exponentials end
+    assert got_rng.random() == ref_rng.random()

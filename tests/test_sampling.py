@@ -77,6 +77,16 @@ def test_draw_never_returns_zero_weight():
     assert np.all(np.sort(got, axis=1) == [1, 2, 3, 4])
 
 
+def test_draws_weights_lost_in_the_rounding_of_the_total():
+    # 10.7 absorbs the other weights in the cumsum; once it is drawn the
+    # undrawn mass is 1.35e-17, of which index 1 holds 5/135
+    w = np.array([0.0, 5e-19, 10.7, 6e-18, 7e-18])
+    got = sequential_weighted_draws(w, np.random.default_rng(9).random((20_000, 3)))
+    assert np.all(got[:, 0] == 2)
+    share = np.bincount(got[:, 1], minlength=5)[[1, 3, 4]] / len(got)
+    assert np.allclose(share, np.array([5, 60, 70]) / 135, atol=0.015)
+
+
 def test_restore_after_draws():
     # the caller's weights are left untouched
     w = [5.0, 1.0, 2.0, 0.5]

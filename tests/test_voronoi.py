@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geoksat.geometry import GeometrySpec, INFINITY
+from geoksat import voronoi
+from geoksat.geometry import GeometrySpec, INFINITY, torus_distance
 from geoksat.voronoi import (WeightedSites, compute_R_A,
                              count_regions_monte_carlo,
                              generate_worst_case_sites, k_nearest_sites,
-                             random_sites, rank_k_smallest,
+                             knearest, random_sites, rank_k_smallest,
                              relevance_certificate, weighted_score_matrix)
 
 G1 = GeometrySpec(d=1, p_norm=2)
@@ -219,3 +221,120 @@ def test_score_matrix_matches_weighted_distance_ranking():
                 q = int(g.p_norm)
                 wd = (diffs**q).sum(axis=1) ** (1 / q) / s.normalized_weights
             assert np.array_equal(np.argsort(row), np.argsort(wd))
+
+
+def _region_count_reference(sites, k, samples, seed, g, checkpoints):
+    """Keys, witnesses in discovery order and counts_at, one point at a
+    time over the same sample stream, ranked by the dense scan."""
+    pts = np.random.default_rng(seed).random((samples, g.d))
+    rows = np.sort(rank_k_smallest(weighted_score_matrix(pts, sites, g), k), axis=1)
+    witnesses, counts_at = {}, {}
+    for i, row in enumerate(rows.tolist(), start=1):
+        witnesses.setdefault(tuple(row), pts[i - 1])
+        if i in checkpoints:
+            counts_at[i] = len(witnesses)
+    return witnesses, counts_at
+
+
+@pytest.mark.parametrize("n,k,method", [(60, 2, "scan"), (40, 3, "tree"),
+                                        (100, 10, "tree")])
+def test_region_count_dedup_matches_reference(n, k, method):
+    # 100^10 >= 2^63: the last case dedups tuple keys instead of int64 codes
+    s = random_sites(n, G2, 4)
+    marks = (1, 700, 2500, 6000)
+    res = count_regions_monte_carlo(s, k, 6000, 12, G2, method=method,
+                                    checkpoints=marks)
+    witnesses, counts_at = _region_count_reference(s, k, 6000, 12, G2, marks)
+    assert list(res.witnesses) == list(witnesses)
+    assert res.keys == set(witnesses) and res.count == len(witnesses)
+    for key, point in witnesses.items():
+        assert np.array_equal(res.witnesses[key], point)
+    assert res.counts_at == counts_at
+
+
+def _brute_ranking(points, sites, k, g):
+    """Unweighted sites ranked by (torus_distance, index), one by one."""
+    out = []
+    for p in points:
+        dist = [torus_distance(sites.positions[i], p, g) for i in range(sites.n)]
+        out.append(sorted(range(sites.n), key=lambda i: (dist[i], i))[:k])
+    return np.array(out, dtype=np.int64).reshape(len(points), k)
+
+
+@st.composite
+def _knearest_cases(draw):
+    d = draw(st.sampled_from((1, 2, 3)))
+    g = GeometrySpec(d=d, p_norm=draw(st.sampled_from((1, 2, 3, INFINITY))),
+                     wrap=draw(st.booleans()))
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, min(n, 4)) | st.integers(1, n))
+    layout = draw(st.sampled_from(("uniform", "grid", "duplicates", "at_one")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = rng.random((n, d))
+    pts = rng.random((draw(st.integers(1, 30)), d))
+    if layout == "grid":
+        # exact distance ties, so the tree's candidate lists are cut inside
+        # a tie and rows must fall back to the scan
+        side = draw(st.sampled_from((2, 4, 8)))
+        pos = rng.integers(0, side, (n, d)) / side
+        pts = rng.integers(0, side, pts.shape) / side
+    elif layout == "duplicates":
+        pos = pos[rng.integers(0, max(1, n // 3), n)]
+    elif layout == "at_one":
+        pos[rng.integers(0, n), rng.integers(0, d)] = 1.0
+    weights = (rng.uniform(1.0, 4.0, n) if draw(st.booleans()) and layout == "uniform"
+               else np.ones(n))
+    return g, WeightedSites.from_raw(pos, weights), pts, k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_knearest_cases())
+def test_knearest_equals_scan_and_brute_force(case):
+    g, sites, pts, k = case
+    got = knearest(pts, sites, k, g)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, rank_k_smallest(weighted_score_matrix(pts, sites, g), k))
+    if sites.unweighted:
+        assert np.array_equal(got, _brute_ranking(pts, sites, k, g))
+
+
+def test_knearest_backend_and_fallback_rows(monkeypatch):
+    calls = {"tree": 0, "scan_rows": []}
+    real_tree, real_scan = voronoi.cKDTree, voronoi._rank_scan
+
+    class Tree(real_tree):
+        def query(self, *args, **kwargs):
+            calls["tree"] += 1
+            return super().query(*args, **kwargs)
+
+    def scan(points, *args):
+        calls["scan_rows"].append(len(points))
+        return real_scan(points, *args)
+
+    monkeypatch.setattr(voronoi, "cKDTree", Tree)
+    monkeypatch.setattr(voronoi, "_rank_scan", scan)
+    rng = np.random.default_rng(2)
+    pts = rng.random((500, 2))
+
+    def run(sites, k=3):
+        calls["tree"], calls["scan_rows"] = 0, []
+        got = knearest(pts, sites, k, G2)
+        assert np.array_equal(got, rank_k_smallest(
+            weighted_score_matrix(pts, sites, G2), k))
+        return calls["tree"], sum(calls["scan_rows"])
+
+    pos = rng.random((200, 2))
+    assert run(WeightedSites(pos, np.ones(200))) == (1, 0)
+    # a site twice: the tie with the (k+1)-th candidate is re-ranked; a site
+    # three times: the k-th and last candidates tie and the row is scanned
+    trees, rows = run(WeightedSites(np.vstack([pos, pos[:50]]), np.ones(250)), k=1)
+    assert trees == 1 and rows == 0
+    trees, rows = run(WeightedSites(np.vstack([pos, pos[:50], pos[:50]]),
+                                    np.ones(300)), k=1)
+    assert trees == 1 and 0 < rows < len(pts)
+    # a site on the border, weighted sites, and k + 2 > n scan every row
+    at_one = pos.copy()
+    at_one[0, 0] = 1.0
+    assert run(WeightedSites(at_one, np.ones(200))) == (0, len(pts))
+    assert run(WeightedSites.from_raw(pos, rng.uniform(1, 3, 200))) == (0, len(pts))
+    assert run(WeightedSites(pos[:4], np.ones(4))) == (0, len(pts))
