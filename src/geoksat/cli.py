@@ -2,9 +2,12 @@
 
 Subcommands: ``generate`` (model -> DIMACS), ``core`` (instance ->
 unsat-core certificate), ``voronoi-count``, ``experiment`` (config-driven
-JSON-lines reports), and ``moments``.  Generation subcommands require an
-explicit --seed; there is no wall-clock seeding.  The environment variable
-GEOKSAT_OUTDIR supplies the default output directory.
+JSON-lines reports), and ``moments``.  ``generate`` and ``core`` share one
+set of model options; every command that samples requires an explicit
+--seed, so there is no wall-clock seeding.  Parameter checks that the
+library makes itself (beta > 2, experiment configs) are not repeated here:
+their ``ValueError`` becomes an ``error:`` exit in ``main``.  The
+environment variable GEOKSAT_OUTDIR supplies the default output directory.
 """
 
 import argparse
@@ -18,7 +21,8 @@ from ._version import __version__
 from .geometry import GeometrySpec, INFINITY
 from .dimacs import (emit_dimacs, load_sites, parse_dimacs, save_sites,
                      write_core_certificate)
-from .experiments import ExperimentConfig, run_experiment, write_records
+from .experiments import (EXPERIMENT_KINDS, ExperimentConfig, run_experiment,
+                          write_records)
 from .generate import sample_geometric_formula, sample_nonuniform_formula
 from .structure import find_unsat_core
 from .voronoi import count_regions_monte_carlo, random_sites
@@ -51,31 +55,38 @@ def _check(cond, message):
         raise SystemExit(f"error: {message}")
 
 
-def _add_model_args(p, geometric_defaults=False):
+def _add_model_args(p, required=True):
+    """Model options; ``core`` passes required=False, since --input
+    replaces them there, and ``_validate_model_args`` checks them."""
     p.add_argument("--model", choices=("powerlaw", "uniform", "geometric"),
-                   required=True)
-    p.add_argument("-n", "--variables", type=int, required=True)
+                   required=required)
+    p.add_argument("-n", "--variables", type=int, required=required)
     p.add_argument("-m", "--clauses", type=int)
     p.add_argument("--delta", type=float, help="clause density m/n")
-    p.add_argument("-k", "--width", type=int, required=True)
+    p.add_argument("-k", "--width", type=int, required=required)
     p.add_argument("--beta", type=float, help="power-law exponent (> 2)")
     p.add_argument("--weights-file", help="explicit weights, one per line")
     p.add_argument("--d", type=int, default=2, help="torus dimension")
     p.add_argument("--p-norm", type=_parse_p_norm, default=2)
     p.add_argument("--temperature", "-T", type=float, default=0.0)
-    p.add_argument("--seed", type=int, required=True,
+    p.add_argument("--seed", type=int, required=required,
                    help="required: generation is never wall-clock seeded")
 
 
 def _validate_model_args(args):
+    missing = [flag for flag, value in (("-n", args.variables),
+                                        ("-k", args.width),
+                                        ("--seed", args.seed))
+               if value is None]
+    _check(not missing, "the following arguments are required: "
+           + ", ".join(missing))
     _check(args.variables >= 1, "n must be >= 1")
     _check(1 <= args.width <= args.variables, "k must satisfy 1 <= k <= n")
     if args.clauses is None:
         _check(args.delta is not None, "give -m or --delta")
         args.clauses = max(1, round(args.delta * args.variables))
     if args.beta is not None:
-        _check(args.beta > 2,
-               "beta must be > 2 (power-law weights require exponent above 2)")
+        weights_mod.check_beta(args.beta)
     _check(args.temperature >= 0, "temperature must be >= 0")
 
 
@@ -146,17 +157,13 @@ def _cmd_voronoi_count(args):
         _check(args.variables is not None, "give --sites-json or -n")
         w = None
         if args.beta is not None:
-            _check(args.beta > 2,
-                   "beta must be > 2 (power-law weights require exponent above 2)")
-            ws = weights_mod.power_law_weights(args.variables, args.beta)
-            w = weights_mod.normalize_min_one(ws).weights
+            w = weights_mod.power_law_weights(args.variables, args.beta).weights
         sites = random_sites(args.variables, g,
                              np.random.default_rng((args.seed, 0xA11CE)), w)
     _check(args.width <= sites.n, "k must be <= n")
     samples = args.samples or 200 * sites.n
     result = count_regions_monte_carlo(sites, args.width, samples,
                                        (args.seed, 0xC0DE), g,
-                                       method=args.method,
                                        checkpoints=(samples // 2,))
     record = {"n": sites.n, "d": g.d,
               "p_norm": "inf" if g.is_max_norm else g.p_norm,
@@ -197,23 +204,18 @@ def _cmd_experiment(args):
         cfg = ExperimentConfig.from_dict(data)
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
-    records = run_experiment(cfg)
-    out = _out_path(cfg.output)
-    if out:
-        count = write_records(records, out)
-        print(f"wrote {count} records to {out}")
-    else:
-        write_records(records, sys.stdout)
+    _emit_records(run_experiment(cfg), cfg.output)
 
 
 def _cmd_moments(args):
-    _check(args.beta > 2,
-           "beta must be > 2 (power-law weights require exponent above 2)")
     n_values = [int(x) for x in args.n_values.split(",")]
     cfg = ExperimentConfig(kind="MOMENT_CHECK", n_values=n_values,
                            seeds=(0,), beta=args.beta)
-    records = run_experiment(cfg)
-    out = _out_path(args.output)
+    _emit_records(run_experiment(cfg), args.output)
+
+
+def _emit_records(records, output):
+    out = _out_path(output)
     if out:
         count = write_records(records, out)
         print(f"wrote {count} records to {out}")
@@ -236,17 +238,7 @@ def build_parser():
 
     p_core = sub.add_parser("core", help="find an unsatisfiable core")
     p_core.add_argument("--input", help="DIMACS CNF to analyze")
-    p_core.add_argument("--model", choices=("powerlaw", "uniform", "geometric"))
-    p_core.add_argument("-n", "--variables", type=int)
-    p_core.add_argument("-m", "--clauses", type=int)
-    p_core.add_argument("--delta", type=float)
-    p_core.add_argument("-k", "--width", type=int)
-    p_core.add_argument("--beta", type=float)
-    p_core.add_argument("--weights-file")
-    p_core.add_argument("--d", type=int, default=2)
-    p_core.add_argument("--p-norm", type=_parse_p_norm, default=2)
-    p_core.add_argument("--temperature", "-T", type=float, default=0.0)
-    p_core.add_argument("--seed", type=int)
+    _add_model_args(p_core, required=False)
     p_core.add_argument("-o", "--output", help="certificate JSON path")
     p_core.add_argument("--fragment-out", help="core DIMACS fragment path")
     p_core.set_defaults(func=_cmd_core)
@@ -260,17 +252,13 @@ def build_parser():
     p_vc.add_argument("--d", type=int, default=2)
     p_vc.add_argument("--p-norm", type=_parse_p_norm, default=2)
     p_vc.add_argument("--samples", type=int)
-    p_vc.add_argument("--method", choices=("auto", "scan", "tree"),
-                      default="auto")
     p_vc.add_argument("--seed", type=int, required=True)
     p_vc.add_argument("-o", "--output")
     p_vc.set_defaults(func=_cmd_voronoi_count)
 
     p_exp = sub.add_parser("experiment", help="run a configured experiment")
     p_exp.add_argument("--config", help="JSON config file")
-    p_exp.add_argument("--kind", choices=("REGION_SCALING", "NICE_FRACTION",
-                                          "CORE_DETECTION", "EXPANSION_PROBE",
-                                          "BALLS_BINS", "MOMENT_CHECK"))
+    p_exp.add_argument("--kind", choices=EXPERIMENT_KINDS)
     p_exp.add_argument("--n-values", help="comma-separated ladder")
     p_exp.add_argument("--seeds", help="comma-separated seeds")
     p_exp.add_argument("-k", "--width", type=int)

@@ -24,9 +24,6 @@ from .voronoi import (_CLAUSE_BLOCK, count_regions_monte_carlo, random_sites,
                       rank_k_smallest, weighted_score_matrix)
 from . import weights as weights_mod
 
-EXPERIMENT_KINDS = ("REGION_SCALING", "NICE_FRACTION", "CORE_DETECTION",
-                    "EXPANSION_PROBE", "BALLS_BINS", "MOMENT_CHECK")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -98,22 +95,16 @@ class ExperimentConfig:
         return cls(**data)
 
 
-def _require(cfg, *names):
-    missing = [x for x in names if getattr(cfg, x) is None]
-    if missing:
-        raise ValueError(f"{cfg.kind} requires {', '.join(missing)}")
-
-
 def validate_config(cfg):
     """Reject invalid parameters before any work is done."""
-    if cfg.kind not in EXPERIMENT_KINDS:
+    if cfg.kind not in _KINDS:
         raise ValueError(f"unknown experiment kind {cfg.kind!r}")
     if not cfg.n_values:
         raise ValueError("n_values must be nonempty")
     if any(n < 1 for n in cfg.n_values):
         raise ValueError("all n values must be >= 1")
-    if cfg.beta is not None and cfg.beta <= 2:
-        raise ValueError("beta must be > 2 (power-law weights require exponent above 2)")
+    if cfg.beta is not None:
+        weights_mod.check_beta(cfg.beta)
     if cfg.temperature is not None and cfg.temperature < 0:
         raise ValueError("temperature must be >= 0")
     if cfg.k is not None:
@@ -127,17 +118,9 @@ def validate_config(cfg):
         raise ValueError(f"weights must be 'uniform' or 'powerlaw', not {cfg.weights!r}")
     if cfg.weights == "powerlaw" and cfg.beta is None:
         raise ValueError("powerlaw weights require beta")
-
-    if cfg.kind == "REGION_SCALING":
-        _require(cfg, "k", "d", "p_norm")
-    elif cfg.kind == "NICE_FRACTION":
-        _require(cfg, "k", "d", "p_norm", "temperature")
-    elif cfg.kind == "CORE_DETECTION":
-        _require(cfg, "k", "d", "p_norm")
-    elif cfg.kind == "EXPANSION_PROBE":
-        _require(cfg, "k", "beta", "r", "c")
-    elif cfg.kind == "MOMENT_CHECK":
-        _require(cfg, "beta")
+    missing = [x for x in _KINDS[cfg.kind][1] if getattr(cfg, x) is None]
+    if missing:
+        raise ValueError(f"{cfg.kind} requires {', '.join(missing)}")
 
 
 @dataclass
@@ -171,8 +154,7 @@ class ReportRecord:
 
 def _site_weights(cfg, n):
     if cfg.weights == "powerlaw":
-        ws = weights_mod.power_law_weights(n, cfg.beta)
-        return weights_mod.normalize_min_one(ws).weights
+        return weights_mod.power_law_weights(n, cfg.beta).weights
     return None
 
 
@@ -296,19 +278,21 @@ def _moment_check_point(cfg, n, seed):
     return out
 
 
-_POINT_FUNCS = {
-    "REGION_SCALING": _region_scaling_point,
-    "NICE_FRACTION": _nice_fraction_point,
-    "CORE_DETECTION": _core_detection_point,
-    "EXPANSION_PROBE": _expansion_probe_point,
-    "BALLS_BINS": _balls_bins_point,
-    "MOMENT_CHECK": _moment_check_point,
+# kind -> (point function, config fields the kind requires)
+_KINDS = {
+    "REGION_SCALING": (_region_scaling_point, ("k", "d", "p_norm")),
+    "NICE_FRACTION": (_nice_fraction_point, ("k", "d", "p_norm", "temperature")),
+    "CORE_DETECTION": (_core_detection_point, ("k", "d", "p_norm")),
+    "EXPANSION_PROBE": (_expansion_probe_point, ("k", "beta", "r", "c")),
+    "BALLS_BINS": (_balls_bins_point, ()),
+    "MOMENT_CHECK": (_moment_check_point, ("beta",)),
 }
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def run_experiment(cfg):
     """Yield one ReportRecord per (n, seed), in deterministic sorted order."""
-    func = _POINT_FUNCS[cfg.kind]
+    func = _KINDS[cfg.kind][0]
     params = cfg.to_jsonable()
     for n in sorted(cfg.n_values):
         for seed in sorted(cfg.seeds):
@@ -322,7 +306,7 @@ def run_experiment(cfg):
 def rerun_record(record):
     """Recompute a record's measured quantities from its own echo."""
     cfg = ExperimentConfig.from_dict(record.params)
-    return _POINT_FUNCS[record.kind](cfg, record.n, record.seed)
+    return _KINDS[record.kind][0](cfg, record.n, record.seed)
 
 
 def write_records(records, destination):

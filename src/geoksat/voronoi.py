@@ -10,10 +10,12 @@ are discovered by Monte Carlo sampling of k-nearest queries.
 score matrix for weighted sites; for unweighted sites it re-ranks a few
 periodic cKDTree candidates with the same arithmetic and falls back to the
 scan on rows with near-ties, so both backends return the same indices.
-Monte Carlo counting keeps its own ``method`` choice: its tree path takes
-the tree's keys as they are, without re-ranking.
+Monte Carlo counting needs only each point's k-nearest set, so its tree
+path asks for k + 1 neighbours and scans just the rows where the k-th and
+(k + 1)-th tie; its keys, too, equal the scan's.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -263,10 +265,14 @@ def _keys_via_scan(points, sites, k, g):
 
 def _keys_via_tree(tree, points, sites, k, g):
     p = np.inf if g.is_max_norm else int(g.p_norm)
-    _, idx = tree.query(points, k=k, p=p)
-    idx = idx.reshape(len(points), k).astype(np.int64)
-    idx.sort(axis=1)
-    return idx
+    # at k = n the (k + 1)-th neighbour is missing, with distance inf
+    dist, idx = tree.query(points, k=k + 1, p=p)
+    keys = idx[:, :k].astype(np.int64)
+    tie = np.flatnonzero(dist[:, k] <= dist[:, k - 1] * (1.0 + _TIE_GAP))
+    if len(tie):
+        keys[tie] = _rank_scan(points[tie], sites, k, g)
+    keys.sort(axis=1)
+    return keys
 
 
 def count_regions_monte_carlo(sites, k, samples, seed, g, method="auto",
@@ -284,7 +290,8 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, method="auto",
     if k > sites.n:
         raise ValueError(f"k = {k} exceeds site count {sites.n}")
     if method == "auto":
-        method = "tree" if sites.unweighted else "scan"
+        method = ("tree" if sites.unweighted and _in_unit_cube(sites.positions)
+                  else "scan")
     tree = None
     if method == "tree":
         if not sites.unweighted:
@@ -293,7 +300,6 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, method="auto",
     elif method != "scan":
         raise ValueError(f"unknown method {method!r}")
 
-    marks = sorted(int(c) for c in checkpoints if 0 < c <= samples)
     # a sorted key row is one int64 in mixed radix n when n^k fits
     radix = None
     if sites.n ** k < 1 << 63:
@@ -302,7 +308,7 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, method="auto",
     rng = np.random.default_rng(seed)
     keys = set()
     witnesses = {}
-    counts_at = {}
+    found = []  # sample index at which each key was first seen, increasing
     done = 0
     while done < samples:
         block = min(_MC_BLOCK, samples - done)
@@ -311,30 +317,24 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, method="auto",
             rows = _keys_via_tree(tree, pts, sites, k, g)
         else:
             rows = _keys_via_scan(pts, sites, k, g)
-        # split the block at any checkpoint so running counts are exact
-        cuts = [mk - done for mk in marks if done < mk <= done + block]
-        for lo, hi in zip([0] + cuts, cuts + [block]):
-            if lo == hi:
-                counts_at[done + hi] = len(keys)
-                continue
-            seg = rows[lo:hi]
-            if radix is not None:
-                uniq, first = np.unique(seg @ radix, return_index=True)
-                new = ~np.isin(uniq, seen, assume_unique=True)
-                seen = np.sort(np.concatenate((seen, uniq[new])))
-                fresh = np.sort(first[new])
-            else:
-                _, first = np.unique(seg, axis=0, return_index=True)
-                fresh = [i for i in np.sort(first)
-                         if tuple(seg[i].tolist()) not in keys]
-            # in discovery order, so witnesses are the earliest points
-            for i in fresh:
-                key = tuple(seg[i].tolist())
-                keys.add(key)
-                witnesses[key] = pts[lo + i].copy()
-            if hi in cuts:
-                counts_at[done + hi] = len(keys)
+        if radix is not None:
+            uniq, first = np.unique(rows @ radix, return_index=True)
+            new = ~np.isin(uniq, seen, assume_unique=True)
+            seen = np.sort(np.concatenate((seen, uniq[new])))
+            fresh = np.sort(first[new])
+        else:
+            _, first = np.unique(rows, axis=0, return_index=True)
+            fresh = [i for i in np.sort(first)
+                     if tuple(rows[i].tolist()) not in keys]
+        # in discovery order, so witnesses are the earliest points
+        for i in fresh:
+            key = tuple(rows[i].tolist())
+            keys.add(key)
+            witnesses[key] = pts[i].copy()
+            found.append(done + int(i))
         done += block
+    counts_at = {int(c): bisect.bisect_left(found, c)
+                 for c in checkpoints if 0 < c <= samples}
     return RegionCountResult(
         count=len(keys), keys=keys, witnesses=witnesses,
         samples=samples, seed=seed, method=method, n=sites.n, k=k,

@@ -51,12 +51,18 @@ class WeightSequence:
         return np.cumsum(p)
 
 
+def check_beta(beta):
+    """Reject a power-law exponent of 2 or less (or nan)."""
+    if not beta > 2:
+        raise ValueError("beta must be > 2 (power-law weights require "
+                         f"exponent above 2), got {beta}")
+
+
 def power_law_weights(n, beta):
     """w_i = i^(-1/(beta-1)), i = 1..n, decreasing; requires beta > 2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if beta <= 2:
-        raise ValueError(f"power-law exponent must satisfy beta > 2, got {beta}")
+    check_beta(beta)
     i = np.arange(1, n + 1, dtype=float)
     return WeightSequence(i ** (-1.0 / (beta - 1.0)), kind=POWER_LAW, beta=float(beta))
 

@@ -81,6 +81,35 @@ def test_core_subcommand(tmp_path):
     assert back.m == 4
 
 
+def test_core_model_requires_seed_and_sizes(tmp_path):
+    base = ["core", "--model", "geometric", "-m", "2000",
+            "-o", str(tmp_path / "c.json")]
+    with pytest.raises(SystemExit, match="error: .*required: --seed"):
+        run_cli(base + ["-n", "30", "-k", "2"])
+    with pytest.raises(SystemExit, match="error: .*required: -n"):
+        run_cli(base + ["-k", "2", "--seed", "1"])
+    with pytest.raises(SystemExit, match="error: .*required: -k"):
+        run_cli(base + ["-n", "30", "--seed", "1"])
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_beta_rule_in_every_subcommand(tmp_path):
+    weights = tmp_path / "w.txt"
+    weights.write_text("1\n2\n3\n")
+    for args in (["core", "--model", "powerlaw", "-n", "10", "-m", "5",
+                  "-k", "2", "--beta", "2", "--seed", "1"],
+                 ["generate", "--model", "uniform", "-n", "3", "-m", "5",
+                  "-k", "2", "--weights-file", str(weights), "--beta", "1.5",
+                  "--seed", "1"],
+                 ["voronoi-count", "-n", "20", "-k", "2", "--beta", "2",
+                  "--seed", "1"],
+                 ["moments", "--beta", "1.5", "--n-values", "10"],
+                 ["experiment", "--kind", "MOMENT_CHECK", "--n-values", "10",
+                  "--beta", "nan"]):
+        with pytest.raises(SystemExit, match="error: beta must be > 2"):
+            run_cli(args)
+
+
 def test_core_on_dimacs_input(tmp_path):
     inst = tmp_path / "inst.cnf"
     run_cli(["generate", "--model", "geometric", "-n", "80", "-m", "2600",

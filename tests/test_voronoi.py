@@ -113,6 +113,34 @@ def test_region_count_methods_agree():
             method="tree")
 
 
+def test_region_count_tree_keys_equal_scan_keys_at_ties():
+    # coincident grid sites tie at the k-th place: the tree path must keep
+    # the scan's smaller-index rule there, not the tree's internal order
+    rng = np.random.default_rng(2)
+    s = WeightedSites(rng.integers(0, 8, (40, 2)) / 8, np.ones(40))
+    scan = count_regions_monte_carlo(s, 3, 20_000, 3, G2, method="scan")
+    tree = count_regions_monte_carlo(s, 3, 20_000, 3, G2, method="tree")
+    assert list(tree.witnesses) == list(scan.witnesses)
+    for key, point in scan.witnesses.items():
+        assert np.array_equal(tree.witnesses[key], point)
+    # k = n: the tree has no (k + 1)-th neighbour to compare with
+    every = count_regions_monte_carlo(WeightedSites(s.positions[:3], np.ones(3)),
+                                      3, 100, 0, G2, method="tree")
+    assert every.keys == {(0, 1, 2)}
+
+
+def test_region_count_auto_scans_sites_outside_the_unit_cube():
+    # a site at 1.0 (a loaded site file may hold one) lies outside the
+    # tree's periodic box, so auto must take the scan, as knearest does
+    pos = random_sites(30, G2, 6).positions.copy()
+    pos[0, 0] = 1.0
+    s = WeightedSites(pos, np.ones(30))
+    auto = count_regions_monte_carlo(s, 2, 3000, 1, G2)
+    scan = count_regions_monte_carlo(s, 2, 3000, 1, G2, method="scan")
+    assert auto.method == "scan"
+    assert list(auto.witnesses) == list(scan.witnesses)
+
+
 def test_region_count_determinism():
     s = random_sites(50, G2, 21)
     a = count_regions_monte_carlo(s, 2, 8000, 9, G2)
@@ -239,12 +267,13 @@ def _region_count_reference(sites, k, samples, seed, g, checkpoints):
 @pytest.mark.parametrize("n,k,method", [(60, 2, "scan"), (40, 3, "tree"),
                                         (100, 10, "tree")])
 def test_region_count_dedup_matches_reference(n, k, method):
-    # 100^10 >= 2^63: the last case dedups tuple keys instead of int64 codes
+    # 100^10 >= 2^63: the last case dedups tuple keys instead of int64 codes;
+    # 40k samples span two Monte Carlo blocks, with marks on both sides
     s = random_sites(n, G2, 4)
-    marks = (1, 700, 2500, 6000)
-    res = count_regions_monte_carlo(s, k, 6000, 12, G2, method=method,
+    marks = (1, 700, 2500, 6000, 32_768, 32_769, 40_000)
+    res = count_regions_monte_carlo(s, k, 40_000, 12, G2, method=method,
                                     checkpoints=marks)
-    witnesses, counts_at = _region_count_reference(s, k, 6000, 12, G2, marks)
+    witnesses, counts_at = _region_count_reference(s, k, 40_000, 12, G2, marks)
     assert list(res.witnesses) == list(witnesses)
     assert res.keys == set(witnesses) and res.count == len(witnesses)
     for key, point in witnesses.items():
