@@ -17,9 +17,9 @@ from ._version import __version__
 from .geometry import GeometrySpec, INFINITY
 from .generate import (_race_keys, sample_geometric_formula,
                        sample_nonuniform_formula)
-from .structure import (_subset_budget, check_expansion_exact,
+from .structure import (EnumerationBudgetError, check_expansion_exact,
                         check_expansion_sampled, find_unsat_core,
-                        incidence_graph, DEFAULT_ENUM_CAP)
+                        incidence_graph)
 from .voronoi import (_CLAUSE_BLOCK, count_regions_monte_carlo, random_sites,
                       rank_k_smallest, weighted_score_matrix)
 from . import weights as weights_mod
@@ -116,6 +116,8 @@ def validate_config(cfg):
         GeometrySpec(d=cfg.d or 1, p_norm=cfg.p_norm if cfg.p_norm is not None else 2)
     if cfg.weights not in ("uniform", "powerlaw"):
         raise ValueError(f"weights must be 'uniform' or 'powerlaw', not {cfg.weights!r}")
+    if cfg.method not in ("auto", "tree", "scan"):
+        raise ValueError(f"method must be 'auto', 'tree' or 'scan', not {cfg.method!r}")
     if cfg.weights == "powerlaw" and cfg.beta is None:
         raise ValueError("powerlaw weights require beta")
     missing = [x for x in _KINDS[cfg.kind][1] if getattr(cfg, x) is None]
@@ -239,9 +241,10 @@ def _expansion_probe_point(cfg, n, seed):
     if witness is not None:
         out["witness_size"] = len(witness.clause_indices)
         out["witness_neighborhood"] = witness.neighborhood_size
-    if _subset_budget(m, cfg.r) <= DEFAULT_ENUM_CAP:
-        exact = check_expansion_exact(gph, cfg.r, cfg.c)
-        out["exact_pass"] = exact is None
+    try:
+        out["exact_pass"] = check_expansion_exact(gph, cfg.r, cfg.c) is None
+    except EnumerationBudgetError:
+        pass  # too many subsets: the record carries the sampled check only
     return out
 
 

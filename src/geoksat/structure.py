@@ -8,9 +8,17 @@ counts, and the niceness test for geometric clauses.
 Resolution width itself is never computed: only the two checkable
 sufficient conditions are exposed, since their failure witnesses are what
 the experiments need.
+
+The exact expansion and width checks share one subset enumerator
+(``_subset_chunks``).  It works for any variable count: each clause is a
+row of uint64 words, 64 distinct variables a word.  It extends the
+subsets of each size to the next size and hands them to the checker in
+chunks of at most ``_CHUNK``, so memory stays bounded whatever the size of
+the last level.  It also owns the ``cap`` check, which raises
+EnumerationBudgetError before any subset is built.
 """
 
-import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -19,6 +27,7 @@ import numpy as np
 from .voronoi import k_nearest_sites
 
 DEFAULT_ENUM_CAP = 10_000_000
+_CHUNK = 1 << 13  # subsets per enumeration chunk; bounds the working arrays
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -78,151 +87,84 @@ class WidthConditionWitness:
     threshold: float
 
 
-def _subset_budget(m, max_size):
-    total = 0
-    term = 1
-    for i in range(1, max_size + 1):
-        term = term * (m - i + 1) // i
-        total += term
-    return total
+def _clause_masks(gph):
+    """(m, words) uint64 variable-set masks, 64 distinct variables a word."""
+    flat = np.array([v for vs in gph.clause_vars for v in vs], dtype=np.int64)
+    universe, bit = np.unique(flat, return_inverse=True)
+    rows = np.repeat(np.arange(gph.m), [len(vs) for vs in gph.clause_vars])
+    masks = np.zeros((gph.m, max(1, -(-len(universe) // 64))), dtype=np.uint64)
+    np.bitwise_or.at(masks, (rows, bit >> 6),
+                     np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)))
+    return masks
 
 
-def _var_bit_masks(gph):
-    """uint64 variable-set masks if the variable universe fits, else None."""
-    all_vars = sorted(gph.var_clauses)
-    if len(all_vars) > 63:
-        return None, None
-    bit_of = {v: j for j, v in enumerate(all_vars)}
-    masks = np.array([sum(1 << bit_of[v] for v in vs) for vs in gph.clause_vars],
-                     dtype=np.uint64)
-    return masks, bit_of
+def _subset_chunks(gph, max_size, cap):
+    """Yield ``(size, nb, uq, subset)`` over every clause subset of size
+    1..max_size: sizes ascending, lexicographic within a size, at most
+    ``_CHUNK`` subsets a chunk.
 
-
-def _enumerate_levels(gph, max_size, visit):
-    """Enumerate clause subsets by size (lexicographic within a size).
-
-    ``visit(size, subsets, nbhd_sizes, unique_sizes)`` is called per size
-    with aligned arrays; it returns the index of a violating subset or
-    None.  Returns the violating subset as a sorted tuple, or None.
-    Vectorized over uint64 masks when the variable universe allows,
-    otherwise falls back to Python-integer masks.
+    ``nb[i]`` and ``uq[i]`` are the neighbourhood size and the number of
+    variables in exactly one clause of the chunk's i-th subset;
+    ``subset(i)`` rebuilds it as a sorted clause tuple.  Each level is
+    built from the one below it, so only levels below ``max_size`` are
+    stored; the last exists one chunk at a time.  Raises
+    EnumerationBudgetError before the first chunk when the subset count
+    exceeds ``cap``.
     """
     m = gph.m
-    masks, _ = _var_bit_masks(gph)
-    if masks is not None:
-        return _enumerate_levels_u64(masks, m, max_size, visit)
-    return _enumerate_levels_py(gph, m, max_size, visit)
-
-
-def _enumerate_levels_u64(masks, m, max_size, visit):
-    last = np.arange(m, dtype=np.int32)
-    or_mask = masks.copy()
-    once = masks.copy()
-    multi = np.zeros(m, dtype=np.uint64)
-    # per level: the extension item and the parent row (None for level 1)
-    parents = [None]
-    last_hist = [last]
-
+    max_size = min(max_size, m)
+    budget = sum(math.comb(m, s) for s in range(1, max_size + 1))
+    if budget > cap:
+        raise EnumerationBudgetError(f"{budget} subsets exceed cap {cap}")
+    masks = _clause_masks(gph)
+    # the level below size 1 is the empty subset, whose last clause is -1
+    or_prev = once_prev = np.zeros((1, masks.shape[1]), dtype=np.uint64)
+    last_prev = np.array([-1])
+    items, parents = [], []  # per stored level: last clause, parent row
     for size in range(1, max_size + 1):
-        if size > 1:
-            counts = (m - 1 - last).astype(np.int64)
-            total = int(counts.sum())
-            if total == 0:
-                return None
-            parent_idx = np.repeat(np.arange(len(last), dtype=np.int64), counts)
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            item = (np.arange(total, dtype=np.int64)
-                    - np.repeat(starts, counts)
-                    + np.repeat(last + 1, counts)).astype(np.int32)
-            item_mask = masks[item]
-            new_multi = multi[parent_idx] | (once[parent_idx] & item_mask)
-            new_once = (once[parent_idx] | item_mask) & ~new_multi
-            or_mask = or_mask[parent_idx] | item_mask
-            once, multi, last = new_once, new_multi, item
-            parents.append(parent_idx)
-            last_hist.append(item)
-        nb = np.bitwise_count(or_mask).astype(np.int64)
-        uq = np.bitwise_count(once).astype(np.int64)
-        hit = visit(size, None, nb, uq)
-        if hit is not None:
-            subset = []
-            level, row = size, hit
-            while level >= 1:
-                subset.append(int(last_hist[level - 1][row]))
-                if level > 1:
-                    row = int(parents[level - 1][row])
-                level -= 1
-            return tuple(sorted(subset))
-    return None
+        starts = np.concatenate(([0], np.cumsum(m - 1 - last_prev)))
+        kept = []
+        for a in range(0, starts[-1], _CHUNK):
+            row = np.arange(a, min(a + _CHUNK, starts[-1]))
+            parent = np.searchsorted(starts, row, side="right") - 1
+            item = last_prev[parent] + 1 + row - starts[parent]
+            mk, po = masks[item], or_prev[parent]
+            or_ = po | mk
+            once = (once_prev[parent] & ~mk) | (mk & ~po)
 
+            def subset(i, parent=parent, item=item, size=size):
+                out, p = [int(item[i])], int(parent[i])
+                for lvl in range(size - 2, -1, -1):
+                    out.append(int(items[lvl][p]))
+                    p = int(parents[lvl][p])
+                return tuple(sorted(out))
 
-def _enumerate_levels_py(gph, m, max_size, visit, batch=1 << 16):
-    all_vars = sorted(gph.var_clauses)
-    bit_of = {v: j for j, v in enumerate(all_vars)}
-    masks = [sum(1 << bit_of[v] for v in vs) for vs in gph.clause_vars]
-    full = (1 << len(all_vars)) - 1
-    for size in range(1, max_size + 1):
-        combos = []
-        nb = []
-        uq = []
-
-        def flush():
-            hit = visit(size, combos, np.asarray(nb), np.asarray(uq))
-            return tuple(combos[hit]) if hit is not None else None
-
-        for subset in itertools.combinations(range(m), size):
-            om = 0
-            once = 0
-            multi = 0
-            for c in subset:
-                mk = masks[c]
-                multi |= once & mk
-                once = (once | mk) & ~multi
-                om |= mk
-            combos.append(subset)
-            nb.append(om.bit_count())
-            uq.append(once.bit_count())
-            if len(combos) >= batch:
-                found = flush()
-                if found is not None:
-                    return found
-                combos, nb, uq = [], [], []
-        if combos:
-            found = flush()
-            if found is not None:
-                return found
-    return None
+            yield (size, np.bitwise_count(or_).sum(axis=1, dtype=np.int64),
+                   np.bitwise_count(once).sum(axis=1, dtype=np.int64), subset)
+            if size < max_size:
+                kept.append((parent, item, or_, once))
+        if kept:
+            parent, last_prev, or_prev, once_prev = map(np.concatenate, zip(*kept))
+            parents.append(parent)
+            items.append(last_prev)
 
 
 def check_expansion_exact(gph, r, c, cap=DEFAULT_ENUM_CAP):
     """PASS (None) iff every clause subset of size <= r expands by (1 + c).
 
     On failure returns the minimal-size, lexicographically smallest
-    ExpansionWitness.  Raises EnumerationBudgetError when the number of
-    subsets exceeds ``cap`` (use check_expansion_sampled instead).
+    ExpansionWitness.  Exact for any variable count; the subsets are
+    enumerated level by level in bounded chunks.  Raises
+    EnumerationBudgetError, before any work, when the number of subsets
+    exceeds ``cap`` (use check_expansion_sampled instead).
     """
-    r = min(r, gph.m)
-    budget = _subset_budget(gph.m, r)
-    if budget > cap:
-        raise EnumerationBudgetError(
-            f"{budget} subsets exceed cap {cap}; use check_expansion_sampled")
-
-    state = {}
-
-    def visit(size, combos, nb, uq):
+    for size, nb, _, subset in _subset_chunks(gph, r, cap):
         bad = np.flatnonzero(nb < (1.0 + c) * size)
         if len(bad):
-            state["nb"] = int(nb[bad[0]])
-            state["size"] = size
-            return int(bad[0])
-        return None
-
-    subset = _enumerate_levels(gph, r, visit)
-    if subset is None:
-        return None
-    return ExpansionWitness(clause_indices=subset,
-                            neighborhood_size=state["nb"],
-                            threshold=(1.0 + c) * state["size"])
+            return ExpansionWitness(clause_indices=subset(bad[0]),
+                                    neighborhood_size=int(nb[bad[0]]),
+                                    threshold=(1.0 + c) * size)
+    return None
 
 
 def check_expansion_sampled(gph, r, c, trials, seed):
@@ -283,37 +225,22 @@ def resolution_width_conditions(f, w, eps, cap=DEFAULT_ENUM_CAP):
     (1) every subset with |C'| <= w contains at least |C'| variables;
     (2) every subset with w/3 <= |C'| <= 2w/3 has at least eps |C'|
     unique variables.  PASS is None; otherwise the minimal-size, lex
-    smallest witness naming the violated condition.
+    smallest witness naming the violated condition (condition 1 when one
+    subset violates both).  Exact for any variable count, by the same
+    chunked enumeration and ``cap`` as check_expansion_exact.
     """
     gph = f if isinstance(f, IncidenceGraph) else incidence_graph(f)
-    w_eff = min(w, gph.m)
-    budget = _subset_budget(gph.m, w_eff)
-    if budget > cap:
-        raise EnumerationBudgetError(f"{budget} subsets exceed cap {cap}")
-
-    state = {}
-
-    def visit(size, combos, nb, uq):
+    for size, nb, uq, subset in _subset_chunks(gph, w, cap):
         bad1 = np.flatnonzero(nb < size)
         in_range = 3 * size >= w and 3 * size <= 2 * w
-        bad2 = np.flatnonzero(uq < eps * size) if in_range else np.array([], dtype=int)
-        if not len(bad1) and not len(bad2):
-            return None
-        first1 = int(bad1[0]) if len(bad1) else None
-        first2 = int(bad2[0]) if len(bad2) else None
-        if first2 is None or (first1 is not None and first1 <= first2):
-            state.update(condition=1, value=int(nb[first1]), threshold=float(size))
-            return first1
-        state.update(condition=2, value=int(uq[first2]), threshold=eps * size)
-        return first2
-
-    subset = _enumerate_levels(gph, w_eff, visit)
-    if subset is None:
-        return None
-    return WidthConditionWitness(condition=state["condition"],
-                                 clause_indices=subset,
-                                 value=state["value"],
-                                 threshold=state["threshold"])
+        bad2 = np.flatnonzero(uq < eps * size) if in_range else bad1[:0]
+        if len(bad1) and (not len(bad2) or bad1[0] <= bad2[0]):
+            return WidthConditionWitness(condition=1, clause_indices=subset(bad1[0]),
+                                         value=int(nb[bad1[0]]), threshold=float(size))
+        if len(bad2):
+            return WidthConditionWitness(condition=2, clause_indices=subset(bad2[0]),
+                                         value=int(uq[bad2[0]]), threshold=eps * size)
+    return None
 
 
 @dataclass(frozen=True)

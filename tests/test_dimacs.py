@@ -65,6 +65,18 @@ def test_round_trip_identity_random_formulas():
         emit_dimacs(inst.formula, buf)
         back, _ = parse_dimacs(io.StringIO(buf.getvalue()))
         assert np.array_equal(back.literals, inst.formula.literals)
+    # arbitrary literal matrices; m = 4096, 4097 and 8193 cross the row
+    # blocks of emit and parse
+    for n, k, m in ((1, 1, 1), (7, 3, 4096), (10**9, 5, 4097), (40, 2, 8193)):
+        # column j draws from its own range, so no clause repeats a variable
+        vs = rng.integers(0, n // k, (m, k)) + np.arange(k) * (n // k) + 1
+        vs = rng.permuted(vs, axis=1)
+        f = formula_from_clauses(n, k, np.where(rng.random((m, k)) < 0.5, -vs, vs))
+        buf = io.StringIO()
+        emit_dimacs(f, buf)
+        back, _ = parse_dimacs(io.StringIO(buf.getvalue()))
+        assert (back.n, back.k) == (n, k)
+        assert np.array_equal(back.literals, f.literals)
 
 
 def test_parse_rejects_malformed():

@@ -30,6 +30,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(kind="REGION_SCALING", n_values=(10,), k=2, d=2,
                          p_norm=2, weights="powerlaw")
+    # the region-count method is checked for every kind, not only when used
+    for kind, extra in (("REGION_SCALING", dict(k=2, d=2, p_norm=2)),
+                        ("BALLS_BINS", {})):
+        with pytest.raises(ValueError, match="method"):
+            ExperimentConfig(kind=kind, n_values=(10,), method="bogus", **extra)
+        for method in ("auto", "tree", "scan"):
+            ExperimentConfig(kind=kind, n_values=(10,), method=method, **extra)
 
 
 def test_config_json_round_trip():
@@ -119,6 +126,10 @@ def test_expansion_probe_record():
     assert "exact_pass" in rec.measured
     if rec.measured["sampled_witness"]:
         assert not rec.measured["exact_pass"]
+    # C(400, 1) + C(400, 2) + C(400, 3) subsets exceed the enumeration cap
+    over = ExperimentConfig(kind="EXPANSION_PROBE", n_values=(400,), seeds=(1,),
+                            k=3, beta=2.2, delta=1.0, r=3, c=1.0, trials=50)
+    assert "exact_pass" not in _collect(over)[0].measured
 
 
 def test_balls_bins_record():

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import geoksat.structure as structure
 from geoksat.generate import formula_from_clauses, sample_geometric_formula, sample_nonuniform_formula
 from geoksat.geometry import GeometrySpec
 from geoksat.structure import (EnumerationBudgetError, brute_force_sat,
@@ -94,6 +95,67 @@ def test_expansion_budget_error():
     gph = incidence_graph(f)
     with pytest.raises(EnumerationBudgetError):
         check_expansion_exact(gph, 10, 0.5, cap=1000)
+
+
+def _wide_formulas(n, m, k, count, seed):
+    """Uniform formulas with a few planted repeats, so witnesses occur."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        f = sample_nonuniform_formula(n, m, k, uniform_weights(n),
+                                      int(rng.integers(1 << 30)))
+        lits = f.literals.copy()
+        for _ in range(int(rng.integers(0, 3))):
+            rows = rng.choice(m, size=int(rng.integers(2, 4)), replace=False)
+            lits[rows[1:]] = lits[rows[0]]
+        yield formula_from_clauses(n, k, lits)
+
+
+def _assert_checkers_match_oracles(formulas, min_vars):
+    for f in formulas:
+        gph = incidence_graph(f)
+        assert len(gph.var_clauses) > min_vars
+        for r, c in ((2, 1.0), (3, f.k / 2), (3, f.k - 1.0)):
+            lib = check_expansion_exact(gph, r, c)
+            assert (None if lib is None else lib.clause_indices) == oracle_expansion(gph, r, c)
+        for w, eps in ((3, 0.0), (3, 0.5), (4, 3.0), (5, 4.5)):
+            lib = resolution_width_conditions(f, w, eps)
+            got = None if lib is None else (lib.condition, lib.clause_indices)
+            assert got == oracle_width(gph, w, eps)
+
+
+@pytest.mark.parametrize("n, m, k, min_vars",
+                         [(200, 25, 5, 63), (1000, 32, 5, 128), (400, 40, 2, 63)])
+def test_checkers_match_oracles_on_wide_universes(n, m, k, min_vars):
+    # more than one (and more than two) 64-variable mask words
+    _assert_checkers_match_oracles(_wide_formulas(n, m, k, 6, seed=n), min_vars)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_checkers_match_oracles_across_chunk_boundaries(monkeypatch, chunk):
+    monkeypatch.setattr(structure, "_CHUNK", chunk)
+    _assert_checkers_match_oracles(_wide_formulas(200, 14, 5, 3, seed=chunk), 50)
+    _assert_checkers_match_oracles(_wide_formulas(12, 14, 3, 3, seed=chunk), 5)
+    _assert_checkers_match_oracles(_wide_formulas(12, 14, 1, 3, seed=chunk), 3)
+
+
+def test_checkers_pass_on_empty_and_single_clause_formulas():
+    for clauses in ([], [[1, 2, 3]]):
+        f = formula_from_clauses(5, 3, clauses)
+        assert check_expansion_exact(incidence_graph(f), 3, 0.5) is None
+        assert resolution_width_conditions(f, 3, 0.5) is None
+
+
+def test_budget_counts_every_subset_up_to_the_size():
+    f = _random_formula(30, 12, 3, 4.0, seed=3)
+    gph = incidence_graph(f)
+    budget = 12 + 66 + 220  # C(12, 1) + C(12, 2) + C(12, 3)
+    check_expansion_exact(gph, 3, 0.5, cap=budget)
+    resolution_width_conditions(f, 3, 0.5, cap=budget)
+    with pytest.raises(EnumerationBudgetError):
+        check_expansion_exact(gph, 3, 0.5, cap=budget - 1)
+    with pytest.raises(EnumerationBudgetError):
+        resolution_width_conditions(f, 3, 0.5, cap=budget - 1)
+    check_expansion_exact(gph, 20, 0.0, cap=(1 << 12) - 1)  # sizes stop at m
 
 
 def test_expansion_pass_monotone():
