@@ -84,6 +84,7 @@ def _validate_model_args(args):
     _check(1 <= args.width <= args.variables, "k must satisfy 1 <= k <= n")
     if args.clauses is None:
         _check(args.delta is not None, "give -m or --delta")
+        _check(args.delta > 0, "delta must be > 0")
         args.clauses = max(1, round(args.delta * args.variables))
     if args.beta is not None:
         weights_mod.check_beta(args.beta)
@@ -155,13 +156,13 @@ def _cmd_voronoi_count(args):
         _check(sites.d == g.d, "site dimension does not match --d")
     else:
         _check(args.variables is not None, "give --sites-json or -n")
+        _check(args.variables >= 1, "n must be >= 1")
         w = None
         if args.beta is not None:
             w = weights_mod.power_law_weights(args.variables, args.beta).weights
         sites = random_sites(args.variables, g,
                              np.random.default_rng((args.seed, 0xA11CE)), w)
-    _check(args.width <= sites.n, "k must be <= n")
-    samples = args.samples or 200 * sites.n
+    samples = args.samples if args.samples is not None else 200 * sites.n
     result = count_regions_monte_carlo(sites, args.width, samples,
                                        (args.seed, 0xC0DE), g,
                                        checkpoints=(samples // 2,))

@@ -112,6 +112,16 @@ def validate_config(cfg):
             raise ValueError("k must be >= 1")
         if any(cfg.k > n for n in cfg.n_values):
             raise ValueError("k must be <= n for every n in the ladder")
+    for name in ("m", "samples", "sample_factor", "audit", "balls", "trials",
+                 "r"):
+        value = getattr(cfg, name)
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if cfg.delta is not None and not cfg.delta > 0:
+        raise ValueError(f"delta must be > 0, got {cfg.delta}")
+    if cfg.kind == "BALLS_BINS" and any(n < 3 for n in cfg.n_values):
+        raise ValueError("BALLS_BINS needs every n >= 3: its threshold "
+                         "divides by log log n")
     if cfg.d is not None or cfg.p_norm is not None:
         GeometrySpec(d=cfg.d or 1, p_norm=cfg.p_norm if cfg.p_norm is not None else 2)
     if cfg.weights not in ("uniform", "powerlaw"):
@@ -164,7 +174,8 @@ def _region_scaling_point(cfg, n, seed):
     g = cfg.geometry()
     rng = np.random.default_rng((seed, n, 0xA11CE))
     sites = random_sites(n, g, rng, weights=_site_weights(cfg, n))
-    samples = cfg.samples if cfg.samples is not None else (cfg.sample_factor or 200) * n
+    factor = cfg.sample_factor if cfg.sample_factor is not None else 200
+    samples = cfg.samples if cfg.samples is not None else factor * n
     result = count_regions_monte_carlo(
         sites, cfg.k, samples, (seed, n, 0xC0DE), g,
         method=cfg.method, checkpoints=(samples // 2,))

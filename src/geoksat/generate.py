@@ -142,14 +142,14 @@ def _race_keys(scores, g, T, rng):
     the k smallest of a row, in order, are k sequential draws proportional
     to X(c, v).  Consumes scores.shape exponentials E from ``rng``.
 
-    Ranking E/X(c,v) is preserved under the monotone map y -> y^(T*p/d)
-    (y -> y^(T/d) for the max norm), which turns the key into E^e * score
-    with score the rootless weighted-distance score.  A row with a key that
+    Ranking E/X(c,v) is preserved under the monotone map y -> y^(T*q/d)
+    with q = ``g.score_power``, which turns the key into E^e * score with
+    score the rootless weighted-distance score.  A row with a key that
     overflows to inf or underflows to zero or a subnormal (large T) is
     ranked by log(score) + e*log(E) instead, the same order in the log
     domain (the Gumbel-top-k form of the race).
     """
-    e = T / g.d if g.is_max_norm else T * int(g.p_norm) / g.d
+    e = T * g.score_power / g.d
     state = rng.bit_generator.state
     # range errors are expected here and handled by the log-domain rows
     with np.errstate(all="ignore"):

@@ -4,6 +4,11 @@ The ground space is the unit torus [0, 1)^d where opposite borders are
 identified; per-coordinate differences are circular.  A hypercube mode
 (plain differences) is available through ``GeometrySpec(wrap=False)`` and
 reuses all code paths.
+
+``pnorm_scores`` is the package's one p-norm kernel: the rootless score
+dist^q with q = ``GeometrySpec.score_power``.  Distances are its q-th root,
+and the Voronoi scan, the tree re-rank and the temperature race rank by it,
+so every distance and score in the package comes from the same arithmetic.
 """
 
 import math
@@ -13,15 +18,20 @@ import numpy as np
 from scipy.special import gammaln
 
 INFINITY = math.inf
+# sums of |delta|**p underflow for large p: against a max-scaled reference
+# (300 sites, 2000 points, k = 3, d = 1) the k-nearest sets of 137 rows are
+# wrong at p = 128 and of none at p = 64
+MAX_P_NORM = 64
 
 
 @dataclass(frozen=True)
 class GeometrySpec:
     """Dimension and p-norm of the ground space.
 
-    ``p_norm`` is a positive integer or ``INFINITY`` (exact max semantics,
-    never a large-integer stand-in).  ``wrap=False`` switches from the
-    torus to a unit hypercube with non-circular coordinate differences.
+    ``p_norm`` is a positive integer up to ``MAX_P_NORM`` or ``INFINITY``
+    (exact max semantics, never a large-integer stand-in).  ``wrap=False``
+    switches from the torus to a unit hypercube with non-circular
+    coordinate differences.
     """
 
     d: int
@@ -32,14 +42,20 @@ class GeometrySpec:
         if not isinstance(self.d, int) or self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.d!r}")
         p = self.p_norm
-        if p != INFINITY and (not float(p).is_integer() or p < 1):
+        if p != INFINITY and not (float(p).is_integer()
+                                  and 1 <= p <= MAX_P_NORM):
             raise ValueError(
-                f"p-norm must be a positive integer or INFINITY, got {p!r}"
-            )
+                f"p-norm must be an integer from 1 to {MAX_P_NORM} (larger p "
+                f"underflows) or INFINITY for the max norm, got {p!r}")
 
     @property
     def is_max_norm(self):
         return self.p_norm == INFINITY
+
+    @property
+    def score_power(self):
+        """q with score = dist**q: p, or 1 for the max norm."""
+        return 1 if self.is_max_norm else int(self.p_norm)
 
 
 def _check_point(x, g, name):
@@ -49,23 +65,32 @@ def _check_point(x, g, name):
     return x
 
 
-def coordinate_deltas(a, b, g):
-    """Per-coordinate (circular) differences between broadcastable arrays."""
-    diff = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-    if g.wrap:
-        diff = np.minimum(diff, 1.0 - diff)
-    return diff
+def pnorm_scores(points, others, g):
+    """(Q, c) rootless distances sum |delta|^p (max |delta| for the max
+    norm) between ``points`` (Q, d) and ``others`` (c, d) or (Q, c, d).
 
-
-def torus_distance(a, b, g):
-    """Distance between two points under the spec's p-norm."""
-    a = _check_point(a, g, "a")
-    b = _check_point(b, g, "b")
-    diff = coordinate_deltas(a, b, g)
-    if g.is_max_norm:
-        return float(diff.max())
-    p = int(g.p_norm)
-    return float((diff**p).sum() ** (1.0 / p))
+    Accumulates one dimension at a time with in-place updates to keep the
+    memory traffic at (Q, c).
+    """
+    q = g.score_power
+    base = None
+    scratch = None
+    for j in range(others.shape[-1]):
+        diff = np.abs(points[:, j, None] - others[..., j])
+        if g.wrap:
+            if scratch is None:
+                scratch = np.empty_like(diff)
+            np.subtract(1.0, diff, out=scratch)
+            np.minimum(diff, scratch, out=diff)
+        if g.is_max_norm:
+            base = diff if base is None else np.maximum(base, diff, out=base)
+        else:
+            if q == 2:
+                np.multiply(diff, diff, out=diff)
+            elif q != 1:
+                np.power(diff, q, out=diff)
+            base = diff if base is None else np.add(base, diff, out=base)
+    return base
 
 
 def cross_distances(points, others, g):
@@ -77,11 +102,14 @@ def cross_distances(points, others, g):
     others = np.atleast_2d(np.asarray(others, dtype=float))
     if points.shape[1] != g.d or others.shape[1] != g.d:
         raise ValueError("point arrays must have d columns")
-    diff = coordinate_deltas(points[:, None, :], others[None, :, :], g)
-    if g.is_max_norm:
-        return diff.max(axis=2)
-    p = int(g.p_norm)
-    return (diff**p).sum(axis=2) ** (1.0 / p)
+    return pnorm_scores(points, others, g) ** (1.0 / g.score_power)
+
+
+def torus_distance(a, b, g):
+    """Distance between two points under the spec's p-norm."""
+    a = _check_point(a, g, "a")
+    b = _check_point(b, g, "b")
+    return float(cross_distances(a, b, g)[0, 0])
 
 
 def ball_volume_constant(g):

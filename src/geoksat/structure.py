@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .voronoi import k_nearest_sites
+from .voronoi import knearest
 
 DEFAULT_ENUM_CAP = 10_000_000
 _CHUNK = 1 << 13  # subsets per enumeration chunk; bounds the working arrays
@@ -355,12 +355,12 @@ def is_nice(clause_index, inst):
     coincide under the strictly monotone map between them); rank ties
     break by smaller index, matching the generator.  For T = 0 instances
     this holds by construction and the check doubles as verification
-    against k_nearest_sites.
+    against ``knearest``.
     """
     f = inst.formula
     if not 0 <= clause_index < f.m:
         raise IndexError(f"clause index {clause_index} out of range")
-    _, ranked = k_nearest_sites(inst.clause_positions[clause_index],
-                                inst.sites, f.k, inst.g)
+    ranked = knearest(inst.clause_positions[clause_index], inst.sites, f.k,
+                      inst.g)[0]
     drawn = np.abs(f.literals[clause_index]) - 1
     return bool(np.array_equal(drawn, ranked))

@@ -4,11 +4,12 @@ Sites carry multiplicative weights with minimum exactly 1; the weighted
 distance of a point to site i is dist/w_i^(1/d).  The order-k region of a
 size-k set A is the set of points whose k weighted-nearest sites are
 exactly A.  Regions are never constructed explicitly; non-empty regions
-are discovered by Monte Carlo sampling of k-nearest queries.
+are discovered by Monte Carlo sampling of k-nearest queries.  Every score
+and distance here comes from ``geometry.pnorm_scores``.
 
 ``knearest`` is the one exact k-nearest kernel.  It ranks by the dense
 score matrix for weighted sites; for unweighted sites it re-ranks a few
-periodic cKDTree candidates with the same arithmetic and falls back to the
+periodic cKDTree candidates with the same kernel and falls back to the
 scan on rows with near-ties, so both backends return the same indices.
 Monte Carlo counting needs only each point's k-nearest set, so its tree
 path asks for k + 1 neighbours and scans just the rows where the k-th and
@@ -23,7 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import cross_distances, torus_distance
+from .geometry import cross_distances, pnorm_scores
 
 # Monte Carlo points are drawn from the seeded stream in blocks of this
 # fixed size so that results are reproducible and prefix-extensible.
@@ -97,58 +98,17 @@ def random_sites(n, g, seed_or_rng, weights=None):
     return WeightedSites.from_raw(pos, w)
 
 
-def _pow_rows(a, e):
-    if e == 1.0:
-        return a
-    if e == 0.5:
-        return np.sqrt(a)
-    if e == 2.0:
-        return a * a
-    return a**e
-
-
-def _pnorm_scores(pts, site_pos, g):
-    """(Q, c) rootless distances sum |delta|^p (max |delta| for the max
-    norm) between ``pts`` (Q, d) and ``site_pos`` (1 or Q, c, d).
-
-    Accumulates one dimension at a time with in-place updates to keep the
-    memory traffic at (Q, c).
-    """
-    base = None
-    scratch = None
-    for j in range(site_pos.shape[2]):
-        diff = np.abs(pts[:, j, None] - site_pos[:, :, j])
-        if g.wrap:
-            if scratch is None:
-                scratch = np.empty_like(diff)
-            np.subtract(1.0, diff, out=scratch)
-            np.minimum(diff, scratch, out=diff)
-        if g.is_max_norm:
-            base = diff if base is None else np.maximum(base, diff, out=base)
-        else:
-            p = int(g.p_norm)
-            if p == 2:
-                np.multiply(diff, diff, out=diff)
-            elif p != 1:
-                np.power(diff, p, out=diff)
-            base = diff if base is None else np.add(base, diff, out=base)
-    return base
-
-
 def weighted_score_matrix(points, sites, g):
-    """(Q, n) matrix monotone in weighted distance: (sum |delta|^p) / w^(p/d).
+    """(Q, n) matrix monotone in weighted distance: dist^q / w^(q/d) with
+    q = ``g.score_power``.
 
-    Avoids p-th roots; rankings and region keys are unchanged under the
-    strictly increasing map x -> x^p.
+    Avoids q-th roots; rankings and region keys are unchanged under the
+    strictly increasing map x -> x^q.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    base = _pnorm_scores(pts, sites.positions[None], g)
+    base = pnorm_scores(pts, sites.positions, g)
     if not sites.unweighted:
-        if g.is_max_norm:
-            denom = sites.normalized_weights
-        else:
-            denom = _pow_rows(sites.weights, int(g.p_norm) / sites.d)
-        base /= denom
+        base /= sites.weights ** (g.score_power / sites.d)
     return base
 
 
@@ -202,16 +162,15 @@ def knearest(points, sites, k, g):
     all rows of any other input, are ranked by the dense scan.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if k > sites.n:
-        raise ValueError(f"k = {k} exceeds site count {sites.n}")
+    if not 1 <= k <= sites.n:
+        raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
     pos = sites.positions
     if not (sites.unweighted and k + 2 <= sites.n
             and _in_unit_cube(pos) and _in_unit_cube(pts)):
         return _rank_scan(pts, sites, k, g)
     tree = cKDTree(pos, boxsize=1.0 if g.wrap else None)
-    dist, cand = tree.query(pts, k=k + 2,
-                            p=np.inf if g.is_max_norm else int(g.p_norm))
-    scores = _pnorm_scores(pts, pos[cand], g)
+    dist, cand = tree.query(pts, k=k + 2, p=g.p_norm)
+    scores = pnorm_scores(pts, pos[cand], g)
     order = np.lexsort((cand, scores))
     ranked = np.take_along_axis(cand, order[:, :k], axis=1).astype(np.int64)
     tie = np.flatnonzero(dist[:, k + 1] <= dist[:, k - 1] * (1.0 + _TIE_GAP))
@@ -221,17 +180,10 @@ def knearest(points, sites, k, g):
 
 
 def k_nearest_sites(p, sites, k, g):
-    """The k sites of smallest weighted distance to ``p``.
-
-    Returns ``(key, ranked)``: the RegionKey (sorted tuple of site indices)
-    and the indices ranked by increasing weighted distance, ties broken by
-    smaller index.
-    """
-    if k > sites.n:
-        raise ValueError(f"k = {k} exceeds site count {sites.n}")
-    scores = weighted_score_matrix(np.asarray(p, dtype=float)[None, :], sites, g)
-    ranked = rank_k_smallest(scores, k)[0]
-    return tuple(sorted(int(i) for i in ranked)), ranked
+    """``(key, ranked)`` for one point: the RegionKey (sorted tuple of site
+    indices) and its ``knearest`` row."""
+    ranked = knearest(p, sites, k, g)[0]
+    return tuple(sorted(ranked.tolist())), ranked
 
 
 @dataclass
@@ -264,9 +216,8 @@ def _keys_via_scan(points, sites, k, g):
 
 
 def _keys_via_tree(tree, points, sites, k, g):
-    p = np.inf if g.is_max_norm else int(g.p_norm)
     # at k = n the (k + 1)-th neighbour is missing, with distance inf
-    dist, idx = tree.query(points, k=k + 1, p=p)
+    dist, idx = tree.query(points, k=k + 1, p=g.p_norm)
     keys = idx[:, :k].astype(np.int64)
     tie = np.flatnonzero(dist[:, k] <= dist[:, k - 1] * (1.0 + _TIE_GAP))
     if len(tie):
@@ -287,8 +238,8 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, method="auto",
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if k > sites.n:
-        raise ValueError(f"k = {k} exceeds site count {sites.n}")
+    if not 1 <= k <= sites.n:
+        raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
     if method == "auto":
         method = ("tree" if sites.unweighted and _in_unit_cube(sites.positions)
                   else "scan")
@@ -348,11 +299,8 @@ def compute_R_A(A, sites, g):
     w = sites.weights[idx]
     s1 = int(idx[np.argmin(w)])
     om = sites.normalized_weights
-    r = 0.0
-    for i in idx:
-        dist = torus_distance(sites.positions[s1], sites.positions[int(i)], g)
-        r = max(r, dist / (om[s1] + om[int(i)]))
-    return r
+    dist = cross_distances(sites.positions[s1], sites.positions[idx], g)[0]
+    return float((dist / (om[s1] + om[idx])).max())
 
 
 @dataclass(frozen=True)
@@ -364,12 +312,9 @@ class RelevanceCertificate:
 
 
 def _relevant_at(p, r, s1, outside_pos, outside_omega, sites, g):
-    if torus_distance(sites.positions[s1], p, g) > sites.normalized_weights[s1] * r:
-        return False
-    if len(outside_pos) == 0:
-        return True
-    dists = cross_distances(p[None, :], outside_pos, g)[0]
-    return bool(np.all(dists > outside_omega * r))
+    dist = cross_distances(p, np.vstack((sites.positions[s1], outside_pos)), g)[0]
+    return bool(dist[0] <= sites.normalized_weights[s1] * r
+                and np.all(dist[1:] > outside_omega * r))
 
 
 def relevance_certificate(A, sites, g, grid_resolution=64, radius_steps=16,
@@ -405,8 +350,7 @@ def relevance_certificate(A, sites, g, grid_resolution=64, radius_steps=16,
 
     if seed_point is not None:
         p0 = np.asarray(seed_point, dtype=float)
-        member_d = np.array([torus_distance(sites.positions[int(i)], p0, g)
-                             for i in idx])
+        member_d = cross_distances(p0, sites.positions[idx], g)[0]
         r0 = float((member_d / om[idx]).max())
         if r0 >= R and _relevant_at(p0, r0, s1, out_pos, out_om, sites, g):
             return RelevanceCertificate(p0, r0)

@@ -55,6 +55,37 @@ def test_validation_messages(tmp_path, capsys):
                  "-k", "2", "--p-norm", "0", "--seed", "1"])
 
 
+def test_p_norm_above_the_underflow_bound(tmp_path):
+    with pytest.raises(SystemExit, match="error: p-norm .*INFINITY"):
+        run_cli(["generate", "--model", "geometric", "-n", "10", "-m", "5",
+                 "-k", "2", "--p-norm", "400", "--seed", "1",
+                 "-o", str(tmp_path / "x.cnf")])
+
+
+_VC = ["voronoi-count", "--seed", "1", "-n", "10"]
+_NICE = ["experiment", "--kind", "NICE_FRACTION", "--n-values", "10",
+         "-k", "2", "--d", "2", "--p-norm", "2", "-T", "0.5"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_VC + ["-k", "2", "--samples", "0"], "samples must be >= 1"),
+    (_VC + ["-k", "0"], "k = 0 must satisfy 1 <= k"),
+    (["voronoi-count", "--seed", "1", "-n", "0", "-k", "1"],
+     "n must be >= 1"),
+    (["generate", "--model", "uniform", "-n", "10", "--delta", "-3",
+      "-k", "2", "--seed", "1"], "delta must be > 0"),
+    (["experiment", "--kind", "REGION_SCALING", "--n-values", "10",
+      "-k", "2", "--d", "2", "--p-norm", "2", "--sample-factor", "0"],
+     "sample_factor must be >= 1"),
+    (_NICE + ["-m", "0"], "m must be >= 1"),
+    (_NICE + ["--delta", "-1"], "delta must be > 0"),
+    (_NICE + ["--audit", "0"], "audit must be >= 1"),
+])
+def test_non_positive_sizes_are_rejected(argv, message, tmp_path):
+    with pytest.raises(SystemExit, match="error: " + message):
+        run_cli(argv + ["-o", str(tmp_path / "out")])
+
+
 def test_seed_is_required():
     with pytest.raises(SystemExit):
         run_cli(["generate", "--model", "uniform", "-n", "10", "-m", "5",

@@ -39,6 +39,13 @@ def test_config_validation():
             ExperimentConfig(kind=kind, n_values=(10,), method=method, **extra)
 
 
+@pytest.mark.parametrize("n", (1, 2))
+def test_balls_bins_rejects_n_without_a_threshold(n):
+    # the threshold log n / (2 log log n) is undefined at n = 1, 0 at n = 2
+    with pytest.raises(ValueError, match="n >= 3"):
+        ExperimentConfig(kind="BALLS_BINS", n_values=(10, n))
+
+
 def test_config_json_round_trip():
     cfg = ExperimentConfig(kind="REGION_SCALING", n_values=(10, 20), seeds=(1,),
                            k=2, d=2, p_norm=INFINITY)

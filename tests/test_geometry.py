@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from geoksat.geometry import (GeometrySpec, INFINITY, ball_volume_constant,
-                              connection_weight, connection_weight_cdf,
+from geoksat.geometry import (GeometrySpec, INFINITY, MAX_P_NORM,
+                              ball_volume_constant, connection_weight,
+                              connection_weight_cdf,
                               connection_weight_threshold, cross_distances,
                               dist_cdf, torus_distance, weighted_distance)
-from geoksat.voronoi import WeightedSites
+from geoksat.voronoi import WeightedSites, weighted_score_matrix
 
 ALL_SPECS = [GeometrySpec(d=d, p_norm=p)
              for d in (1, 2, 3) for p in (1, 2, INFINITY)]
@@ -42,6 +43,31 @@ def test_invalid_spec():
         GeometrySpec(d=2, p_norm=0)
     with pytest.raises(ValueError):
         GeometrySpec(d=2, p_norm=1.5)
+
+
+def test_finite_p_norm_above_the_underflow_bound_is_rejected():
+    assert GeometrySpec(d=2, p_norm=MAX_P_NORM).score_power == 64
+    for p in (MAX_P_NORM + 1, 400):
+        with pytest.raises(ValueError, match="INFINITY"):
+            GeometrySpec(d=2, p_norm=p)
+
+
+@pytest.mark.parametrize("wrap", (True, False))
+@pytest.mark.parametrize("p", (1, 2, 3, INFINITY))
+def test_distances_are_roots_of_the_scan_scores(p, wrap):
+    """Distances and Voronoi scores come from one arithmetic, bit for bit."""
+    q = 1 if p == INFINITY else p
+    rng = np.random.default_rng(17)
+    for d in range(1, 10):
+        g = GeometrySpec(d=d, p_norm=p, wrap=wrap)
+        a = rng.random((40, d))
+        b = rng.random((60, d))
+        dist = cross_distances(a, b, g)
+        scores = weighted_score_matrix(a, WeightedSites(b, np.ones(60)), g)
+        assert np.array_equal(dist, scores ** (1.0 / q))
+        for i in range(40):
+            j = (7 * i) % 60
+            assert torus_distance(a[i], b[j], g) == dist[i, j]
 
 
 def test_metric_axioms_random_triples():
