@@ -55,6 +55,10 @@ def _check(cond, message):
         raise SystemExit(f"error: {message}")
 
 
+def _check_variables(n):  # model options and voronoi-count
+    _check(n >= 1, "n must be >= 1")
+
+
 def _add_model_args(p, required=True):
     """Model options; ``core`` passes required=False, since --input
     replaces them there, and ``_validate_model_args`` checks them."""
@@ -80,7 +84,7 @@ def _validate_model_args(args):
                if value is None]
     _check(not missing, "the following arguments are required: "
            + ", ".join(missing))
-    _check(args.variables >= 1, "n must be >= 1")
+    _check_variables(args.variables)
     _check(1 <= args.width <= args.variables, "k must satisfy 1 <= k <= n")
     if args.clauses is None:
         _check(args.delta is not None, "give -m or --delta")
@@ -156,7 +160,7 @@ def _cmd_voronoi_count(args):
         _check(sites.d == g.d, "site dimension does not match --d")
     else:
         _check(args.variables is not None, "give --sites-json or -n")
-        _check(args.variables >= 1, "n must be >= 1")
+        _check_variables(args.variables)
         w = None
         if args.beta is not None:
             w = weights_mod.power_law_weights(args.variables, args.beta).weights

@@ -354,8 +354,8 @@ def is_nice(clause_index, inst):
     equivalently the j-th smallest weighted distance (the two rankings
     coincide under the strictly monotone map between them); rank ties
     break by smaller index, matching the generator.  For T = 0 instances
-    this holds by construction and the check doubles as verification
-    against ``knearest``.
+    this holds by construction; one clause is too few rows for the tree,
+    so ``knearest`` scans and the check verifies the generator's tree.
     """
     f = inst.formula
     if not 0 <= clause_index < f.m:

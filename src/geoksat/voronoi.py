@@ -8,9 +8,10 @@ are discovered by Monte Carlo sampling of k-nearest queries.  Every score
 and distance here comes from ``geometry.pnorm_scores``.
 
 ``knearest`` is the one exact k-nearest kernel.  It ranks by the dense
-score matrix for weighted sites; for unweighted sites it re-ranks a few
+score matrix for weighted sites or a few points; otherwise it re-ranks
 periodic cKDTree candidates with the same kernel and falls back to the
-scan on rows with near-ties, so both backends return the same indices.
+scan on rows with near-ties, so both backends return the same indices;
+``k_nearest_sites`` is the scan-only reference for one point.
 Monte Carlo counting needs only each point's k-nearest set, so its tree
 path asks for k + 1 neighbours and scans just the rows where the k-th and
 (k + 1)-th tie; its keys, too, equal the scan's.
@@ -37,6 +38,9 @@ _CLAUSE_BLOCK = 1024
 # a tree row whose last candidate lies within this relative distance of its
 # k-th one may hide a tie with a site the tree did not return
 _TIE_GAP = 1e-9
+# knearest scans fewer query rows than this: building the tree costs about as
+# much as scanning this many rows (2 vCPU, d = 2, n from 50 to 20000)
+_TREE_MIN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,8 @@ def rank_k_smallest(values, k):
     """Row-wise indices of the k smallest entries, ordered ascending with
     ties broken by smaller index.  ``values`` is (rows, n)."""
     rows, n = values.shape
-    if k > n:
-        raise ValueError(f"k = {k} exceeds number of items {n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k = {k} must satisfy 1 <= k <= {n} items")
     if k == n:
         order = np.argsort(values, axis=1, kind="stable")
         return order
@@ -154,19 +158,19 @@ def knearest(points, sites, k, g):
     each point, ranked by increasing distance with ties broken by smaller
     index: ``rank_k_smallest`` on ``weighted_score_matrix``, row for row.
 
-    For unweighted sites inside [0, 1)^d (and points there too) a periodic
-    cKDTree returns k + 2 candidates per point, which are re-ranked by the
-    score matrix's own arithmetic in (score, index) order.  Every site left
-    out is farther than the k-th candidate unless the last candidate's tree
-    distance is within a relative ``_TIE_GAP`` of the k-th; such rows, and
-    all rows of any other input, are ranked by the dense scan.
+    For ``_TREE_MIN_ROWS`` or more points and unweighted sites in [0, 1)^d
+    (points there too) a periodic cKDTree returns k + 2 candidates per
+    point, re-ranked by the score matrix's own arithmetic in (score, index)
+    order.  Every site left out is farther than the k-th candidate unless
+    the last candidate's tree distance is within a relative ``_TIE_GAP`` of
+    the k-th; such rows, and all rows of any other input, are scanned.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not 1 <= k <= sites.n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
     pos = sites.positions
-    if not (sites.unweighted and k + 2 <= sites.n
-            and _in_unit_cube(pos) and _in_unit_cube(pts)):
+    if not (len(pts) >= _TREE_MIN_ROWS and sites.unweighted
+            and k + 2 <= sites.n and _in_unit_cube(pos) and _in_unit_cube(pts)):
         return _rank_scan(pts, sites, k, g)
     tree = cKDTree(pos, boxsize=1.0 if g.wrap else None)
     dist, cand = tree.query(pts, k=k + 2, p=g.p_norm)
@@ -181,8 +185,8 @@ def knearest(points, sites, k, g):
 
 def k_nearest_sites(p, sites, k, g):
     """``(key, ranked)`` for one point: the RegionKey (sorted tuple of site
-    indices) and its ``knearest`` row."""
-    ranked = knearest(p, sites, k, g)[0]
+    indices) and its ``knearest`` row, by the scan alone (a tree reference)."""
+    ranked = _rank_scan(np.atleast_2d(np.asarray(p, dtype=float)), sites, k, g)[0]
     return tuple(sorted(ranked.tolist())), ranked
 
 

@@ -228,6 +228,35 @@ def test_cross_distances_matches_scalar():
                 assert mat[i, j] == pytest.approx(torus_distance(a[i], b[j], g))
 
 
+def _reference_distance(a, b, g):
+    """Plain-float p-norm distance, one coordinate at a time."""
+    deltas = [abs(float(x) - float(y)) for x, y in zip(a, b)]
+    if g.wrap:
+        deltas = [min(t, 1.0 - t) for t in deltas]
+    if g.is_max_norm:
+        return max(deltas)
+    return math.fsum(t**g.p_norm for t in deltas) ** (1.0 / g.p_norm)
+
+
+@pytest.mark.parametrize("wrap", (True, False))
+@pytest.mark.parametrize("p", (1, 2, 3, INFINITY))
+def test_kernel_matches_a_plain_reference(p, wrap):
+    """The shared kernel against arithmetic it does not share."""
+    rng = np.random.default_rng(23)
+    for d in range(1, 10):
+        g = GeometrySpec(d=d, p_norm=p, wrap=wrap)
+        a = rng.random((6, d))
+        b = rng.random((8, d))
+        dist = cross_distances(a, b, g)
+        sites = WeightedSites.from_raw(b, rng.uniform(1.0, 5.0, 8))
+        for i in range(6):
+            for j in range(8):
+                ref = _reference_distance(a[i], b[j], g)
+                assert dist[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+                assert weighted_distance(j, a[i], sites, g) == pytest.approx(
+                    ref / sites.weights[j] ** (1.0 / d), rel=1e-12, abs=1e-15)
+
+
 def test_hypercube_mode():
     g = GeometrySpec(d=1, wrap=False)
     assert torus_distance([0.1], [0.9], g) == pytest.approx(0.8)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,8 +40,9 @@ def test_k_nearest_basic():
     assert key == (0,) and list(ranked) == [0]
     key, ranked = k_nearest_sites([0.1], s, 2, G1)
     assert key == (0, 1) and list(ranked) == [0, 1]
-    with pytest.raises(ValueError):
-        k_nearest_sites([0.1], s, 3, G1)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="1 <= k"):
+            k_nearest_sites([0.1], s, k, G1)
 
 
 def test_k_nearest_weighted_example():
@@ -323,6 +325,9 @@ def test_knearest_equals_scan_and_brute_force(case):
     got = knearest(pts, sites, k, g)
     assert got.dtype == np.int64
     assert np.array_equal(got, rank_k_smallest(weighted_score_matrix(pts, sites, g), k))
+    # the same rows with the tree allowed for a single point
+    with mock.patch.object(voronoi, "_TREE_MIN_ROWS", 1):
+        assert np.array_equal(knearest(pts, sites, k, g), got)
     if sites.unweighted:
         assert np.array_equal(got, _brute_ranking(pts, sites, k, g))
 
@@ -345,7 +350,7 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
     rng = np.random.default_rng(2)
     pts = rng.random((500, 2))
 
-    def run(sites, k=3):
+    def run(sites, k=3, pts=pts):
         calls["tree"], calls["scan_rows"] = 0, []
         got = knearest(pts, sites, k, G2)
         assert np.array_equal(got, rank_k_smallest(
@@ -353,7 +358,20 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
         return calls["tree"], sum(calls["scan_rows"])
 
     pos = rng.random((200, 2))
-    assert run(WeightedSites(pos, np.ones(200))) == (1, 0)
+    plain = WeightedSites(pos, np.ones(200))
+    assert run(plain) == (1, 0)
+    # too few points to pay for the tree: the scan alone
+    few = voronoi._TREE_MIN_ROWS
+    assert run(plain, pts=pts[:few]) == (1, 0)
+    assert run(plain, pts=pts[:few - 1]) == (0, few - 1)
+    # the one-point reference never takes the tree, whatever the threshold
+    monkeypatch.setattr(voronoi, "_TREE_MIN_ROWS", 1)
+    assert run(plain, pts=pts[:1]) == (1, 0)
+    calls["tree"] = 0
+    _, ranked = k_nearest_sites(pts[0], plain, 3, G2)
+    assert calls["tree"] == 0
+    assert np.array_equal(ranked, knearest(pts[:1], plain, 3, G2)[0])
+    monkeypatch.setattr(voronoi, "_TREE_MIN_ROWS", few)
     # a site twice: the tie with the (k+1)-th candidate is re-ranked; a site
     # three times: the k-th and last candidates tie and the row is scanned
     trees, rows = run(WeightedSites(np.vstack([pos, pos[:50]]), np.ones(250)), k=1)
