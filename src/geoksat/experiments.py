@@ -15,13 +15,13 @@ import numpy as np
 
 from ._version import __version__
 from .geometry import GeometrySpec, INFINITY
-from .generate import (_race_keys, sample_geometric_formula,
+from .generate import (_CLAUSE_BLOCK, _race_keys, sample_geometric_formula,
                        sample_nonuniform_formula)
 from .structure import (EnumerationBudgetError, check_expansion_exact,
                         check_expansion_sampled, find_unsat_core,
                         incidence_graph)
-from .voronoi import (_CLAUSE_BLOCK, count_regions_monte_carlo, random_sites,
-                      rank_k_smallest, weighted_score_matrix)
+from .voronoi import (count_regions_monte_carlo, random_sites, rank_k_smallest,
+                      weighted_score_matrix)
 from . import weights as weights_mod
 
 

@@ -21,9 +21,15 @@ import numpy as np
 
 from .geometry import GeometrySpec
 from .sampling import sequential_weighted_draws
-from .voronoi import (_CLAUSE_BLOCK, WeightedSites, knearest, rank_k_smallest,
+from .voronoi import (WeightedSites, knearest, rank_k_smallest,
                       weighted_score_matrix)
 from . import weights as weights_mod
+
+# clauses per race block, which bounds the (block, n) score and key arrays;
+# numpy fills exponentials in sequence, so the sampler's race stream does not
+# depend on it, but nice_fraction_audit draws each block's points before its
+# exponentials, so its records do
+_CLAUSE_BLOCK = 1024
 
 # smallest normal double: a race key below it has lost its significant digits
 _TINY = np.finfo(float).tiny

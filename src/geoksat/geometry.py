@@ -7,8 +7,9 @@ reuses all code paths.
 
 ``pnorm_scores`` is the package's one p-norm kernel: the rootless score
 dist^q with q = ``GeometrySpec.score_power``.  Distances are its q-th root,
-and the Voronoi scan, the tree re-rank and the temperature race rank by it,
-so every distance and score in the package comes from the same arithmetic.
+and the Voronoi scan and the temperature race rank by it, so every distance
+and score the package computes comes from the same arithmetic (the k-d tree
+in ``voronoi.knearest`` is used only where its order is provably the same).
 """
 
 import math

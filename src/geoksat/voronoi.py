@@ -7,14 +7,14 @@ exactly A.  Regions are never constructed explicitly; non-empty regions
 are discovered by Monte Carlo sampling of k-nearest queries.  Every score
 and distance here comes from ``geometry.pnorm_scores``.
 
-``knearest`` is the one exact k-nearest kernel.  It ranks by the dense
-score matrix for weighted sites or a few points; otherwise it re-ranks
-periodic cKDTree candidates with the same kernel and falls back to the
-scan on rows with near-ties, so both backends return the same indices;
+``knearest`` is the one exact k-nearest kernel and the package's only
+tree path.  For unweighted sites it takes each point's k + 1 nearest sites
+from a periodic cKDTree that the site set builds once and keeps
+(``WeightedSites.tree``), in the tree's own order; a row with two adjacent
+distances within a relative ``_TIE_GAP`` of each other, weighted sites and
+a few points go to the dense score scan, so both backends return the same
+indices.  Monte Carlo counting sorts ``knearest`` rows into region keys;
 ``k_nearest_sites`` is the scan-only reference for one point.
-Monte Carlo counting needs only each point's k-nearest set, so its tree
-path asks for k + 1 neighbours and scans just the rows where the k-th and
-(k + 1)-th tie; its keys, too, equal the scan's.
 """
 
 import bisect
@@ -32,11 +32,9 @@ from .geometry import cross_distances, pnorm_scores
 _MC_BLOCK = 1 << 15
 # cap on distance-matrix entries processed at once
 _SCAN_ENTRIES = 4_000_000
-# clause draws are processed in fixed-size blocks so that RNG stream
-# consumption (and thus the instance) never depends on memory heuristics
-_CLAUSE_BLOCK = 1024
-# a tree row whose last candidate lies within this relative distance of its
-# k-th one may hide a tie with a site the tree did not return
+# two adjacent tree distances of a row further apart than this relative gap
+# keep their order under the exact scores (the float error of either is far
+# smaller); a row with a closer pair may hide a tie and is scanned
 _TIE_GAP = 1e-9
 # knearest scans fewer query rows than this: building the tree costs about as
 # much as scanning this many rows (2 vCPU, d = 2, n from 50 to 20000)
@@ -91,6 +89,18 @@ class WeightedSites:
     @property
     def unweighted(self):
         return bool(np.all(self.weights == 1.0))
+
+    @cached_property
+    def _trees(self):
+        return {}
+
+    def tree(self, wrap):
+        """cKDTree of the positions, periodic on the unit torus when
+        ``wrap``; built on first use and kept, one per wrap mode."""
+        if wrap not in self._trees:
+            self._trees[wrap] = cKDTree(self.positions,
+                                        boxsize=1.0 if wrap else None)
+        return self._trees[wrap]
 
 
 def random_sites(n, g, seed_or_rng, weights=None):
@@ -158,26 +168,24 @@ def knearest(points, sites, k, g):
     each point, ranked by increasing distance with ties broken by smaller
     index: ``rank_k_smallest`` on ``weighted_score_matrix``, row for row.
 
-    For ``_TREE_MIN_ROWS`` or more points and unweighted sites in [0, 1)^d
-    (points there too) a periodic cKDTree returns k + 2 candidates per
-    point, re-ranked by the score matrix's own arithmetic in (score, index)
-    order.  Every site left out is farther than the k-th candidate unless
-    the last candidate's tree distance is within a relative ``_TIE_GAP`` of
-    the k-th; such rows, and all rows of any other input, are scanned.
+    For ``_TREE_MIN_ROWS`` or more points, unweighted sites in [0, 1)^d
+    (points there too) and k < n, the sites' cKDTree returns the k + 1
+    nearest sites of each point in distance order.  If every two adjacent
+    distances of a row lie more than a relative ``_TIE_GAP`` apart, the
+    exact scores keep that order, every other site is farther than the
+    k-th, and the row is the tree's first k.  Rows with a closer pair, and
+    all rows of any other input, are scanned.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not 1 <= k <= sites.n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
-    pos = sites.positions
-    if not (len(pts) >= _TREE_MIN_ROWS and sites.unweighted
-            and k + 2 <= sites.n and _in_unit_cube(pos) and _in_unit_cube(pts)):
+    if not (len(pts) >= _TREE_MIN_ROWS and sites.unweighted and k < sites.n
+            and _in_unit_cube(sites.positions) and _in_unit_cube(pts)):
         return _rank_scan(pts, sites, k, g)
-    tree = cKDTree(pos, boxsize=1.0 if g.wrap else None)
-    dist, cand = tree.query(pts, k=k + 2, p=g.p_norm)
-    scores = pnorm_scores(pts, pos[cand], g)
-    order = np.lexsort((cand, scores))
-    ranked = np.take_along_axis(cand, order[:, :k], axis=1).astype(np.int64)
-    tie = np.flatnonzero(dist[:, k + 1] <= dist[:, k - 1] * (1.0 + _TIE_GAP))
+    dist, idx = sites.tree(g.wrap).query(pts, k=k + 1, p=g.p_norm)
+    ranked = idx[:, :k].astype(np.int64)
+    tie = np.flatnonzero(
+        (dist[:, 1:] <= dist[:, :-1] * (1.0 + _TIE_GAP)).any(axis=1))
     if len(tie):
         ranked[tie] = _rank_scan(pts[tie], sites, k, g)
     return ranked
@@ -213,23 +221,6 @@ class RegionCountResult:
     counts_at: dict = field(default_factory=dict)
 
 
-def _keys_via_scan(points, sites, k, g):
-    out = _rank_scan(points, sites, k, g)
-    out.sort(axis=1)
-    return out
-
-
-def _keys_via_tree(tree, points, sites, k, g):
-    # at k = n the (k + 1)-th neighbour is missing, with distance inf
-    dist, idx = tree.query(points, k=k + 1, p=g.p_norm)
-    keys = idx[:, :k].astype(np.int64)
-    tie = np.flatnonzero(dist[:, k] <= dist[:, k - 1] * (1.0 + _TIE_GAP))
-    if len(tie):
-        keys[tie] = _rank_scan(points[tie], sites, k, g)
-    keys.sort(axis=1)
-    return keys
-
-
 def count_regions_monte_carlo(sites, k, samples, seed, g, method="auto",
                               checkpoints=()):
     """Count distinct RegionKeys among k-nearest queries at uniform points.
@@ -247,13 +238,11 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, method="auto",
     if method == "auto":
         method = ("tree" if sites.unweighted and _in_unit_cube(sites.positions)
                   else "scan")
-    tree = None
-    if method == "tree":
-        if not sites.unweighted:
-            raise ValueError("tree method requires unweighted sites")
-        tree = cKDTree(sites.positions, boxsize=1.0 if g.wrap else None)
-    elif method != "scan":
+    if method not in ("tree", "scan"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "tree" and not sites.unweighted:
+        raise ValueError("tree method requires unweighted sites")
+    rank = knearest if method == "tree" else _rank_scan
 
     # a sorted key row is one int64 in mixed radix n when n^k fits
     radix = None
@@ -268,10 +257,8 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, method="auto",
     while done < samples:
         block = min(_MC_BLOCK, samples - done)
         pts = rng.random((block, g.d))
-        if method == "tree":
-            rows = _keys_via_tree(tree, pts, sites, k, g)
-        else:
-            rows = _keys_via_scan(pts, sites, k, g)
+        rows = rank(pts, sites, k, g)
+        rows.sort(axis=1)
         if radix is not None:
             uniq, first = np.unique(rows @ radix, return_index=True)
             new = ~np.isin(uniq, seen, assume_unique=True)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from geoksat import generate
 from geoksat.geometry import GeometrySpec
 from geoksat.generate import (SignLedger, _apply_sign_patterns, _race_keys,
                               draw_geometric_clause_vars,
@@ -211,6 +212,18 @@ def test_sign_ledger_invariant_on_instances():
 def test_geometric_accepts_high_temperature():
     inst = sample_geometric_formula(40, 100, 2, G2, 1.5, None, seed=31)
     assert inst.T == 1.5
+
+
+def test_race_stream_does_not_depend_on_the_clause_block(monkeypatch):
+    # 1100 clauses: two blocks of the default size, 158 blocks of 7
+    def literals():
+        return sample_geometric_formula(60, 1100, 3, G2, 0.5, None,
+                                        seed=37).formula.literals
+
+    assert generate._CLAUSE_BLOCK == 1024
+    default = literals()
+    monkeypatch.setattr(generate, "_CLAUSE_BLOCK", 7)
+    assert np.array_equal(literals(), default)
 
 
 def _signs_one_by_one(drawn, pattern_u):

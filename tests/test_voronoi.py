@@ -266,16 +266,21 @@ def _region_count_reference(sites, k, samples, seed, g, checkpoints):
     return witnesses, counts_at
 
 
-@pytest.mark.parametrize("n,k,method", [(60, 2, "scan"), (40, 3, "tree"),
-                                        (100, 10, "tree")])
-def test_region_count_dedup_matches_reference(n, k, method):
-    # 100^10 >= 2^63: the last case dedups tuple keys instead of int64 codes;
-    # 40k samples span two Monte Carlo blocks, with marks on both sides
+@pytest.mark.parametrize(
+    "n,k,method,samples",
+    [(60, 2, "scan", 40_000), (40, 3, "tree", 40_000), (100, 10, "tree", 40_000),
+     (40, 3, "tree", 32_771)],
+    ids=["60-2-scan", "40-3-tree", "100-10-tree", "40-3-tree-32771"])
+def test_region_count_dedup_matches_reference(n, k, method, samples):
+    # 100^10 >= 2^63: the third case dedups tuple keys instead of int64 codes;
+    # 40k samples span two Monte Carlo blocks, with marks on both sides; the
+    # last block of 32771 samples has fewer than _TREE_MIN_ROWS rows, so
+    # knearest scans it inside the count
     s = random_sites(n, G2, 4)
-    marks = (1, 700, 2500, 6000, 32_768, 32_769, 40_000)
-    res = count_regions_monte_carlo(s, k, 40_000, 12, G2, method=method,
+    marks = (1, 700, 2500, 6000, 32_768, 32_769, 32_771, 40_000)
+    res = count_regions_monte_carlo(s, k, samples, 12, G2, method=method,
                                     checkpoints=marks)
-    witnesses, counts_at = _region_count_reference(s, k, 40_000, 12, G2, marks)
+    witnesses, counts_at = _region_count_reference(s, k, samples, 12, G2, marks)
     assert list(res.witnesses) == list(witnesses)
     assert res.keys == set(witnesses) and res.count == len(witnesses)
     for key, point in witnesses.items():
@@ -333,10 +338,14 @@ def test_knearest_equals_scan_and_brute_force(case):
 
 
 def test_knearest_backend_and_fallback_rows(monkeypatch):
-    calls = {"tree": 0, "scan_rows": []}
+    calls = {"tree": 0, "scan_rows": [], "built": []}
     real_tree, real_scan = voronoi.cKDTree, voronoi._rank_scan
 
     class Tree(real_tree):
+        def __init__(self, *args, **kwargs):
+            calls["built"].append(kwargs.get("boxsize"))
+            super().__init__(*args, **kwargs)
+
         def query(self, *args, **kwargs):
             calls["tree"] += 1
             return super().query(*args, **kwargs)
@@ -372,16 +381,29 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
     assert calls["tree"] == 0
     assert np.array_equal(ranked, knearest(pts[:1], plain, 3, G2)[0])
     monkeypatch.setattr(voronoi, "_TREE_MIN_ROWS", few)
-    # a site twice: the tie with the (k+1)-th candidate is re-ranked; a site
-    # three times: the k-th and last candidates tie and the row is scanned
-    trees, rows = run(WeightedSites(np.vstack([pos, pos[:50]]), np.ones(250)), k=1)
-    assert trees == 1 and rows == 0
-    trees, rows = run(WeightedSites(np.vstack([pos, pos[:50], pos[:50]]),
-                                    np.ones(300)), k=1)
-    assert trees == 1 and 0 < rows < len(pts)
-    # a site on the border, weighted sites, and k + 2 > n scan every row
+    # one tree per site set: the knearest calls above and a count over two
+    # Monte Carlo blocks share it; the plain (unwrapped) distance gets a
+    # second one, also kept
+    count_regions_monte_carlo(plain, 3, 40_000, 1, G2, method="tree")
+    assert calls["built"] == [1.0]
+    flat = GeometrySpec(d=2, p_norm=2, wrap=False)
+    assert np.array_equal(knearest(pts, plain, 3, flat), knearest(pts, plain, 3, flat))
+    assert calls["built"] == [1.0, None]
+    # a site twice or three times: a point whose nearest site is repeated
+    # sees a tie at the k-th place, and exactly those rows are scanned
+    dup = np.flatnonzero(rank_k_smallest(
+        weighted_score_matrix(pts, plain, G2), 1)[:, 0] < 50)
+    assert 0 < len(dup) < len(pts)
+    assert run(WeightedSites(np.vstack([pos, pos[:50]]), np.ones(250)),
+               k=1) == (1, len(dup))
+    assert run(WeightedSites(np.vstack([pos, pos[:50], pos[:50]]),
+                             np.ones(300)), k=1) == (1, len(dup))
+    # a site on the border and weighted sites scan every row
     at_one = pos.copy()
     at_one[0, 0] = 1.0
     assert run(WeightedSites(at_one, np.ones(200))) == (0, len(pts))
     assert run(WeightedSites.from_raw(pos, rng.uniform(1, 3, 200))) == (0, len(pts))
-    assert run(WeightedSites(pos[:4], np.ones(4))) == (0, len(pts))
+    # k = n - 1 still has a (k + 1)-th neighbour to compare with; k = n scans
+    four = WeightedSites(pos[:4], np.ones(4))
+    assert run(four) == (1, 0)
+    assert run(four, k=4) == (0, len(pts))
