@@ -2,18 +2,25 @@
 
 Subcommands: ``generate`` (model -> DIMACS), ``core`` (instance ->
 unsat-core certificate), ``voronoi-count``, ``experiment`` (config-driven
-JSON-lines reports), and ``moments``.  ``generate`` and ``core`` share one
-set of model options; every command that samples requires an explicit
---seed, so there is no wall-clock seeding.  Parameter checks that the
-library makes itself (beta > 2, experiment configs) are not repeated here:
-their ``ValueError`` becomes an ``error:`` exit in ``main``.  The
-environment variable GEOKSAT_OUTDIR supplies the default output directory.
+JSON-lines reports), and ``moments``, a preset of ``experiment --kind
+MOMENT_CHECK``.  Each shared option is declared once, in an option helper
+(``_add_instance_args``, ``_add_space_args``, ``_add_clause_args``) that
+each subcommand calls with its own defaults; ``experiment`` passes none, so
+only the flags given override its ``--config`` file.  Each option's dest
+is the ``ExperimentConfig`` field or sampler argument it sets (``-k`` ->
+``k``, ``-T`` -> ``temperature``), and ``experiment`` copies them by name.
+Every command that samples requires an explicit --seed, so there is no
+wall-clock seeding.  Parameter checks that the library makes itself
+(beta > 2, 1 <= k <= n, experiment configs) are not repeated here: their
+``ValueError`` becomes an ``error:`` exit in ``main``.  The environment
+variable GEOKSAT_OUTDIR supplies the default output directory.
 """
 
 import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -55,41 +62,55 @@ def _check(cond, message):
         raise SystemExit(f"error: {message}")
 
 
-def _check_variables(n):  # model options and voronoi-count
-    _check(n >= 1, "n must be >= 1")
+def _check_required(args, *flags):
+    """Report the flags whose value is missing; each flag's dest is its
+    name without the dashes."""
+    missing = [flag for flag in flags if getattr(args, flag.lstrip("-")) is None]
+    _check(not missing, "the following arguments are required: "
+           + ", ".join(missing))
 
 
-def _add_model_args(p, required=True):
-    """Model options; ``core`` passes required=False, since --input
-    replaces them there, and ``_validate_model_args`` checks them."""
-    p.add_argument("--model", choices=("powerlaw", "uniform", "geometric"),
-                   required=required)
-    p.add_argument("-n", "--variables", type=int, required=required)
-    p.add_argument("-m", "--clauses", type=int)
-    p.add_argument("--delta", type=float, help="clause density m/n")
-    p.add_argument("-k", "--width", type=int, required=required)
-    p.add_argument("--beta", type=float, help="power-law exponent (> 2)")
-    p.add_argument("--weights-file", help="explicit weights, one per line")
-    p.add_argument("--d", type=int, default=2, help="torus dimension")
-    p.add_argument("--p-norm", type=_parse_p_norm, default=2)
-    p.add_argument("--temperature", "-T", type=float, default=0.0)
-    p.add_argument("--seed", type=int, required=required,
+def _int_list(text):
+    return [int(x) for x in text.split(",")]
+
+
+def _add_instance_args(p):
+    p.add_argument("-n", "--variables", dest="n", type=int)
+    p.add_argument("--seed", type=int,
                    help="required: generation is never wall-clock seeded")
 
 
+def _add_space_args(p, d=None, p_norm=None):
+    """Clause width (or Voronoi order) k, site weights and the metric."""
+    p.add_argument("-k", "--width", dest="k", type=int)
+    p.add_argument("--beta", type=float, help="power-law exponent (> 2)")
+    p.add_argument("--d", type=int, default=d, help="torus dimension")
+    p.add_argument("--p-norm", type=_parse_p_norm, default=p_norm)
+
+
+def _add_clause_args(p, temperature=None):
+    p.add_argument("-m", "--clauses", dest="m", type=int)
+    p.add_argument("--delta", type=float, help="clause density m/n")
+    p.add_argument("--temperature", "-T", type=float, default=temperature)
+
+
+def _add_model_args(p):
+    """Model options of ``generate`` and ``core``; ``_validate_model_args``
+    checks the required ones, since ``core --input`` replaces them."""
+    p.add_argument("--model", choices=("powerlaw", "uniform", "geometric"))
+    p.add_argument("--weights-file", help="explicit weights, one per line")
+    _add_instance_args(p)
+    _add_space_args(p, d=2, p_norm=2)
+    _add_clause_args(p, temperature=0.0)
+
+
 def _validate_model_args(args):
-    missing = [flag for flag, value in (("-n", args.variables),
-                                        ("-k", args.width),
-                                        ("--seed", args.seed))
-               if value is None]
-    _check(not missing, "the following arguments are required: "
-           + ", ".join(missing))
-    _check_variables(args.variables)
-    _check(1 <= args.width <= args.variables, "k must satisfy 1 <= k <= n")
-    if args.clauses is None:
+    _check_required(args, "--model", "-n", "-k", "--seed")
+    _check(args.n >= 1, "n must be >= 1")
+    if args.m is None:
         _check(args.delta is not None, "give -m or --delta")
         _check(args.delta > 0, "delta must be > 0")
-        args.clauses = max(1, round(args.delta * args.variables))
+        args.m = max(1, round(args.delta * args.n))
     if args.beta is not None:
         weights_mod.check_beta(args.beta)
     _check(args.temperature >= 0, "temperature must be >= 0")
@@ -100,25 +121,23 @@ def _model_weights(args):
         return weights_mod.weights_from_file(args.weights_file)
     if args.model == "powerlaw" or (args.beta is not None):
         _check(args.beta is not None, "powerlaw model requires --beta")
-        return weights_mod.power_law_weights(args.variables, args.beta)
-    return weights_mod.uniform_weights(args.variables)
+        return weights_mod.power_law_weights(args.n, args.beta)
+    return weights_mod.uniform_weights(args.n)
 
 
 def _build_formula(args):
     ws = _model_weights(args)
-    comments = {"model": args.model, "n": args.variables, "m": args.clauses,
-                "k": args.width, "seed": args.seed, "version": __version__}
+    comments = {"model": args.model, "n": args.n, "m": args.m, "k": args.k,
+                "seed": args.seed, "version": __version__}
     if args.beta is not None:
         comments["beta"] = args.beta
     if args.model == "geometric":
         g = GeometrySpec(d=args.d, p_norm=args.p_norm)
         comments.update(d=args.d, p_norm=args.p_norm, T=args.temperature)
-        inst = sample_geometric_formula(args.variables, args.clauses,
-                                        args.width, g, args.temperature,
-                                        ws.weights, args.seed)
+        inst = sample_geometric_formula(args.n, args.m, args.k, g,
+                                        args.temperature, ws.weights, args.seed)
         return inst.formula, inst, comments
-    formula = sample_nonuniform_formula(args.variables, args.clauses,
-                                        args.width, ws, args.seed)
+    formula = sample_nonuniform_formula(args.n, args.m, args.k, ws, args.seed)
     return formula, None, comments
 
 
@@ -154,25 +173,26 @@ def _cmd_core(args):
 
 
 def _cmd_voronoi_count(args):
+    _check_required(args, "-k", "--seed")
     g = GeometrySpec(d=args.d, p_norm=args.p_norm)
     if args.sites_json:
         sites = load_sites(args.sites_json)
         _check(sites.d == g.d, "site dimension does not match --d")
     else:
-        _check(args.variables is not None, "give --sites-json or -n")
-        _check_variables(args.variables)
+        _check(args.n is not None, "give --sites-json or -n")
+        _check(args.n >= 1, "n must be >= 1")
         w = None
         if args.beta is not None:
-            w = weights_mod.power_law_weights(args.variables, args.beta).weights
-        sites = random_sites(args.variables, g,
+            w = weights_mod.power_law_weights(args.n, args.beta).weights
+        sites = random_sites(args.n, g,
                              np.random.default_rng((args.seed, 0xA11CE)), w)
     samples = args.samples if args.samples is not None else 200 * sites.n
-    result = count_regions_monte_carlo(sites, args.width, samples,
+    result = count_regions_monte_carlo(sites, args.k, samples,
                                        (args.seed, 0xC0DE), g,
                                        checkpoints=(samples // 2,))
     record = {"n": sites.n, "d": g.d,
               "p_norm": "inf" if g.is_max_norm else g.p_norm,
-              "k": args.width, "W": sites.total, "samples": samples,
+              "k": args.k, "W": sites.total, "samples": samples,
               "count": result.count,
               "count_half_budget": result.counts_at.get(samples // 2, 0),
               "seed": args.seed, "version": __version__}
@@ -187,45 +207,22 @@ def _cmd_voronoi_count(args):
 
 
 def _cmd_experiment(args):
+    """The --config file's experiment; each option given overrides the
+    config field named by its dest.  ``moments`` presets the kind."""
     data = {}
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
-    overrides = {
-        "kind": args.kind, "k": args.width, "beta": args.beta, "d": args.d,
-        "p_norm": args.p_norm, "temperature": args.temperature,
-        "delta": args.delta, "m": args.clauses, "samples": args.samples,
-        "sample_factor": args.sample_factor, "audit": args.audit,
-        "output": args.output,
-    }
-    if args.n_values:
-        overrides["n_values"] = [int(x) for x in args.n_values.split(",")]
-    if args.seeds:
-        overrides["seeds"] = [int(x) for x in args.seeds.split(",")]
-    if args.weights:
-        overrides["weights"] = args.weights
-    data.update({k: v for k, v in overrides.items() if v is not None})
+    data.update({f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                 if getattr(args, f.name, None) is not None})
     try:
         cfg = ExperimentConfig.from_dict(data)
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
-    _emit_records(run_experiment(cfg), cfg.output)
-
-
-def _cmd_moments(args):
-    n_values = [int(x) for x in args.n_values.split(",")]
-    cfg = ExperimentConfig(kind="MOMENT_CHECK", n_values=n_values,
-                           seeds=(0,), beta=args.beta)
-    _emit_records(run_experiment(cfg), args.output)
-
-
-def _emit_records(records, output):
-    out = _out_path(output)
+    out = _out_path(cfg.output)
+    count = write_records(run_experiment(cfg), out or sys.stdout)
     if out:
-        count = write_records(records, out)
         print(f"wrote {count} records to {out}")
-    else:
-        write_records(records, sys.stdout)
 
 
 def build_parser():
@@ -243,7 +240,7 @@ def build_parser():
 
     p_core = sub.add_parser("core", help="find an unsatisfiable core")
     p_core.add_argument("--input", help="DIMACS CNF to analyze")
-    _add_model_args(p_core, required=False)
+    _add_model_args(p_core)
     p_core.add_argument("-o", "--output", help="certificate JSON path")
     p_core.add_argument("--fragment-out", help="core DIMACS fragment path")
     p_core.set_defaults(func=_cmd_core)
@@ -251,28 +248,20 @@ def build_parser():
     p_vc = sub.add_parser("voronoi-count",
                           help="Monte Carlo order-k region count")
     p_vc.add_argument("--sites-json", help="site set to load")
-    p_vc.add_argument("-n", "--variables", type=int)
-    p_vc.add_argument("-k", "--width", type=int, required=True)
-    p_vc.add_argument("--beta", type=float, help="power-law site weights")
-    p_vc.add_argument("--d", type=int, default=2)
-    p_vc.add_argument("--p-norm", type=_parse_p_norm, default=2)
+    _add_instance_args(p_vc)
+    _add_space_args(p_vc, d=2, p_norm=2)
     p_vc.add_argument("--samples", type=int)
-    p_vc.add_argument("--seed", type=int, required=True)
     p_vc.add_argument("-o", "--output")
     p_vc.set_defaults(func=_cmd_voronoi_count)
 
     p_exp = sub.add_parser("experiment", help="run a configured experiment")
     p_exp.add_argument("--config", help="JSON config file")
     p_exp.add_argument("--kind", choices=EXPERIMENT_KINDS)
-    p_exp.add_argument("--n-values", help="comma-separated ladder")
-    p_exp.add_argument("--seeds", help="comma-separated seeds")
-    p_exp.add_argument("-k", "--width", type=int)
-    p_exp.add_argument("--beta", type=float)
-    p_exp.add_argument("--d", type=int)
-    p_exp.add_argument("--p-norm", type=_parse_p_norm)
-    p_exp.add_argument("--temperature", "-T", type=float)
-    p_exp.add_argument("--delta", type=float)
-    p_exp.add_argument("-m", "--clauses", type=int)
+    p_exp.add_argument("--n-values", type=_int_list,
+                       help="comma-separated ladder")
+    p_exp.add_argument("--seeds", type=_int_list, help="comma-separated seeds")
+    _add_space_args(p_exp)
+    _add_clause_args(p_exp)
     p_exp.add_argument("--samples", type=int)
     p_exp.add_argument("--sample-factor", type=int)
     p_exp.add_argument("--audit", type=int)
@@ -280,11 +269,12 @@ def build_parser():
     p_exp.add_argument("-o", "--output")
     p_exp.set_defaults(func=_cmd_experiment)
 
-    p_mom = sub.add_parser("moments", help="power-law moment oracles")
+    p_mom = sub.add_parser("moments", help="power-law moment oracles "
+                           "(experiment --kind MOMENT_CHECK)")
     p_mom.add_argument("--beta", type=float, required=True)
-    p_mom.add_argument("--n-values", required=True)
+    p_mom.add_argument("--n-values", type=_int_list, required=True)
     p_mom.add_argument("-o", "--output")
-    p_mom.set_defaults(func=_cmd_moments)
+    p_mom.set_defaults(func=_cmd_experiment, kind="MOMENT_CHECK", config=None)
     return parser
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import GeometrySpec
 from .sampling import sequential_weighted_draws
-from .voronoi import (WeightedSites, knearest, rank_k_smallest,
+from .voronoi import (WeightedSites, knearest, random_sites, rank_k_smallest,
                       weighted_score_matrix)
 from . import weights as weights_mod
 
@@ -49,19 +49,16 @@ class Formula:
         if lits.ndim != 2 or lits.shape[1] != self.k:
             raise ValueError(f"literals must be (m, {self.k})")
         if lits.size:
-            v = np.abs(lits)
-            if v.min() < 1 or v.max() > self.n:
+            v = np.sort(np.abs(lits), axis=1)
+            if v[:, 0].min() < 1 or v[:, -1].max() > self.n:
                 raise ValueError("variable indices must lie in [1, n]")
-            if np.any(np.sort(v, axis=1)[:, 1:] == np.sort(v, axis=1)[:, :-1]):
+            if np.any(v[:, 1:] == v[:, :-1]):
                 raise ValueError("clauses must not repeat variables")
         object.__setattr__(self, "literals", lits)
 
     @property
     def m(self):
         return len(self.literals)
-
-    def clause(self, i):
-        return self.literals[i]
 
     def sorted_variable_sets(self):
         """(m, k) matrix of each clause's variable set, sorted ascending."""
@@ -81,10 +78,6 @@ class GeometricInstance:
     sites: WeightedSites
     g: GeometrySpec
     T: float
-
-    @property
-    def var_positions(self):
-        return self.sites.positions
 
 
 class SignLedger:
@@ -110,12 +103,6 @@ class SignLedger:
         else:
             pat = min(int(u * total), total - 1)
         return pat
-
-    def patterns(self, key):
-        return frozenset(self._used.get(key, ()))
-
-    def keys(self):
-        return self._used.keys()
 
 
 def _resolve_weights(ws, n):
@@ -235,11 +222,10 @@ def sample_geometric_formula(n, m, k, g, T, ws, seed):
         raise ValueError("m must be >= 1")
     if T < 0:
         raise ValueError("temperature must be >= 0")
-    w = _resolve_weights(ws, n) if ws is not None else np.ones(n)
+    w = _resolve_weights(ws, n) if ws is not None else None
 
     rng = np.random.default_rng(seed)
-    var_pos = rng.random((n, g.d))
-    sites = WeightedSites.from_raw(var_pos, w)
+    sites = random_sites(n, g, rng, w)
     clause_pos = rng.random((m, g.d))
     pattern_u = rng.random(m)
     drawn = draw_geometric_clause_vars(clause_pos, sites, k, T, g, rng)

@@ -51,6 +51,8 @@ class WeightedSites:
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
         w = np.asarray(self.weights, dtype=float)
+        if not len(w):
+            raise ValueError("a site set needs at least one site")
         if pos.ndim != 2 or len(pos) != len(w):
             raise ValueError("positions must be (n, d) matching weights")
         if np.any(w <= 0):
@@ -66,7 +68,7 @@ class WeightedSites:
         w = np.asarray(raw_weights, dtype=float)
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
-        return cls(positions, w / w.min())
+        return cls(positions, w / w.min() if len(w) else w)
 
     @property
     def n(self):
@@ -105,9 +107,7 @@ class WeightedSites:
 
 def random_sites(n, g, seed_or_rng, weights=None):
     """Sites with uniform positions on the torus; weights default to 1."""
-    rng = np.random.default_rng(seed_or_rng) if not isinstance(
-        seed_or_rng, np.random.Generator) else seed_or_rng
-    pos = rng.random((n, g.d))
+    pos = np.random.default_rng(seed_or_rng).random((n, g.d))
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     return WeightedSites.from_raw(pos, w)
 

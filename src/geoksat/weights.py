@@ -104,13 +104,6 @@ def second_moment(ws):
     return math.fsum(w * w for w in ws.weights) / ws.total**2
 
 
-def normalize_min_one(ws):
-    """Divide every weight by the minimum; the result has min exactly 1."""
-    w = ws.weights / ws.weights.min()
-    # normalization breaks the power-law closed form, so the result is EXPLICIT
-    return WeightSequence(w, kind=EXPLICIT)
-
-
 def power_law_total_asymptotic(n, beta):
     """Leading-order closed form for sum_i i^(-1/(beta-1)): test oracle only."""
     return (beta - 1.0) / (beta - 2.0) * n ** ((beta - 2.0) / (beta - 1.0))

@@ -4,6 +4,7 @@ import pytest
 
 from geoksat.cli import main
 from geoksat.dimacs import parse_dimacs
+from geoksat.experiments import ReportRecord
 
 
 def run_cli(args):
@@ -90,6 +91,18 @@ def test_seed_is_required():
     with pytest.raises(SystemExit):
         run_cli(["generate", "--model", "uniform", "-n", "10", "-m", "5",
                  "-k", "2"])
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["voronoi-count", "-n", "10", "-k", "2"], "--seed"),
+    (["voronoi-count", "-n", "10", "--seed", "1"], "-k"),
+    (["voronoi-count", "-n", "10"], "-k, --seed"),
+    (["generate", "-n", "10", "-m", "5", "-k", "2", "--seed", "1"], "--model"),
+])
+def test_missing_required_options(argv, missing, capsys):
+    with pytest.raises(SystemExit, match=f"error: .*required: {missing}$"):
+        run_cli(argv)
+    assert capsys.readouterr().out == ""
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):
@@ -196,3 +209,62 @@ def test_moments_subcommand(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[0])["measured"]["total"] > 0
+
+
+_MOMENTS = ["experiment", "--kind", "MOMENT_CHECK", "--n-values", "20",
+            "--beta", "3.0"]
+
+
+def _experiment_records(argv, capsys):
+    capsys.readouterr()
+    run_cli(argv)
+    return [ReportRecord.from_json_line(line)
+            for line in capsys.readouterr().out.splitlines()]
+
+
+@pytest.mark.parametrize("flag, value, field, expected", [
+    ("-k", "2", "k", 2),
+    ("--width", "3", "k", 3),
+    ("--beta", "3.5", "beta", 3.5),
+    ("--d", "3", "d", 3),
+    ("--p-norm", "inf", "p_norm", "inf"),
+    ("-T", "0.5", "temperature", 0.5),
+    ("--temperature", "0.25", "temperature", 0.25),
+    ("--delta", "2.5", "delta", 2.5),
+    ("-m", "7", "m", 7),
+    ("--clauses", "8", "m", 8),
+    ("--samples", "100", "samples", 100),
+    ("--sample-factor", "3", "sample_factor", 3),
+    ("--audit", "5", "audit", 5),
+    ("--weights", "powerlaw", "weights", "powerlaw"),
+    ("--seeds", "4,2", "seeds", [4, 2]),
+    ("--n-values", "30,20", "n_values", [30, 20]),
+])
+def test_experiment_flag_sets_its_config_field(flag, value, field, expected,
+                                               capsys):
+    records = _experiment_records(_MOMENTS + [flag, value], capsys)
+    assert records and all(r.params[field] == expected for r in records)
+
+
+def test_experiment_echoes_only_the_given_fields(capsys):
+    # the model defaults of generate and core (d=2, p_norm=2, T=0) must not
+    # reach experiment records
+    (rec,) = _experiment_records(_MOMENTS, capsys)
+    assert set(rec.params) == {"kind", "n_values", "beta",
+                               "seeds", "weights", "method"}  # dataclass defaults
+    (rec,) = _experiment_records(
+        ["experiment", "--kind", "REGION_SCALING", "--n-values", "10",
+         "-k", "2", "--d", "2", "--p-norm", "2", "--samples", "50"], capsys)
+    assert "temperature" not in rec.params
+    assert set(rec.params) == {"kind", "n_values", "k", "d", "p_norm",
+                               "samples", "seeds", "weights", "method"}
+
+
+def test_moments_is_the_moment_check_experiment(capsys):
+    preset = _experiment_records(["moments", "--beta", "2.5",
+                                  "--n-values", "100,20"], capsys)
+    full = _experiment_records(["experiment", "--kind", "MOMENT_CHECK",
+                                "--beta", "2.5", "--n-values", "100,20"],
+                               capsys)
+    assert len(preset) == 2
+    assert [r.canonical() for r in preset] == [r.canonical() for r in full]

@@ -34,6 +34,14 @@ def test_weighted_sites_invariants():
         WeightedSites.from_raw(np.zeros((2, 1)), np.array([1.0, -1.0]))
 
 
+def test_empty_site_set_is_rejected():
+    for make in (lambda: random_sites(0, G2, 1),
+                 lambda: WeightedSites(np.empty((0, 2)), np.empty(0)),
+                 lambda: WeightedSites.from_raw(np.empty((0, 2)), [])):
+        with pytest.raises(ValueError, match="at least one site"):
+            make()
+
+
 def test_k_nearest_basic():
     s = _sites1d([0.0, 0.5])
     key, ranked = k_nearest_sites([0.1], s, 1, G1)

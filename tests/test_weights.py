@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from geoksat.weights import (EXPLICIT, POWER_LAW, WeightSequence,
-                             explicit_weights, normalize_min_one,
-                             power_law_weights, power_law_total_asymptotic,
+                             explicit_weights, power_law_weights, power_law_total_asymptotic,
                              prefix_mass, second_moment, uniform_weights,
                              weights_from_file)
 
@@ -99,18 +98,6 @@ def test_second_moment_regimes():
         for n in (10**3, 10**4, 10**5):
             vals.append(second_moment(power_law_weights(n, beta)) * n**expo)
         assert max(vals) / min(vals) < 2.0
-
-
-def test_normalize_min_one():
-    ws = explicit_weights([2.0, 4.0, 8.0])
-    out = normalize_min_one(ws)
-    assert np.allclose(out.weights, [1.0, 2.0, 4.0])
-    assert out.weights.min() == 1.0
-    again = normalize_min_one(out)
-    assert np.array_equal(again.weights, out.weights)
-    pl = normalize_min_one(power_law_weights(4, 3.0))
-    assert np.allclose(pl.weights, [2.0, 2.0 / math.sqrt(2), 2.0 / math.sqrt(3), 1.0])
-    assert pl.kind == EXPLICIT
 
 
 def test_rejects_bad_weights():
