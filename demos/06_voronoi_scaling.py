@@ -26,7 +26,7 @@ for d, p, k in ((1, 2, 2), (2, 2, 2), (2, gk.INFINITY, 3), (3, 1, 2)):
 print("\n=== weighted sites: counts track total weight W, not n^2 ===")
 g2 = gk.GeometrySpec(d=2, p_norm=2)
 for n in (250, 500, 1000):
-    w = gk.power_law_weights(n, 2.5).weights
+    w = gk.power_law_weights(n, 2.5)
     sites = gk.random_sites(n, g2, (n, 1), weights=w)
     res = gk.count_regions_monte_carlo(sites, 2, 200 * n, 1, g2)
     print(f"  n={n:>5}: W={sites.total:>8.1f}  count={res.count:>6}  "

@@ -26,7 +26,7 @@ print("the observed max load clears ceil(ln n / (2 ln ln n)) with room")
 print("\n=== non-uniform bins only help ===")
 n = 10**4
 uniform = np.full(n, 1.0 / n)
-skewed = gk.power_law_weights(n, 2.5).weights
+skewed = gk.power_law_weights(n, 2.5)
 skewed = skewed / skewed.sum()
 u_loads = [gk.balls_into_bins(n, uniform, s) for s in range(20)]
 s_loads = [gk.balls_into_bins(n, skewed, s) for s in range(20)]

@@ -13,9 +13,8 @@ from ._version import __version__
 from .geometry import (GeometrySpec, INFINITY, ball_volume_constant,
                        connection_weight, connection_weight_cdf, dist_cdf,
                        torus_distance, weighted_distance)
-from .weights import (WeightSequence, explicit_weights, power_law_weights,
-                      prefix_mass, second_moment, uniform_weights,
-                      weights_from_file)
+from .weights import (check_weights, power_law_weights, prefix_mass,
+                      second_moment, uniform_weights, weights_from_file)
 from .voronoi import (RegionCountResult, RelevanceCertificate, WeightedSites,
                       compute_R_A, count_regions_monte_carlo,
                       generate_worst_case_sites, k_nearest_sites,

@@ -135,7 +135,7 @@ def _build_formula(args):
         g = GeometrySpec(d=args.d, p_norm=args.p_norm)
         comments.update(d=args.d, p_norm=args.p_norm, T=args.temperature)
         inst = sample_geometric_formula(args.n, args.m, args.k, g,
-                                        args.temperature, ws.weights, args.seed)
+                                        args.temperature, ws, args.seed)
         return inst.formula, inst, comments
     formula = sample_nonuniform_formula(args.n, args.m, args.k, ws, args.seed)
     return formula, None, comments
@@ -176,6 +176,8 @@ def _cmd_voronoi_count(args):
     _check_required(args, "-k", "--seed")
     g = GeometrySpec(d=args.d, p_norm=args.p_norm)
     if args.sites_json:
+        _check(args.n is None and args.beta is None,
+               "--sites-json carries its own sites: drop -n and --beta")
         sites = load_sites(args.sites_json)
         _check(sites.d == g.d, "site dimension does not match --d")
     else:
@@ -183,7 +185,7 @@ def _cmd_voronoi_count(args):
         _check(args.n >= 1, "n must be >= 1")
         w = None
         if args.beta is not None:
-            w = weights_mod.power_law_weights(args.n, args.beta).weights
+            w = weights_mod.power_law_weights(args.n, args.beta)
         sites = random_sites(args.n, g,
                              np.random.default_rng((args.seed, 0xA11CE)), w)
     samples = args.samples if args.samples is not None else 200 * sites.n

@@ -166,7 +166,7 @@ class ReportRecord:
 
 def _site_weights(cfg, n):
     if cfg.weights == "powerlaw":
-        return weights_mod.power_law_weights(n, cfg.beta).weights
+        return weights_mod.power_law_weights(n, cfg.beta)
     return None
 
 
@@ -283,9 +283,9 @@ def _balls_bins_point(cfg, n, seed):
 
 
 def _moment_check_point(cfg, n, seed):
-    ws = weights_mod.power_law_weights(n, cfg.beta)
-    sm = weights_mod.second_moment(ws)
-    out = {"total": ws.total,
+    w = weights_mod.power_law_weights(n, cfg.beta)
+    sm = weights_mod.second_moment(w)
+    out = {"total": math.fsum(w),
            "total_asymptotic": weights_mod.power_law_total_asymptotic(n, cfg.beta),
            "second_moment": sm,
            "sm_times_n_over_log": sm * n / math.log(n) if n > 1 else sm}

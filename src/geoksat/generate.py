@@ -23,7 +23,6 @@ from .geometry import GeometrySpec
 from .sampling import sequential_weighted_draws
 from .voronoi import (WeightedSites, knearest, random_sites, rank_k_smallest,
                       weighted_score_matrix)
-from . import weights as weights_mod
 
 # clauses per race block, which bounds the (block, n) score and key arrays;
 # numpy fills exponentials in sequence, so the sampler's race stream does not
@@ -106,10 +105,7 @@ class SignLedger:
 
 
 def _resolve_weights(ws, n):
-    if isinstance(ws, weights_mod.WeightSequence):
-        w = ws.weights
-    else:
-        w = np.asarray(ws, dtype=float)
+    w = np.asarray(ws, dtype=float)
     if len(w) != n:
         raise ValueError(f"weight sequence has length {len(w)}, expected {n}")
     return w

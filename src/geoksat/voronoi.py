@@ -26,6 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import cross_distances, pnorm_scores
+from .weights import check_weights
 
 # Monte Carlo points are drawn from the seeded stream in blocks of this
 # fixed size so that results are reproducible and prefix-extensible.
@@ -43,20 +44,21 @@ _TREE_MIN_ROWS = 8
 
 @dataclass(frozen=True)
 class WeightedSites:
-    """Site positions (n, d) with multiplicative weights, min weight 1."""
+    """Finite site positions (n, d) with multiplicative weights, min weight 1;
+    positions outside [0, 1)^d are legal (``knearest`` scans them)."""
 
     positions: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        w = np.asarray(self.weights, dtype=float)
-        if not len(w):
+        if not len(self.weights):
             raise ValueError("a site set needs at least one site")
+        w = check_weights(self.weights)
         if pos.ndim != 2 or len(pos) != len(w):
             raise ValueError("positions must be (n, d) matching weights")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("site positions must be finite")
         if abs(w.min() - 1.0) > 1e-12:
             raise ValueError("minimum weight must be exactly 1 (use from_raw)")
         object.__setattr__(self, "positions", pos)
@@ -66,9 +68,7 @@ class WeightedSites:
     def from_raw(cls, positions, raw_weights):
         """Normalize raw positive weights so the minimum is exactly 1."""
         w = np.asarray(raw_weights, dtype=float)
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        return cls(positions, w / w.min() if len(w) else w)
+        return cls(positions, check_weights(w) / w.min() if len(w) else w)
 
     @property
     def n(self):
@@ -108,8 +108,8 @@ class WeightedSites:
 def random_sites(n, g, seed_or_rng, weights=None):
     """Sites with uniform positions on the torus; weights default to 1."""
     pos = np.random.default_rng(seed_or_rng).random((n, g.d))
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    return WeightedSites.from_raw(pos, w)
+    return WeightedSites.from_raw(pos,
+                                  np.ones(n) if weights is None else weights)
 
 
 def weighted_score_matrix(points, sites, g):

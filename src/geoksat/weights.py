@@ -1,54 +1,27 @@
-"""Power-law and explicit variable-weight sequences with exact moments.
+"""Power-law, uniform and file-given variable weights with exact moments.
 
-The power-law sequence with exponent beta > 2 is w_i = i^(-1/(beta-1)) for
-i = 1..n (1-based in the formula, stored 0-based).  Moments are computed by
-exact compensated summation; the closed-form asymptotics serve only as test
+A weight sequence is a plain 1-d float array; ``check_weights`` is the one
+check every sequence passes (nonempty, finite, positive).  The power-law
+sequence with exponent beta > 2 is w_i = i^(-1/(beta-1)) for i = 1..n
+(1-based in the formula, stored 0-based).  Moments are computed by exact
+compensated summation; the closed-form asymptotics serve only as test
 oracles, never as runtime substitutes.
 """
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-POWER_LAW = "power_law"
-UNIFORM = "uniform"
-EXPLICIT = "explicit"
 
-
-@dataclass(frozen=True)
-class WeightSequence:
-    weights: np.ndarray
-    kind: str = EXPLICIT
-    beta: float | None = None
-    total: float = field(init=False)
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or len(w) == 0:
-            raise ValueError("weights must be a nonempty 1-d sequence")
-        if np.any(w <= 0) or not np.all(np.isfinite(w)):
-            raise ValueError("all weights must be positive and finite")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "total", math.fsum(w))
-
-    def __len__(self):
-        return len(self.weights)
-
-    @property
-    def n(self):
-        return len(self.weights)
-
-    @cached_property
-    def probabilities(self):
-        """Sampling probabilities p_i = w_i / W."""
-        return self.weights / self.total
-
-    @cached_property
-    def _descending_prob_cumsum(self):
-        p = np.sort(self.probabilities)[::-1]
-        return np.cumsum(p)
+def check_weights(values):
+    """``values`` as a 1-d float array; rejects an empty sequence and any
+    weight that is not positive and finite."""
+    w = np.asarray(values, dtype=float)
+    if w.ndim != 1 or len(w) == 0:
+        raise ValueError("weights must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(w)) or np.any(w <= 0):
+        raise ValueError("all weights must be positive and finite")
+    return w
 
 
 def check_beta(beta):
@@ -63,22 +36,17 @@ def power_law_weights(n, beta):
     if n < 1:
         raise ValueError("n must be >= 1")
     check_beta(beta)
-    i = np.arange(1, n + 1, dtype=float)
-    return WeightSequence(i ** (-1.0 / (beta - 1.0)), kind=POWER_LAW, beta=float(beta))
+    return np.arange(1, n + 1, dtype=float) ** (-1.0 / (beta - 1.0))
 
 
 def uniform_weights(n):
     if n < 1:
         raise ValueError("n must be >= 1")
-    return WeightSequence(np.ones(n), kind=UNIFORM)
-
-
-def explicit_weights(values):
-    return WeightSequence(np.asarray(values, dtype=float), kind=EXPLICIT)
+    return np.ones(n)
 
 
 def weights_from_file(path):
-    """Load an explicit weight sequence, one weight per line.
+    """Load a weight sequence, one weight per line.
 
     Blank lines and lines starting with '#' are skipped.
     """
@@ -89,19 +57,20 @@ def weights_from_file(path):
             if not line or line.startswith("#"):
                 continue
             values.append(float(line))
-    return explicit_weights(values)
+    return check_weights(values)
 
 
-def prefix_mass(ws, i):
-    """Sum of the i largest sampling probabilities (1 <= i <= n)."""
-    if not 1 <= i <= ws.n:
-        raise ValueError(f"i must be in [1, {ws.n}], got {i}")
-    return float(ws._descending_prob_cumsum[i - 1])
+def prefix_mass(w, i):
+    """Sum of the i largest sampling probabilities w_j / W (1 <= i <= n)."""
+    if not 1 <= i <= len(w):
+        raise ValueError(f"i must be in [1, {len(w)}], got {i}")
+    p = np.sort(w / math.fsum(w))[::-1]
+    return float(np.cumsum(p)[i - 1])
 
 
-def second_moment(ws):
+def second_moment(w):
     """Sum of squared sampling probabilities, by exact summation."""
-    return math.fsum(w * w for w in ws.weights) / ws.total**2
+    return math.fsum(x * x for x in w) / math.fsum(w)**2
 
 
 def power_law_total_asymptotic(n, beta):

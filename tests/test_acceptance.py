@@ -133,9 +133,9 @@ def test_criterion_06_power_law_moment_oracles():
     ok = True
     details = []
     for beta in (2.5, 3.5):
-        ws = gk.power_law_weights(10**6, beta)
+        total = math.fsum(gk.power_law_weights(10**6, beta))
         lead = gk.weights.power_law_total_asymptotic(10**6, beta)
-        rel = abs(ws.total / lead - 1.0)
+        rel = abs(total / lead - 1.0)
         details.append(f"beta={beta} rel.err {rel:.4f}")
         ok = ok and rel < 0.02
     ratios = [gk.second_moment(gk.power_law_weights(n, 3.0)) * n / math.log(n)

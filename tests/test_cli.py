@@ -180,6 +180,26 @@ def test_voronoi_count_subcommand(tmp_path, capsys):
     assert record["count_half_budget"] <= record["count"]
 
 
+def test_voronoi_count_on_a_sites_json(tmp_path, capsys):
+    sites = tmp_path / "sites.json"
+    run_cli(["generate", "--model", "geometric", "-n", "40", "-m", "40",
+             "-k", "2", "--beta", "2.5", "--seed", "3",
+             "-o", str(tmp_path / "geo.cnf"), "--sites-out", str(sites)])
+    weights = json.loads(sites.read_text())["weights"]
+    capsys.readouterr()
+    run_cli(["voronoi-count", "--sites-json", str(sites), "-k", "2",
+             "--samples", "4000", "--seed", "8"])
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert record["n"] == 40 and record["samples"] == 4000
+    assert record["W"] == pytest.approx(sum(weights)) and record["W"] > 40
+    assert record["count"] >= 40
+    # the file fixes n and the weights: -n and --beta are errors, not ignored
+    for extra in (["-n", "40"], ["--beta", "2.5"], ["-n", "10", "--beta", "3"]):
+        with pytest.raises(SystemExit, match="error: --sites-json"):
+            run_cli(["voronoi-count", "--sites-json", str(sites), "-k", "2",
+                     "--seed", "8"] + extra)
+
+
 def test_experiment_subcommand_with_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "MOMENT_CHECK", "n_values": [100],

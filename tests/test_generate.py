@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,7 +81,7 @@ def test_power_law_first_draw_frequency():
     n, m = 10_000, 100_000
     ws = power_law_weights(n, 2.5)
     f = sample_nonuniform_formula(n, m, 3, ws, seed=21)
-    p1 = ws.probabilities[0]
+    p1 = ws[0] / math.fsum(ws)
     freq = (np.abs(f.literals[:, 0]) == 1).mean()
     sigma = np.sqrt(p1 * (1 - p1) / m)
     assert abs(freq - p1) <= 3 * sigma
@@ -154,7 +156,7 @@ def test_threshold_weighted_draw_order_fixture():
 
 def test_threshold_k1_minimizes_weighted_distance():
     inst = sample_geometric_formula(50, 100, 1, G2, 0.0,
-                                    power_law_weights(50, 2.5).weights, seed=23)
+                                    power_law_weights(50, 2.5), seed=23)
     scores = weighted_score_matrix(inst.clause_positions, inst.sites, G2)
     assert np.array_equal(np.abs(inst.formula.literals[:, 0]) - 1,
                           scores.argmin(axis=1))

@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geoksat import voronoi
+from geoksat.dimacs import load_sites
 from geoksat.geometry import GeometrySpec, INFINITY, torus_distance
 from geoksat.voronoi import (WeightedSites, compute_R_A,
                              count_regions_monte_carlo,
@@ -40,6 +42,37 @@ def test_empty_site_set_is_rejected():
                  lambda: WeightedSites.from_raw(np.empty((0, 2)), [])):
         with pytest.raises(ValueError, match="at least one site"):
             make()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_are_rejected(bad, tmp_path):
+    # NaN passes a `w <= 0` check; unchecked, it makes every normalized
+    # weight NaN and the region count 1
+    pos = np.random.default_rng(0).random((5, 2))
+    raw = [1.0, 2.0, bad, 3.0, 4.0]
+    path = tmp_path / "sites.json"
+    path.write_text(json.dumps({"positions": pos.tolist(), "weights": raw}))
+    for make in (lambda: WeightedSites(pos, [1.0, 2.0, bad, 3.0, 4.0]),
+                 lambda: WeightedSites.from_raw(pos, raw),
+                 lambda: random_sites(5, G2, 1, weights=raw),
+                 lambda: load_sites(path)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_positions_are_rejected(bad):
+    # unchecked, a NaN position drops its site: k = 1 finds 4 regions of 5
+    pos = np.random.default_rng(0).random((5, 2))
+    pos[2, 1] = bad
+    for make in (lambda: WeightedSites(pos, np.ones(5)),
+                 lambda: WeightedSites.from_raw(pos, np.arange(1.0, 6.0))):
+        with pytest.raises(ValueError, match="positions must be finite"):
+            make()
+    # a position outside [0, 1) stays legal: the scan ranks it
+    pos[2, 1] = 1.5
+    assert count_regions_monte_carlo(WeightedSites(pos, np.ones(5)), 1,
+                                     2000, 1, G2).count == 5
 
 
 def test_k_nearest_basic():
