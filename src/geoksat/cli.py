@@ -113,6 +113,9 @@ def _validate_model_args(args):
         args.m = max(1, round(args.delta * args.n))
     if args.beta is not None:
         weights_mod.check_beta(args.beta)
+        _check(args.model != "uniform", "--model uniform takes no --beta")
+        _check(not args.weights_file,
+               "--weights-file gives the weights: drop --beta")
     _check(args.temperature >= 0, "temperature must be >= 0")
 
 
@@ -131,6 +134,8 @@ def _build_formula(args):
                 "seed": args.seed, "version": __version__}
     if args.beta is not None:
         comments["beta"] = args.beta
+    if args.weights_file:
+        comments["weights"] = args.weights_file
     if args.model == "geometric":
         g = GeometrySpec(d=args.d, p_norm=args.p_norm)
         comments.update(d=args.d, p_norm=args.p_norm, T=args.temperature)

@@ -8,13 +8,14 @@ are discovered by Monte Carlo sampling of k-nearest queries.  Every score
 and distance here comes from ``geometry.pnorm_scores``.
 
 ``knearest`` is the one exact k-nearest kernel and the package's only
-tree path.  For unweighted sites it takes each point's k + 1 nearest sites
-from a periodic cKDTree that the site set builds once and keeps
-(``WeightedSites.tree``), in the tree's own order; a row with two adjacent
-distances within a relative ``_TIE_GAP`` of each other, weighted sites and
-a few points go to the dense score scan, so both backends return the same
-indices.  Monte Carlo counting sorts ``knearest`` rows into region keys;
-``k_nearest_sites`` is the scan-only reference for one point.
+tree path.  It takes candidates from periodic cKDTrees that the site set
+builds once and keeps (``WeightedSites.tree``): one over all unweighted
+sites, or one per weight class [2^j, 2^(j+1)) of weighted sites, the
+layering of the geometric inhomogeneous random graph samplers (Bringmann,
+Keusch and Lengler, arXiv 1511.00576).  Rows the trees cannot settle and
+calls with few points go to the dense score scan, so both backends return
+the same indices.  Monte Carlo counting sorts ``knearest`` rows into region
+keys; ``k_nearest_sites`` is the scan-only reference for one point.
 """
 
 import bisect
@@ -93,16 +94,26 @@ class WeightedSites:
         return bool(np.all(self.weights == 1.0))
 
     @cached_property
+    def weight_classes(self):
+        """Site indices by weight class [2^j, 2^(j+1)), lightest class
+        first, each increasing."""
+        _, exponent = np.frexp(self.weights)
+        order = np.argsort(exponent, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(exponent[order])) + 1)
+
+    @cached_property
     def _trees(self):
         return {}
 
-    def tree(self, wrap):
-        """cKDTree of the positions, periodic on the unit torus when
-        ``wrap``; built on first use and kept, one per wrap mode."""
-        if wrap not in self._trees:
-            self._trees[wrap] = cKDTree(self.positions,
-                                        boxsize=1.0 if wrap else None)
-        return self._trees[wrap]
+    def tree(self, wrap, cls=None):
+        """cKDTree of the positions, or of weight class ``cls``'s members,
+        periodic on the unit torus when ``wrap``; built on first use and
+        kept, one per wrap mode."""
+        if (wrap, cls) not in self._trees:
+            pos = (self.positions if cls is None
+                   else self.positions[self.weight_classes[cls]])
+            self._trees[wrap, cls] = cKDTree(pos, boxsize=1.0 if wrap else None)
+        return self._trees[wrap, cls]
 
 
 def random_sites(n, g, seed_or_rng, weights=None):
@@ -163,25 +174,68 @@ def _rank_scan(points, sites, k, g):
     return out
 
 
+def _rank_layered(points, sites, k, g):
+    """``knearest`` of weighted sites through the weight-class trees."""
+    q = g.score_power
+    wq = sites.weights ** (q / sites.d)  # the scan's divisor, bit for bit
+    parts, bounds = [], []
+    for c, members in enumerate(sites.weight_classes):
+        if len(members) <= k + 2:
+            parts.append(np.broadcast_to(members, (len(points), len(members))))
+            continue
+        dist, idx = sites.tree(g.wrap, c).query(points, k=k + 2, p=g.p_norm)
+        parts.append(members[idx])
+        # every member of the class left out scores at least this
+        bounds.append(dist[:, -1] ** q / wq[members].max())
+    cand = np.sort(np.concatenate(parts, axis=1), axis=1)
+    scores = pnorm_scores(points, sites.positions[cand], g)
+    scores /= wq[cand]
+    sel = rank_k_smallest(scores, k)
+    ranked = np.take_along_axis(cand, sel, axis=1)
+    if bounds:
+        kth = np.take_along_axis(scores, sel[:, -1:], axis=1)[:, 0]
+        unsure = np.flatnonzero(
+            (np.array(bounds) <= kth * (1.0 + _TIE_GAP)).any(axis=0))
+        if len(unsure):
+            ranked[unsure] = _rank_scan(points[unsure], sites, k, g)
+    return ranked
+
+
 def knearest(points, sites, k, g):
     """(rows, k) indices of the k sites of smallest weighted distance to
     each point, ranked by increasing distance with ties broken by smaller
     index: ``rank_k_smallest`` on ``weighted_score_matrix``, row for row.
 
-    For ``_TREE_MIN_ROWS`` or more points, unweighted sites in [0, 1)^d
-    (points there too) and k < n, the sites' cKDTree returns the k + 1
-    nearest sites of each point in distance order.  If every two adjacent
-    distances of a row lie more than a relative ``_TIE_GAP`` apart, the
-    exact scores keep that order, every other site is farther than the
-    k-th, and the row is the tree's first k.  Rows with a closer pair, and
-    all rows of any other input, are scanned.
+    The trees serve ``_TREE_MIN_ROWS`` or more points when sites and points
+    lie in [0, 1)^d and k < n; every other input is scanned.
+
+    Unweighted sites: the sites' cKDTree returns the k + 1 nearest sites of
+    each point in distance order.  If every two adjacent distances of a row
+    lie more than a relative ``_TIE_GAP`` apart, the exact scores keep that
+    order, every other site is farther than the k-th, and the row is the
+    tree's first k.  Rows with a closer pair are scanned.
+
+    Weighted sites: each weight class [2^j, 2^(j+1)) has its own cKDTree
+    and gives its k + 2 nearest members by plain distance (a class of at
+    most k + 2 sites gives all of them).  The candidates are scored with
+    the scan's arithmetic and ranked by (score, index).  A member a class
+    left out is no nearer than the class's last candidate and no heavier
+    than its heaviest site; when that bound beats the row's k-th score by
+    a relative ``_TIE_GAP`` in every such class, the row is exact.  Other
+    rows are scanned.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not 1 <= k <= sites.n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
-    if not (len(pts) >= _TREE_MIN_ROWS and sites.unweighted and k < sites.n
+    if not (len(pts) >= _TREE_MIN_ROWS and k < sites.n
             and _in_unit_cube(sites.positions) and _in_unit_cube(pts)):
         return _rank_scan(pts, sites, k, g)
+    if not sites.unweighted:
+        out = np.empty((len(pts), k), dtype=np.int64)
+        step = max(1, _SCAN_ENTRIES // ((k + 2) * len(sites.weight_classes)))
+        for a in range(0, len(pts), step):
+            out[a:a + step] = _rank_layered(pts[a:a + step], sites, k, g)
+        return out
     dist, idx = sites.tree(g.wrap).query(pts, k=k + 1, p=g.p_norm)
     ranked = idx[:, :k].astype(np.int64)
     tie = np.flatnonzero(
@@ -229,19 +283,18 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, method="auto",
     nondecreasing under prefix-extension of the sample stream.  The count
     is a lower bound on the true number of non-empty regions.
     ``checkpoints`` are sample prefixes at which the running count is
-    recorded (see RegionCountResult.counts_at).
+    recorded (see RegionCountResult.counts_at).  ``method="tree"`` ranks
+    through ``knearest``, ``"scan"`` by the dense scan alone; ``"auto"``
+    takes the tree for sites in [0, 1)^d.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 1 <= k <= sites.n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
     if method == "auto":
-        method = ("tree" if sites.unweighted and _in_unit_cube(sites.positions)
-                  else "scan")
+        method = "tree" if _in_unit_cube(sites.positions) else "scan"
     if method not in ("tree", "scan"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "tree" and not sites.unweighted:
-        raise ValueError("tree method requires unweighted sites")
     rank = knearest if method == "tree" else _rank_scan
 
     # a sorted key row is one int64 in mixed radix n when n^k fits

@@ -105,6 +105,33 @@ def test_missing_required_options(argv, missing, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_uniform_model_rejects_beta(tmp_path):
+    # --beta used to switch the draw to power-law weights under a
+    # "c model = uniform" comment
+    for command in ("generate", "core"):
+        with pytest.raises(SystemExit, match="error: --model uniform takes no --beta"):
+            run_cli([command, "--model", "uniform", "-n", "8", "-m", "3", "-k", "2",
+                     "--beta", "3", "--seed", "1", "-o", str(tmp_path / "x")])
+
+
+def test_weights_file_rejects_beta(tmp_path):
+    # the file's weights used to win over --beta without a word
+    weights = tmp_path / "w.txt"
+    weights.write_text("\n".join(str(i) for i in range(1, 7)) + "\n")
+    out = tmp_path / "inst.cnf"
+    for model in ("powerlaw", "geometric"):
+        with pytest.raises(SystemExit, match="error: --weights-file gives the "
+                                             "weights: drop --beta"):
+            run_cli(["generate", "--model", model, "--weights-file", str(weights),
+                     "-n", "6", "-m", "3", "-k", "2", "--beta", "3", "--seed", "1",
+                     "-o", str(out)])
+    # without --beta the file is the weight source, and the comments say so
+    run_cli(["generate", "--model", "powerlaw", "--weights-file", str(weights),
+             "-n", "6", "-m", "3", "-k", "2", "--seed", "1", "-o", str(out)])
+    _, comments = parse_dimacs(out)
+    assert f"weights = {weights}" in comments
+
+
 def test_outdir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("GEOKSAT_OUTDIR", str(tmp_path / "results"))
     run_cli(["generate", "--model", "uniform", "-n", "10", "-m", "5",

@@ -139,6 +139,20 @@ def test_threshold_clauses_match_k_nearest():
         assert tuple(sorted(drawn)) == key
 
 
+def test_weighted_threshold_clauses_match_k_nearest():
+    # weighted sites take knearest's weight-class trees; the scan-only
+    # reference must rank every checked clause the same way
+    inst = sample_geometric_formula(500, 1000, 3, G2, 0.0,
+                                    power_law_weights(500, 2.5), seed=13)
+    f = inst.formula
+    assert len(inst.sites.weight_classes) > 1
+    for i in range(0, 1000, 7):
+        key, ranked = k_nearest_sites(inst.clause_positions[i], inst.sites, 3, G2)
+        drawn = np.abs(f.literals[i]) - 1
+        assert np.array_equal(drawn, ranked)
+        assert tuple(sorted(drawn)) == key
+
+
 def test_threshold_instances_are_all_nice():
     inst = sample_geometric_formula(200, 500, 2, G2, 0.0, None, seed=17)
     assert all(is_nice(i, inst) for i in range(500))

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from geoksat import voronoi
 from geoksat.dimacs import load_sites
-from geoksat.geometry import GeometrySpec, INFINITY, torus_distance
+from geoksat.geometry import GeometrySpec, INFINITY, weighted_distance
 from geoksat.voronoi import (WeightedSites, compute_R_A,
                              count_regions_monte_carlo,
                              generate_worst_case_sites, k_nearest_sites,
                              knearest, random_sites, rank_k_smallest,
                              relevance_certificate, weighted_score_matrix)
+from geoksat.weights import power_law_weights
 
 G1 = GeometrySpec(d=1, p_norm=2)
 G2 = GeometrySpec(d=2, p_norm=2)
@@ -150,10 +151,14 @@ def test_region_count_methods_agree():
         scan = count_regions_monte_carlo(sg, 2, 20_000, 7, g, method="scan")
         tree = count_regions_monte_carlo(sg, 2, 20_000, 7, g, method="tree")
         assert scan.keys == tree.keys
-    with pytest.raises(ValueError):
-        count_regions_monte_carlo(
-            WeightedSites(s.positions, np.linspace(1, 2, 300)), 2, 10, 0, G2,
-            method="tree")
+    # weighted sites rank through knearest's weight-class trees
+    weighted = WeightedSites.from_raw(s.positions, power_law_weights(300, 2.5))
+    scan = count_regions_monte_carlo(weighted, 2, 20_000, 7, G2, method="scan")
+    tree = count_regions_monte_carlo(weighted, 2, 20_000, 7, G2, method="tree")
+    assert tree.keys == scan.keys
+    assert list(tree.witnesses) == list(scan.witnesses)
+    for key, point in scan.witnesses.items():
+        assert np.array_equal(tree.witnesses[key], point)
 
 
 def test_region_count_tree_keys_equal_scan_keys_at_ties():
@@ -330,12 +335,29 @@ def test_region_count_dedup_matches_reference(n, k, method, samples):
 
 
 def _brute_ranking(points, sites, k, g):
-    """Unweighted sites ranked by (torus_distance, index), one by one."""
-    out = []
+    """Sites ranked by (weighted_distance, index), one by one, with each
+    row's weighted distances in that order."""
+    out, dists = [], []
     for p in points:
-        dist = [torus_distance(sites.positions[i], p, g) for i in range(sites.n)]
-        out.append(sorted(range(sites.n), key=lambda i: (dist[i], i))[:k])
-    return np.array(out, dtype=np.int64).reshape(len(points), k)
+        dist = [weighted_distance(i, p, sites, g) for i in range(sites.n)]
+        order = sorted(range(sites.n), key=lambda i: (dist[i], i))
+        out.append(order)
+        dists.append([dist[i] for i in order])
+    return np.array(out, dtype=np.int64), np.array(dists)
+
+
+def _case_weights(draw, rng, n):
+    kind = draw(st.sampled_from(("none", "uniform", "powerlaw", "edges")))
+    if kind == "uniform":
+        return rng.uniform(1.0, 4.0, n)
+    if kind == "powerlaw":
+        # several weight classes; the heaviest sites get random indices
+        beta = draw(st.sampled_from((2.1, 2.5, 3.0)))
+        return rng.permutation(power_law_weights(n, beta))
+    if kind == "edges":
+        # every weight on a class edge 2^j, so scores tie across classes
+        return 2.0 ** rng.integers(0, 4, n)
+    return np.ones(n)
 
 
 @st.composite
@@ -359,12 +381,10 @@ def _knearest_cases(draw):
         pos = pos[rng.integers(0, max(1, n // 3), n)]
     elif layout == "at_one":
         pos[rng.integers(0, n), rng.integers(0, d)] = 1.0
-    weights = (rng.uniform(1.0, 4.0, n) if draw(st.booleans()) and layout == "uniform"
-               else np.ones(n))
-    return g, WeightedSites.from_raw(pos, weights), pts, k
+    return g, WeightedSites.from_raw(pos, _case_weights(draw, rng, n)), pts, k
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_knearest_cases())
 def test_knearest_equals_scan_and_brute_force(case):
     g, sites, pts, k = case
@@ -374,8 +394,19 @@ def test_knearest_equals_scan_and_brute_force(case):
     # the same rows with the tree allowed for a single point
     with mock.patch.object(voronoi, "_TREE_MIN_ROWS", 1):
         assert np.array_equal(knearest(pts, sites, k, g), got)
+    brute, dist = _brute_ranking(pts, sites, k, g)
     if sites.unweighted:
-        assert np.array_equal(got, _brute_ranking(pts, sites, k, g))
+        assert np.array_equal(got, brute[:, :k])
+        return
+    # weighted distances are roots of the scores: a tie of scores may round
+    # apart, so rows whose first k + 1 distances nearly tie are held to the
+    # distances alone
+    got_dist = np.array([[weighted_distance(i, p, sites, g) for i in row]
+                         for row, p in zip(got, pts)])
+    assert np.allclose(got_dist, dist[:, :k], rtol=1e-12, atol=0)
+    head = dist[:, :k + 1]
+    clear = ~(head[:, 1:] <= head[:, :-1] * (1 + 1e-9)).any(axis=1)
+    assert np.array_equal(got[clear], brute[clear, :k])
 
 
 def test_knearest_backend_and_fallback_rows(monkeypatch):
@@ -439,12 +470,76 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
                k=1) == (1, len(dup))
     assert run(WeightedSites(np.vstack([pos, pos[:50], pos[:50]]),
                              np.ones(300)), k=1) == (1, len(dup))
-    # a site on the border and weighted sites scan every row
+    # a site on the border scans every row, weighted or not
     at_one = pos.copy()
     at_one[0, 0] = 1.0
     assert run(WeightedSites(at_one, np.ones(200))) == (0, len(pts))
-    assert run(WeightedSites.from_raw(pos, rng.uniform(1, 3, 200))) == (0, len(pts))
+    assert run(WeightedSites.from_raw(at_one, rng.uniform(1, 3, 200))) == (0, len(pts))
     # k = n - 1 still has a (k + 1)-th neighbour to compare with; k = n scans
     four = WeightedSites(pos[:4], np.ones(4))
     assert run(four) == (1, 0)
     assert run(four, k=4) == (0, len(pts))
+
+
+def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
+    built, scanned = [], []
+    real_tree, real_scan = voronoi.cKDTree, voronoi._rank_scan
+
+    class Tree(real_tree):
+        def __init__(self, data, *args, **kwargs):
+            built.append((len(data), kwargs.get("boxsize")))
+            super().__init__(data, *args, **kwargs)
+
+    def scan(points, *args):
+        scanned.append(points.copy())
+        return real_scan(points, *args)
+
+    monkeypatch.setattr(voronoi, "cKDTree", Tree)
+    monkeypatch.setattr(voronoi, "_rank_scan", scan)
+    rng = np.random.default_rng(5)
+    pts = rng.random((2000, 2))
+    k = 2
+    sites = random_sites(500, G2, 3, power_law_weights(500, 2.5))
+    classes = sites.weight_classes
+    assert len(classes) >= 4
+    assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(500))
+    for j, members in enumerate(classes):
+        assert np.all(np.floor(np.log2(sites.weights[members])) == j)
+    queried = [c for c in classes if len(c) > k + 2]
+    assert 0 < len(queried) < len(classes)
+
+    # the rows that fail the exactness check, recomputed from plain trees
+    wq = sites.weights ** (G2.score_power / G2.d)
+    scores = weighted_score_matrix(pts, sites, G2)
+    kth = np.sort(scores, axis=1)[:, k - 1]
+    unsure = np.zeros(len(pts), dtype=bool)
+    for members in queried:
+        dist, _ = real_tree(sites.positions[members], boxsize=1.0).query(
+            pts, k=k + 2)
+        unsure |= dist[:, -1] ** 2 / wq[members].max() <= kth * (1 + 1e-9)
+    assert 0 < unsure.sum() < len(pts) // 4
+
+    got = knearest(pts, sites, k, G2)
+    assert np.array_equal(got, rank_k_smallest(scores, k))
+    assert built == [(len(c), 1.0) for c in queried]
+    assert len(scanned) == 1 and np.array_equal(scanned[0], pts[unsure])
+
+    # the class trees are kept: a two-block Monte Carlo count and a second
+    # call build nothing; the unwrapped metric gets its own trees, also kept
+    scanned.clear()
+    count_regions_monte_carlo(sites, k, 40_000, 1, G2, method="tree")
+    knearest(pts, sites, k, G2)
+    assert len(built) == len(queried) and len(scanned) == 3
+    flat = GeometrySpec(d=2, p_norm=2, wrap=False)
+    assert np.array_equal(knearest(pts, sites, k, flat),
+                          rank_k_smallest(weighted_score_matrix(pts, sites, flat), k))
+    knearest(pts, sites, k, flat)
+    assert built[len(queried):] == [(len(c), None) for c in queried]
+
+    # too few points to pay for the trees: the scan alone
+    scanned.clear()
+    few = voronoi._TREE_MIN_ROWS
+    knearest(pts[:few - 1], random_sites(500, G2, 4, power_law_weights(500, 2.5)),
+             k, G2)
+    assert [len(p) for p in scanned] == [few - 1]
+    assert len(built) == 2 * len(queried)
