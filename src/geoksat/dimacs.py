@@ -8,7 +8,9 @@ parser reads the body as one token stream, so it also accepts clauses
 that span lines, several clauses on a line and the SATLIB ``%`` trailer.
 """
 
+import contextlib
 import json
+import re
 
 import numpy as np
 
@@ -16,67 +18,100 @@ from .generate import Formula
 from .voronoi import WeightedSites
 
 
-# rows (or lines) converted to Python objects at once: bounds the transient
-# ints and token strings that bulk conversion creates
+# clause rows formatted at once, and about as many body lines (at 64
+# characters a line) tokenised at once: bounds the transient strings
 _BLOCK = 4096
+# byte -> 0 not allowed in a clause body, 1 whitespace, 2 digit, 3 sign
+_BYTE_KIND = np.zeros(256, dtype=np.uint8)
+_BYTE_KIND[list(b" \t\n\v\f\r")] = 1
+_BYTE_KIND[list(b"0123456789")] = 2
+_BYTE_KIND[list(b"+-")] = 3
+# lines whose first non-blank character is c (comment), p (header) or %
+_SPECIAL_LINE = re.compile(r"\n[ \t\v\f]*([cp%])([^\n]*)")
 
 
-def _clause_lines(literals):
-    return [" ".join(map(str, row)) + " 0"
-            for i in range(0, len(literals), _BLOCK)
-            for row in literals[i:i + _BLOCK].tolist()]
+def _clause_blocks(literals):
+    """The clause lines, one string per ``_BLOCK`` rows."""
+    line = "%d " * literals.shape[1] + "0\n"
+    for i in range(0, len(literals), _BLOCK):
+        rows = literals[i:i + _BLOCK]
+        yield line * len(rows) % tuple(rows.ravel().tolist())
 
 
-def _int_tokens(lines):
-    parts = [np.array(" ".join(lines[i:i + _BLOCK]).split(), dtype=np.int64)
-             for i in range(0, len(lines), _BLOCK)]
-    return np.concatenate([np.empty(0, dtype=np.int64), *parts])
+def _int_tokens(text):
+    """The whitespace-separated integers of ``text`` as int64.
+
+    Every byte is checked first: digits, whitespace and a sign that starts
+    a token and precedes a digit are allowed; anything else (a word, a
+    decimal point, a non-ASCII character) raises ValueError.  What is left
+    is what ``np.fromstring`` reads exactly.
+    """
+    data = (" " + text + " ").encode("ascii")  # UnicodeEncodeError is a ValueError
+    kind = _BYTE_KIND[np.frombuffer(data, dtype=np.uint8)]
+    sign = np.flatnonzero(kind == 3)
+    if (kind == 0).any() or (kind[sign - 1] != 1).any() or (kind[sign + 1] != 2).any():
+        raise ValueError("clause body holds a token that is not an integer")
+    if (kind == 1).all():  # np.fromstring reads blank text as one 0
+        return np.empty(0, dtype=np.int64)
+    tokens = np.fromstring(data, dtype=np.int64, sep=" ")
+    limits = np.iinfo(np.int64)
+    if tokens.min() == limits.min or tokens.max() == limits.max:
+        raise ValueError("integer token out of the int64 range")
+    return tokens
 
 
 def emit_dimacs(f, destination, comments=None):
     """Write a formula as DIMACS CNF; ``comments`` is a mapping echoed as
     ``c key = value`` lines (model parameters, seed, ...)."""
-    lines = [f"c {key} = {value}" for key, value in (comments or {}).items()]
-    lines.append(f"p cnf {f.n} {f.m}")
-    lines += _clause_lines(f.literals)
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w") as fh:
-            fh.write(text)
+    head = "".join(f"c {key} = {value}\n" for key, value in (comments or {}).items())
+    with (contextlib.nullcontext(destination) if hasattr(destination, "write")
+          else open(destination, "w")) as fh:
+        fh.write(head + f"p cnf {f.n} {f.m}\n")
+        fh.writelines(_clause_blocks(f.literals))
 
 
 def parse_dimacs(source):
     """Parse DIMACS CNF into (Formula, comment lines).
 
-    Only width-uniform formulas are supported (every clause must have the
-    same number of literals).
+    Comment, header and ``%`` lines are found by one regular-expression
+    scan; the body between them is tokenised about ``_BLOCK`` lines at a
+    time.  Only width-uniform formulas are supported (every clause must
+    have the same number of literals).
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         with open(source) as fh:
             text = fh.read()
+    text = "\n" + text  # every line, the first too, follows a newline
     comments = []
     n = m = None
-    body = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("c"):
-            comments.append(line[1:].strip())
-        elif line.startswith("p"):
-            parts = line.split()
+    spans, start = [], 0  # body spans of text, between the special lines
+    for line in _SPECIAL_LINE.finditer(text):
+        spans.append((start, line.start()))
+        start = line.end()
+        kind, rest = line.groups()
+        if kind == "c":
+            comments.append(rest.strip())
+        elif kind == "p":
+            parts = line.group().split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"bad problem line: {line!r}")
+                raise ValueError(f"bad problem line: {line.group().strip()!r}")
             n, m = int(parts[2]), int(parts[3])
-        elif line.startswith("%"):
+        else:
+            start = len(text)
             break
-        elif line:
-            body.append(line)
+    spans.append((start, len(text)))
     if n is None:
         raise ValueError("missing 'p cnf' header")
-    tokens = _int_tokens(body)
+    parts = [np.empty(0, dtype=np.int64)]
+    for a, b in spans:
+        while a < b:
+            # cut after a newline, so that no token is split
+            cut = text.find("\n", min(a + 64 * _BLOCK, b), b) + 1 or b
+            parts.append(_int_tokens(text[a:cut]))
+            a = cut
+    tokens = np.concatenate(parts)
     if len(tokens) and tokens[-1] != 0:
         raise ValueError("last clause is not terminated by 0")
     ends = np.flatnonzero(tokens == 0)
@@ -103,8 +138,8 @@ def core_dimacs_fragment(f, core):
     """The core's clauses as a standalone DIMACS fragment string."""
     lines = [f"c unsat core over variables {' '.join(map(str, core.variables))}",
              f"p cnf {f.n} {len(core.clause_indices)}"]
-    lines += _clause_lines(f.literals[list(core.clause_indices)])
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + "".join(
+        _clause_blocks(f.literals[list(core.clause_indices)]))
 
 
 def write_core_certificate(f, core, json_path, fragment_path=None):

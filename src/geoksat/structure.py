@@ -5,6 +5,10 @@ the two sufficient conditions for large resolution width, the sort-based
 unsatisfiable-core finder, a brute-force SAT oracle for small variable
 counts, and the niceness test for geometric clauses.
 
+The incidence graph is an (m, k) variable matrix plus a CSR index from
+variable to clauses; the sampled expansion walk advances a block of
+trials in lockstep over them, one array row per trial.
+
 Resolution width itself is never computed: only the two checkable
 sufficient conditions are exposed, since their failure witnesses are what
 the experiments need.
@@ -19,7 +23,6 @@ EnumerationBudgetError before any subset is built.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,44 +31,84 @@ from .voronoi import knearest
 
 DEFAULT_ENUM_CAP = 10_000_000
 _CHUNK = 1 << 13  # subsets per enumeration chunk; bounds the working arrays
+_TRIAL_BLOCK = 2048  # sampled-expansion trials walked in lockstep
 
 
 class EnumerationBudgetError(RuntimeError):
     """Raised when exhaustive subset enumeration would exceed the cap."""
 
 
-@dataclass(frozen=True)
+class _Rows:
+    """Read-only sequence view: item c is row c of a 2-D array, a tuple."""
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, c):
+        return tuple(self._rows[c].tolist())
+
+
+class _Csr:
+    """Read-only mapping view: key v is ``indices[indptr[v]:indptr[v + 1]]``,
+    a tuple; keys with an empty slice are absent."""
+
+    def __init__(self, indptr, indices):
+        self._indptr, self._indices = indptr, indices
+
+    def __iter__(self):
+        return iter(np.flatnonzero(np.diff(self._indptr)).tolist())
+
+    def __len__(self):
+        return np.count_nonzero(np.diff(self._indptr))
+
+    def __getitem__(self, v):
+        a, b = self._indptr[v:v + 2] if 0 <= v < len(self._indptr) - 1 else (0, 0)
+        if a == b:
+            raise KeyError(v)
+        return tuple(self._indices[a:b].tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class IncidenceGraph:
     """Bipartite clause-variable adjacency; signs are discarded.
 
-    ``clause_vars[c]`` is the sorted variable tuple of clause c (1-based
-    variables); ``var_clauses[v]`` the sorted tuple of clauses containing
-    v.  Immutable after construction; checkers only read it.
+    ``variables`` is the (m, k) matrix of sorted clause variable sets
+    (1-based); the clauses of variable v, ascending, are
+    ``indices[indptr[v]:indptr[v + 1]]``.  ``clause_vars`` and
+    ``var_clauses`` view them as tuples.
     """
 
-    clause_vars: tuple
-    var_clauses: dict
+    variables: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @property
     def m(self):
-        return len(self.clause_vars)
+        return len(self.variables)
+
+    @property
+    def clause_vars(self):
+        return _Rows(self.variables)
+
+    @property
+    def var_clauses(self):
+        return _Csr(self.indptr, self.indices)
 
     def neighborhood(self, clause_subset):
-        out = set()
-        for c in clause_subset:
-            out.update(self.clause_vars[c])
-        return out
+        return set(self.variables[list(clause_subset)].ravel().tolist())
 
 
 def incidence_graph(f):
-    clause_vars = tuple(tuple(int(v) for v in row)
-                        for row in f.sorted_variable_sets())
-    var_clauses = {}
-    for c, vs in enumerate(clause_vars):
-        for v in vs:
-            var_clauses.setdefault(v, []).append(c)
-    var_clauses = {v: tuple(cs) for v, cs in var_clauses.items()}
-    return IncidenceGraph(clause_vars=clause_vars, var_clauses=var_clauses)
+    variables = f.sorted_variable_sets()
+    flat = variables.ravel()
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=f.n + 1))))
+    # a clause repeats no variable, so the keys v * m + c are distinct and
+    # one sort lists each variable's clauses, ascending
+    keys = flat * f.m + np.repeat(np.arange(f.m), f.k)
+    return IncidenceGraph(variables, indptr, np.sort(keys) % max(f.m, 1))
 
 
 @dataclass(frozen=True)
@@ -89,9 +132,8 @@ class WidthConditionWitness:
 
 def _clause_masks(gph):
     """(m, words) uint64 variable-set masks, 64 distinct variables a word."""
-    flat = np.array([v for vs in gph.clause_vars for v in vs], dtype=np.int64)
-    universe, bit = np.unique(flat, return_inverse=True)
-    rows = np.repeat(np.arange(gph.m), [len(vs) for vs in gph.clause_vars])
+    universe, bit = np.unique(gph.variables.ravel(), return_inverse=True)
+    rows = np.repeat(np.arange(gph.m), gph.variables.shape[1])
     masks = np.zeros((gph.m, max(1, -(-len(universe) // 64))), dtype=np.uint64)
     np.bitwise_or.at(masks, (rows, bit >> 6),
                      np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)))
@@ -172,51 +214,64 @@ def check_expansion_sampled(gph, r, c, trials, seed):
 
     Samples clause subsets grown by a random walk over variable
     co-occurrence (uniform subsets essentially never violate expansion, so
-    the walk biases toward overlapping clauses).  Any returned witness is
-    sound; ``None`` (PASS_PROBABLE) carries no guarantee.
+    the walk biases toward overlapping clauses).  A trial draws a size in
+    1..r and a start clause, then makes at most 4 * size attempts: a chosen
+    clause, a variable of it, a clause of that variable (all uniform), kept
+    if new.  ``_TRIAL_BLOCK`` trials at a time walk in lockstep, one array
+    row each; the first violation of the lowest-index violating trial is
+    the witness.  Any witness is sound; ``None`` (PASS_PROBABLE) carries no
+    guarantee.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if gph.m == 0:
+        return None  # no clause subset to violate expansion, as in the exact check
     rng = np.random.default_rng(seed)
-    m = gph.m
-    for _ in range(trials):
-        size = int(rng.integers(1, r + 1))
-        current = [int(rng.integers(m))]
-        chosen = set(current)
-        nbhd = set(gph.clause_vars[current[0]])
-        attempts = 4 * size
-        while len(current) < size and attempts > 0:
-            attempts -= 1
-            base = current[int(rng.integers(len(current)))]
-            vs = gph.clause_vars[base]
-            v = vs[int(rng.integers(len(vs)))]
-            cands = gph.var_clauses[v]
-            nxt = cands[int(rng.integers(len(cands)))]
-            if nxt in chosen:
-                continue
-            chosen.add(nxt)
-            current.append(nxt)
-            nbhd.update(gph.clause_vars[nxt])
+    k, bound = gph.variables.shape[1], 1.0 + c
+    for done in range(0, trials, _TRIAL_BLOCK):
+        rows = min(_TRIAL_BLOCK, trials - done)
+        size = rng.integers(1, r + 1, rows)
+        chosen = np.full((rows, r), -1)  # clause ids; -1 is free
+        chosen[:, 0] = rng.integers(gph.m, size=rows)
+        members = np.zeros((rows, r * k), dtype=np.int64)  # their variables
+        members[:, :k] = gph.variables[chosen[:, 0]]
+        count, width = np.ones(rows, dtype=np.int64), np.full(rows, k)
+        hit = np.zeros(rows, dtype=bool)
+        for step in range(4 * r):
+            live = np.flatnonzero((count < size) & (4 * size > step) & ~hit)
+            if not len(live):
+                break
+            base = chosen[live, rng.integers(count[live])]
+            v = gph.variables[base, rng.integers(k, size=len(live))]
+            first = gph.indptr[v]
+            nxt = gph.indices[first + rng.integers(gph.indptr[v + 1] - first)]
+            new = (chosen[live] != nxt[:, None]).all(axis=1)
+            live, nxt, slot = live[new], nxt[new], count[live[new]]
+            add = gph.variables[nxt]
+            fresh = (members[live][:, :, None] != add[:, None]).all(axis=1)  # not yet members
+            width[live] += fresh.sum(axis=1)
+            chosen[live, slot] = nxt
+            members[live[:, None], slot[:, None] * k + np.arange(k)] = add
+            count[live] = slot + 1
             # violations can appear at any intermediate size
-            if len(nbhd) < (1.0 + c) * len(current):
-                return ExpansionWitness(clause_indices=tuple(sorted(current)),
-                                        neighborhood_size=len(nbhd),
-                                        threshold=(1.0 + c) * len(current))
+            hit[live] = width[live] < bound * count[live]
+        if hit.any():
+            t = np.argmax(hit)
+            return ExpansionWitness(clause_indices=tuple(sorted(chosen[t, :count[t]].tolist())),
+                                    neighborhood_size=int(width[t]),
+                                    threshold=bound * int(count[t]))
     return None
 
 
 def unique_variable_boundary(gph, clause_subset):
     """Variables contained in exactly one clause of the subset."""
-    subset = list(clause_subset)
-    if not subset:
+    subset = np.asarray(list(clause_subset), dtype=np.int64)
+    if not len(subset):
         raise ValueError("clause subset must be nonempty")
-    for c in subset:
-        if not 0 <= c < gph.m:
-            raise IndexError(f"clause index {c} out of range")
-    counts = Counter()
-    for c in subset:
-        counts.update(gph.clause_vars[c])
-    return tuple(sorted(v for v, cnt in counts.items() if cnt == 1))
+    if subset.min() < 0 or subset.max() >= gph.m:
+        raise IndexError(f"clause index out of range [0, {gph.m}): {subset.tolist()}")
+    variables, counts = np.unique(gph.variables[subset], return_counts=True)
+    return tuple(variables[counts == 1].tolist())
 
 
 def resolution_width_conditions(f, w, eps, cap=DEFAULT_ENUM_CAP):
@@ -297,53 +352,37 @@ class UnsatCore:
     patterns: tuple
 
 
-def _sign_patterns(f):
-    """Per-clause sign bitmask aligned to the sorted variable order."""
-    v = np.abs(f.literals)
-    order = np.argsort(v, axis=1, kind="stable")
-    neg_sorted = np.take_along_axis(f.literals < 0, order, axis=1)
-    return neg_sorted @ (1 << np.arange(f.k, dtype=np.int64))
-
-
 def find_unsat_core(f):
     """Find a pigeonhole core by sorting clauses by variable set.
 
-    Clauses are sorted lexicographically by their sorted variable sets
-    (O(m log m)); the first set carrying all 2^k sign patterns yields the
-    core, which is confirmed UNSAT by brute force.  Returns None when no
-    set saturates.
+    Clauses are sorted lexicographically by their sorted variable sets,
+    then by sign pattern (O(m log m)); the first set carrying all 2^k sign
+    patterns yields the core, the lowest-index clause of each pattern,
+    which is confirmed UNSAT by brute force.  Returns None when no set
+    saturates.
     """
     if f.m == 0:
         return None
-    var_sets = f.sorted_variable_sets()
-    patterns = _sign_patterns(f)
-    order = np.lexsort(var_sets.T[::-1])
-    sorted_sets = var_sets[order]
-    boundary = np.any(sorted_sets[1:] != sorted_sets[:-1], axis=1)
-    starts = np.concatenate(([0], np.flatnonzero(boundary) + 1, [f.m]))
-
-    full = 1 << f.k
-    for a, b in zip(starts[:-1], starts[1:]):
-        if b - a < full:
-            continue
-        run = np.sort(order[a:b])  # ascending clause index within the set
-        seen = {}
-        for c in run:
-            seen.setdefault(int(patterns[c]), int(c))
-            if len(seen) == full:
-                break
-        if len(seen) == full:
-            pats = tuple(sorted(seen))
-            clauses = tuple(seen[p] for p in pats)
-            core = UnsatCore(
-                variables=tuple(int(v) for v in sorted_sets[a]),
-                clause_indices=clauses,
-                patterns=pats)
-            check = brute_force_sat([f.literals[c] for c in clauses])
-            if check.satisfiable:
-                raise RuntimeError("saturated sign-pattern set was satisfiable")
-            return core
-    return None
+    v = np.abs(f.literals)
+    by_var = np.argsort(v, axis=1)  # a clause repeats no variable: no ties
+    var_sets = np.take_along_axis(v, by_var, axis=1)
+    # bit i set: the i-th smallest variable of the clause is negated
+    patterns = np.take_along_axis(f.literals < 0, by_var, axis=1) @ (1 << np.arange(f.k))
+    order = np.lexsort((patterns, *var_sets.T[::-1]))  # stable: index breaks ties
+    sets, pats = var_sets[order], patterns[order]
+    new_set = np.concatenate(([True], np.any(sets[1:] != sets[:-1], axis=1)))
+    first = new_set | np.concatenate(([True], pats[1:] != pats[:-1]))  # of its pattern
+    group = np.cumsum(new_set) - 1
+    full = np.flatnonzero(np.bincount(group[first]) == 1 << f.k)
+    if not len(full):
+        return None
+    pick = first & (group == full[0])
+    core = UnsatCore(variables=tuple(sets[pick][0].tolist()),
+                     clause_indices=tuple(order[pick].tolist()),
+                     patterns=tuple(pats[pick].tolist()))
+    if brute_force_sat(f.literals[order[pick]]).satisfiable:
+        raise RuntimeError("saturated sign-pattern set was satisfiable")
+    return core
 
 
 def is_nice(clause_index, inst):

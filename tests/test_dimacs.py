@@ -1,9 +1,11 @@
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
 
+import geoksat.dimacs as dimacs
 from geoksat.dimacs import (core_certificate, core_dimacs_fragment,
                             emit_dimacs, load_sites, parse_dimacs, save_sites,
                             write_core_certificate)
@@ -88,6 +90,77 @@ def test_parse_rejects_malformed():
         parse_dimacs(io.StringIO("p cnf 3 2\n1 2 0\n"))  # count mismatch
     with pytest.raises(ValueError):
         parse_dimacs(io.StringIO("p cnf 3 2\n1 2 0\n1 2 3 0\n"))  # mixed width
+
+
+def test_parse_rejects_non_integer_tokens():
+    for body in ("1 x 0", "1.5 2 0", "1 - 0", "- 1 0", "--1 0", "1-2 0", "1 2 0 c",
+                 "1\u00a02 0", "99999999999999999999 0"):
+        with pytest.raises(ValueError):
+            parse_dimacs(io.StringIO(f"p cnf 3 1\n{body}\n"))
+
+
+def test_parse_collects_comments_between_clauses():
+    text = "c first\np cnf 3 2\n1 -2 0\n  c between\n-3 2\nc inside a clause\n0\n"
+    f, comments = parse_dimacs(io.StringIO(text))
+    assert comments == ["first", "between", "inside a clause"]
+    assert f.literals.tolist() == [[1, -2], [-3, 2]]
+
+
+def test_empty_formula_with_comments_round_trips():
+    f = Formula(n=5, k=3, literals=np.empty((0, 3), dtype=np.int64))
+    buf = io.StringIO()
+    emit_dimacs(f, buf, {"model": "uniform", "seed": 3})
+    back, comments = parse_dimacs(io.StringIO(buf.getvalue()))
+    assert (back.n, back.m) == (5, 0)
+    assert comments == ["model = uniform", "seed = 3"]
+    again = io.StringIO()
+    emit_dimacs(back, again, {"model": "uniform", "seed": 3})
+    assert again.getvalue() == buf.getvalue() == "c model = uniform\nc seed = 3\np cnf 5 0\n"
+
+
+def _fixed_matrix(n, k, m):
+    rows = np.arange(m)[:, None]
+    vs = (rows * 7919 + np.arange(k) * 31) % (n // k) + np.arange(k) * (n // k) + 1
+    return np.where((rows + np.arange(k)) % 3 == 0, -vs, vs)
+
+
+@pytest.mark.parametrize("n, k, m, sha256", [
+    (1, 1, 1, "73ba78596392796dfa463142590bfa20f2817429fc0d5c22ef46024d8b995bff"),
+    (7, 3, 4096, "8c8a4facf478c85f0b8526822c8069ce5fdcec4557cab60109596c92f8a9f031"),
+    (10**9, 5, 4097, "5f3059f0790d002a6c6e89ce32f4b968ea2b8a30ef81da2668fe9957aad5d1f1"),
+    (40, 2, 8193, "be730d5593b90b798a4e95a29d589f2431e6a8beaf4fc30158c2b92d2b45baed"),
+])
+def test_emit_bytes_across_row_blocks(n, k, m, sha256):
+    # the digests are of the line-at-a-time emitter that the block
+    # formatter replaced; the reference below is that emitter's line rule
+    lits = _fixed_matrix(n, k, m)
+    buf = io.StringIO()
+    emit_dimacs(formula_from_clauses(n, k, lits), buf, {"rows": m})
+    text = buf.getvalue()
+    reference = f"c rows = {m}\np cnf {n} {m}\n" + "".join(
+        " ".join(map(str, row)) + " 0\n" for row in lits.tolist())
+    assert text == reference
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_round_trip_across_small_blocks(monkeypatch, block):
+    # tiny blocks put chunk edges inside every part of the body: spanning
+    # clauses, several clauses a line, comments between clause lines
+    monkeypatch.setattr(dimacs, "_BLOCK", block)
+    lits = _fixed_matrix(300, 3, 200)
+    buf = io.StringIO()
+    emit_dimacs(formula_from_clauses(300, 3, lits), buf, {"block": block})
+    back, comments = parse_dimacs(io.StringIO(buf.getvalue()))
+    assert comments == [f"block = {block}"]
+    assert np.array_equal(back.literals, lits)
+    tokens = [str(t) for row in lits.tolist() for t in row + [0]]
+    lines = ["p cnf 300 200"]
+    for i in range(0, len(tokens), 5):
+        lines += [" ".join(tokens[i:i + 5]), f"c after token {i + 5}"]
+    back, comments = parse_dimacs(io.StringIO("\n".join(lines) + "\n%\nc ignored\n"))
+    assert len(comments) == len(lines) // 2
+    assert np.array_equal(back.literals, lits)
 
 
 def test_parse_clause_spanning_lines():

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import geoksat.structure as structure
 from geoksat.generate import formula_from_clauses, sample_geometric_formula, sample_nonuniform_formula
@@ -60,6 +61,42 @@ def test_incidence_graph_basics():
     for c, vs in enumerate(gph.clause_vars):
         for v in vs:
             assert c in gph.var_clauses[v]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 5), spare=st.integers(0, 6), m=st.integers(0, 40),
+       unused=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_incidence_graph_equals_naive_dict_graph(k, spare, m, unused, seed):
+    # variables k + spare + unused exceed the largest that can occur
+    rng = np.random.default_rng(seed)
+    n = k + spare + unused
+    clauses = [(rng.permutation(k + spare)[:k] + 1).tolist() for _ in range(m)]
+    f = formula_from_clauses(n, k, [[v if rng.random() < 0.5 else -v for v in cl]
+                                    for cl in clauses])
+    clause_vars = tuple(tuple(sorted(cl)) for cl in clauses)
+    var_clauses = {}
+    for c, vs in enumerate(clause_vars):
+        for v in vs:
+            var_clauses.setdefault(v, []).append(c)
+    var_clauses = {v: tuple(cs) for v, cs in var_clauses.items()}
+
+    gph = incidence_graph(f)
+    assert gph.m == m == len(gph.clause_vars)
+    assert tuple(gph.clause_vars) == clause_vars
+    assert all(gph.clause_vars[c] == clause_vars[c] for c in range(-m, m))
+    assert len(gph.var_clauses) == len(var_clauses)
+    assert list(gph.var_clauses) == sorted(var_clauses)
+    assert {v: gph.var_clauses[v] for v in gph.var_clauses} == var_clauses
+    for v in range(-1, n + 3):
+        assert (v in gph.var_clauses) == (v in var_clauses)
+        if v not in var_clauses:
+            with pytest.raises(KeyError):
+                gph.var_clauses[v]
+    with pytest.raises(IndexError):
+        gph.clause_vars[m]
+    for size in range(min(m, 4) + 1):
+        subset = rng.choice(m, size=size, replace=False)
+        assert gph.neighborhood(subset) == {v for c in subset for v in clause_vars[c]}
 
 
 def test_expansion_single_clause_passes():
@@ -142,6 +179,7 @@ def test_checkers_pass_on_empty_and_single_clause_formulas():
     for clauses in ([], [[1, 2, 3]]):
         f = formula_from_clauses(5, 3, clauses)
         assert check_expansion_exact(incidence_graph(f), 3, 0.5) is None
+        assert check_expansion_sampled(incidence_graph(f), 3, 0.5, 10, seed=1) is None
         assert resolution_width_conditions(f, 3, 0.5) is None
 
 
@@ -194,6 +232,78 @@ def test_sampled_checker_no_false_witness_on_disjoint():
     f = formula_from_clauses(9, 3, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     gph = incidence_graph(f)
     assert check_expansion_sampled(gph, 3, 0.5, 5000, seed=3) is None
+
+
+def _assert_sound(gph, w, r, c):
+    assert 2 <= len(w.clause_indices) <= min(r, gph.m)
+    assert list(w.clause_indices) == sorted(set(w.clause_indices))
+    assert all(0 <= i < gph.m for i in w.clause_indices)
+    assert w.neighborhood_size == len(gph.neighborhood(w.clause_indices))
+    assert w.threshold == (1 + c) * len(w.clause_indices)
+    assert w.neighborhood_size < w.threshold
+
+
+def test_sampled_witnesses_are_sound_and_seeded():
+    rng = np.random.default_rng(21)
+    witnesses = 0
+    for f in _wide_formulas(30, 40, 3, 40, seed=21):
+        gph = incidence_graph(f)
+        for r, c in ((2, 1.5), (4, 0.5), (6, 1.0)):
+            seed = int(rng.integers(1 << 30))
+            w = check_expansion_sampled(gph, r, c, 300, seed)
+            assert w == check_expansion_sampled(gph, r, c, 300, seed)
+            if w is not None:
+                _assert_sound(gph, w, r, c)
+                witnesses += 1
+    assert witnesses >= 40
+
+
+def test_sampled_walk_returns_the_first_violating_block(monkeypatch):
+    # more trials draw more blocks from the same stream: runs of whole
+    # blocks find nothing until the first violating block, and every run
+    # that covers that block returns its witness, whatever follows
+    monkeypatch.setattr(structure, "_TRIAL_BLOCK", 8)
+    f = sample_nonuniform_formula(40, 30, 3, uniform_weights(40), 5)
+    lits = f.literals.copy()
+    lits[17] = lits[4]
+    gph = incidence_graph(formula_from_clauses(40, 3, lits))
+    runs = {t: check_expansion_sampled(gph, 2, 1.5, t, seed=2) for t in range(8, 400, 8)}
+    first = min(t for t, w in runs.items() if w is not None)
+    assert first > 16  # at least two blocks ran without a witness
+    assert all(w is None for t, w in runs.items() if t < first)
+    for t in range(first, first + 40):
+        assert check_expansion_sampled(gph, 2, 1.5, t, seed=2) == runs[first]
+    _assert_sound(gph, runs[first], 2, 1.5)
+
+
+def test_sampled_walk_trial_law():
+    # one trial on {A, A', B}, A and A' on the same variables: it violates
+    # expansion iff its size is 2 (1/2), it starts on A or A' (2/3) and one
+    # of its 8 attempts picks the other copy (1 - 2^-8)
+    gph = incidence_graph(formula_from_clauses(6, 3, [[1, 2, 3], [-3, 2, 1], [4, 5, 6]]))
+    hits = sum(check_expansion_sampled(gph, 2, 1.5, 1, seed) is not None
+               for seed in range(3000))
+    p = 0.5 * 2 / 3 * (1 - 2.0 ** -8)
+    assert abs(hits / 3000 - p) < 4.5 * (p * (1 - p) / 3000) ** 0.5
+
+
+def test_sampled_walk_small_trials_and_large_r():
+    gph = incidence_graph(formula_from_clauses(6, 3, [[1, 2, 3], [-3, 2, 1], [4, 5, 6]]))
+    for trials in (1, 2, 5):  # fewer trials than one block
+        for seed in range(20):
+            w = check_expansion_sampled(gph, 2, 1.5, trials, seed)
+            if w is not None:
+                _assert_sound(gph, w, 2, 1.5)
+    # r > m: a walk stops at m clauses; clause 2 shares variable 3
+    gph = incidence_graph(formula_from_clauses(5, 3, [[1, 2, 3], [-3, 2, 1], [3, 4, 5]]))
+    seen = set()
+    for seed in range(40):
+        w = check_expansion_sampled(gph, 9, 1.0, 50, seed)
+        _assert_sound(gph, w, 9, 1.0)
+        seen.add(w.clause_indices)
+    assert seen == {(0, 1), (0, 1, 2)}
+    with pytest.raises(ValueError):
+        check_expansion_sampled(gph, 2, 1.5, 0, 1)
 
 
 def test_unique_variable_boundary():
@@ -308,6 +418,38 @@ def test_core_planted_in_random_formula():
         assert core is not None
         found = brute_force_sat([lits[c] for c in core.clause_indices])
         assert not found.satisfiable
+
+
+def _loop_core(f):
+    """Reference: walk the variable-set groups in sorted order and keep the
+    first clause of each sign pattern until one group has all 2^k."""
+    groups = {}
+    for c, lits in enumerate(f.literals.tolist()):
+        lits = sorted(lits, key=abs)
+        key = tuple(abs(l) for l in lits)
+        pattern = sum(1 << i for i, l in enumerate(lits) if l < 0)
+        groups.setdefault(key, {}).setdefault(pattern, c)
+    for key in sorted(groups):
+        if len(groups[key]) == 1 << f.k:
+            pats = tuple(sorted(groups[key]))
+            return key, tuple(groups[key][p] for p in pats), pats
+    return None
+
+
+def test_core_finder_matches_loop_reference():
+    rng = np.random.default_rng(31)
+    cores = 0
+    for _ in range(300):
+        k = int(rng.integers(1, 4))
+        n, m = int(rng.integers(k, k + 5)), int(rng.integers(0, 100))
+        f = formula_from_clauses(n, k, [[v if rng.random() < 0.5 else -v
+                                         for v in rng.permutation(n)[:k] + 1]
+                                        for _ in range(m)])
+        core = find_unsat_core(f)
+        got = None if core is None else (core.variables, core.clause_indices, core.patterns)
+        assert got == _loop_core(f)
+        cores += core is not None
+    assert 50 <= cores <= 250
 
 
 def test_core_from_threshold_geometric_instance():
