@@ -30,7 +30,8 @@ from .dimacs import (emit_dimacs, load_sites, parse_dimacs, save_sites,
                      write_core_certificate)
 from .experiments import (EXPERIMENT_KINDS, ExperimentConfig, run_experiment,
                           write_records)
-from .generate import sample_geometric_formula, sample_nonuniform_formula
+from .generate import (check_temperature, sample_geometric_formula,
+                       sample_nonuniform_formula)
 from .structure import find_unsat_core
 from .voronoi import count_regions_monte_carlo, random_sites
 from . import weights as weights_mod
@@ -116,7 +117,7 @@ def _validate_model_args(args):
         _check(args.model != "uniform", "--model uniform takes no --beta")
         _check(not args.weights_file,
                "--weights-file gives the weights: drop --beta")
-    _check(args.temperature >= 0, "temperature must be >= 0")
+    check_temperature(args.temperature)
 
 
 def _model_weights(args):

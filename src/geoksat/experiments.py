@@ -15,13 +15,13 @@ import numpy as np
 
 from ._version import __version__
 from .geometry import GeometrySpec, INFINITY
-from .generate import (_CLAUSE_BLOCK, _race_keys, sample_geometric_formula,
+from .generate import (_CLAUSE_BLOCK, check_temperature,
+                       draw_geometric_clause_vars, sample_geometric_formula,
                        sample_nonuniform_formula)
 from .structure import (EnumerationBudgetError, check_expansion_exact,
                         check_expansion_sampled, find_unsat_core,
                         incidence_graph)
-from .voronoi import (count_regions_monte_carlo, random_sites, rank_k_smallest,
-                      weighted_score_matrix)
+from .voronoi import count_regions_monte_carlo, knearest, random_sites
 from . import weights as weights_mod
 
 
@@ -105,8 +105,8 @@ def validate_config(cfg):
         raise ValueError("all n values must be >= 1")
     if cfg.beta is not None:
         weights_mod.check_beta(cfg.beta)
-    if cfg.temperature is not None and cfg.temperature < 0:
-        raise ValueError("temperature must be >= 0")
+    if cfg.temperature is not None:
+        check_temperature(cfg.temperature)
     if cfg.k is not None:
         if cfg.k < 1:
             raise ValueError("k must be >= 1")
@@ -190,22 +190,20 @@ def nice_fraction_audit(sites, g, k, T, audit, seed):
 
     Clause draws are i.i.d. given the variable positions, so auditing
     freshly drawn clauses is distribution-identical to auditing a random
-    subset of a full instance; this keeps the cost at O(audit * n).  At
-    T = 0 a clause's draw is its k-nearest ranking, so every clause is nice.
+    subset of a full instance.  Each block of ``_CLAUSE_BLOCK`` clause
+    points is drawn from the seeded stream, then drawn from by
+    ``draw_geometric_clause_vars`` and ranked by ``knearest``.  At T = 0 a
+    clause's draw is its k-nearest ranking, so every clause is nice.
     """
+    check_temperature(T)
     if T == 0:
         return audit
     rng = np.random.default_rng(seed)
     nice = 0
-    done = 0
-    while done < audit:
-        block = min(_CLAUSE_BLOCK, audit - done)
-        pts = rng.random((block, g.d))
-        scores = weighted_score_matrix(pts, sites, g)
-        ranked = rank_k_smallest(scores, k)
-        drawn = rank_k_smallest(_race_keys(scores, g, T, rng), k)
-        nice += int(np.all(drawn == ranked, axis=1).sum())
-        done += block
+    for done in range(0, audit, _CLAUSE_BLOCK):
+        pts = rng.random((min(_CLAUSE_BLOCK, audit - done), g.d))
+        drawn = draw_geometric_clause_vars(pts, sites, k, T, g, rng)
+        nice += int(np.all(drawn == knearest(pts, sites, k, g), axis=1).sum())
     return nice
 
 

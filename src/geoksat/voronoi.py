@@ -7,15 +7,17 @@ exactly A.  Regions are never constructed explicitly; non-empty regions
 are discovered by Monte Carlo sampling of k-nearest queries.  Every score
 and distance here comes from ``geometry.pnorm_scores``.
 
-``knearest`` is the one exact k-nearest kernel and the package's only
-tree path.  It takes candidates from periodic cKDTrees that the site set
-builds once and keeps (``WeightedSites.tree``): one over all unweighted
-sites, or one per weight class [2^j, 2^(j+1)) of weighted sites, the
-layering of the geometric inhomogeneous random graph samplers (Bringmann,
-Keusch and Lengler, arXiv 1511.00576).  Rows the trees cannot settle and
-calls with few points go to the dense score scan, so both backends return
-the same indices.  Monte Carlo counting sorts ``knearest`` rows into region
-keys; ``k_nearest_sites`` is the scan-only reference for one point.
+``knearest`` is the one exact k-nearest kernel.  It takes candidates from
+periodic cKDTrees that the site set builds once and keeps
+(``WeightedSites.tree``): one over all unweighted sites, or one per weight
+class [2^j, 2^(j+1)) of weighted sites, the layering of the geometric
+inhomogeneous random graph samplers (Bringmann, Keusch and Lengler, arXiv
+1511.00576).  Rows the trees cannot settle and calls with few points go to
+the dense score scan, so both backends return the same indices.  The
+sampler's lazy race at T < 1 (``generate``) takes its candidates from the
+same class trees, through ``_class_candidates``.  Monte Carlo counting
+sorts ``knearest`` rows into region keys; ``k_nearest_sites`` is the
+scan-only reference for one point.
 """
 
 import bisect
@@ -109,6 +111,8 @@ class WeightedSites:
         """cKDTree of the positions, or of weight class ``cls``'s members,
         periodic on the unit torus when ``wrap``; built on first use and
         kept, one per wrap mode."""
+        if len(self.weight_classes) == 1:
+            cls = None  # the one class holds every site, in index order
         if (wrap, cls) not in self._trees:
             pos = (self.positions if cls is None
                    else self.positions[self.weight_classes[cls]])
@@ -174,28 +178,53 @@ def _rank_scan(points, sites, k, g):
     return out
 
 
-def _rank_layered(points, sites, k, g):
-    """``knearest`` of weighted sites through the weight-class trees."""
+def _trees_serve(points, sites):
+    """Whether the trees may rank these points: at least ``_TREE_MIN_ROWS``
+    of them, and sites and points in [0, 1)^d."""
+    return (len(points) >= _TREE_MIN_ROWS and _in_unit_cube(sites.positions)
+            and _in_unit_cube(points))
+
+
+def _class_candidates(points, sites, g, sizes):
+    """Each point's nearest members of every weight class, scored.
+
+    Class c gives its ``sizes[c]`` nearest members by plain distance, or all
+    of them when it has no more.  Returns ``(cand, scores, tails)``: the
+    (rows, C) candidate site indices, increasing along each row, and their
+    scores with the scan's arithmetic; ``tails`` holds ``(members, bound)``
+    for each class with members left out, ``bound`` being the tree's lower
+    bound on the score of every member left out: its last distance^q over
+    the class's largest weight^(q/d).
+    """
     q = g.score_power
     wq = sites.weights ** (q / sites.d)  # the scan's divisor, bit for bit
-    parts, bounds = [], []
+    parts, tails = [], []
     for c, members in enumerate(sites.weight_classes):
-        if len(members) <= k + 2:
+        if len(members) <= sizes[c]:
             parts.append(np.broadcast_to(members, (len(points), len(members))))
             continue
-        dist, idx = sites.tree(g.wrap, c).query(points, k=k + 2, p=g.p_norm)
+        dist, idx = sites.tree(g.wrap, c).query(points, k=sizes[c], p=g.p_norm)
         parts.append(members[idx])
-        # every member of the class left out scores at least this
-        bounds.append(dist[:, -1] ** q / wq[members].max())
+        tails.append((members, dist[:, -1] ** q / wq[members].max()))
     cand = np.sort(np.concatenate(parts, axis=1), axis=1)
-    scores = pnorm_scores(points, sites.positions[cand], g)
+    # a take per coordinate, each a contiguous (rows, C) block, is several
+    # times faster than the (rows, C, d) fancy index
+    others = np.moveaxis(np.take(sites.positions.T, cand, axis=1), 0, -1)
+    scores = pnorm_scores(points, others, g)
     scores /= wq[cand]
+    return cand, scores, tails
+
+
+def _rank_layered(points, sites, k, g):
+    """``knearest`` of weighted sites through the weight-class trees."""
+    cand, scores, tails = _class_candidates(
+        points, sites, g, [k + 2] * len(sites.weight_classes))
     sel = rank_k_smallest(scores, k)
     ranked = np.take_along_axis(cand, sel, axis=1)
-    if bounds:
+    if tails:
         kth = np.take_along_axis(scores, sel[:, -1:], axis=1)[:, 0]
-        unsure = np.flatnonzero(
-            (np.array(bounds) <= kth * (1.0 + _TIE_GAP)).any(axis=0))
+        bounds = np.array([bound for _, bound in tails])
+        unsure = np.flatnonzero((bounds <= kth * (1.0 + _TIE_GAP)).any(axis=0))
         if len(unsure):
             ranked[unsure] = _rank_scan(points[unsure], sites, k, g)
     return ranked
@@ -227,8 +256,7 @@ def knearest(points, sites, k, g):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not 1 <= k <= sites.n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
-    if not (len(pts) >= _TREE_MIN_ROWS and k < sites.n
-            and _in_unit_cube(sites.positions) and _in_unit_cube(pts)):
+    if not (k < sites.n and _trees_serve(pts, sites)):
         return _rank_scan(pts, sites, k, g)
     if not sites.unweighted:
         out = np.empty((len(pts), k), dtype=np.int64)

@@ -87,6 +87,19 @@ def test_non_positive_sizes_are_rejected(argv, message, tmp_path):
         run_cli(argv + ["-o", str(tmp_path / "out")])
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--model", "geometric", "-n", "10", "-m", "5", "-k", "2",
+     "-T", "inf", "--seed", "1"],
+    ["generate", "--model", "powerlaw", "-n", "10", "-m", "5", "-k", "2",
+     "--beta", "2.5", "-T", "nan", "--seed", "1"],
+    ["experiment", "--kind", "NICE_FRACTION", "--n-values", "50", "--seeds", "1",
+     "-k", "3", "--d", "2", "--p-norm", "2", "-T", "nan", "--delta", "1"],
+], ids=["generate_inf", "powerlaw_nan", "experiment_nan"])
+def test_non_finite_temperature_is_rejected(argv, tmp_path):
+    with pytest.raises(SystemExit, match="error: temperature must be >= 0 and finite"):
+        run_cli(argv + ["-o", str(tmp_path / "out")])
+
+
 def test_seed_is_required():
     with pytest.raises(SystemExit):
         run_cli(["generate", "--model", "uniform", "-n", "10", "-m", "5",

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from geoksat.experiments import (ExperimentConfig, ReportRecord,
-                                 balls_into_bins, rerun_record,
-                                 run_experiment, write_records)
-from geoksat.geometry import INFINITY
+                                 balls_into_bins, nice_fraction_audit,
+                                 rerun_record, run_experiment, write_records)
+from geoksat.geometry import INFINITY, GeometrySpec
+from geoksat.voronoi import random_sites
 
 
 def test_config_validation():
@@ -173,3 +174,13 @@ def test_records_stream_to_filelike():
     buf = io.StringIO()
     assert write_records(run_experiment(cfg), buf) == 2
     assert len(buf.getvalue().splitlines()) == 2
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
+def test_temperature_must_be_finite_and_non_negative(T):
+    with pytest.raises(ValueError, match="temperature must be >= 0 and finite"):
+        ExperimentConfig(kind="NICE_FRACTION", n_values=(50,), k=3, d=2,
+                         p_norm=2, temperature=T, delta=1.0)
+    sites = random_sites(50, GeometrySpec(d=2, p_norm=2), 1)
+    with pytest.raises(ValueError, match="temperature must be >= 0 and finite"):
+        nice_fraction_audit(sites, GeometrySpec(d=2, p_norm=2), 3, T, 20, 0)

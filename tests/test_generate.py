@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -6,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from geoksat import generate
-from geoksat.geometry import GeometrySpec
+from geoksat.geometry import INFINITY, GeometrySpec, pnorm_scores
 from geoksat.generate import (SignLedger, _apply_sign_patterns, _race_keys,
                               draw_geometric_clause_vars,
                               formula_from_clauses, sample_geometric_formula,
                               sample_nonuniform_formula)
 from geoksat.structure import is_nice
-from geoksat.voronoi import WeightedSites, k_nearest_sites, weighted_score_matrix
+from geoksat.voronoi import (_TIE_GAP, WeightedSites, _class_candidates,
+                             k_nearest_sites, weighted_score_matrix)
 from geoksat.weights import power_law_weights, uniform_weights
 
 G2 = GeometrySpec(d=2, p_norm=2)
@@ -310,3 +313,130 @@ def test_race_keys_at_high_temperature_use_the_drawn_exponentials(case):
     assert np.array_equal(got[~bad], product[~bad])
     # the stream continues where the block's exponentials end
     assert got_rng.random() == ref_rng.random()
+
+
+def _sequential_probabilities(x, k):
+    """Ordered k-tuple -> probability of drawing it in sequence, each pick
+    proportional to x among the indices not yet drawn."""
+    x = x / x.sum()
+    out = {}
+    for tup in itertools.permutations(range(len(x)), k):
+        p, rest = 1.0, 1.0
+        for v in tup:
+            p *= x[v] / rest
+            rest -= x[v]
+        out[tup] = p
+    return out
+
+
+@pytest.mark.parametrize("T, k, weighted, g", [
+    (0.3, 2, False, G2), (0.3, 3, True, G2), (0.5, 2, True, G2),
+    (0.5, 3, False, G2), (0.9, 2, False, G2), (0.9, 3, True, G2),
+    (0.4, 2, True, GeometrySpec(d=1, p_norm=2)),
+    (0.8, 3, False, GeometrySpec(d=3, p_norm=INFINITY, wrap=False))],
+    ids=lambda v: repr(v) if isinstance(v, GeometrySpec) else None)
+def test_lazy_race_matches_sequential_distribution(monkeypatch, T, k, weighted, g):
+    # a huge candidate scale leaves all but k + 2 members of each class to
+    # the tail process, and the sites sit on a sphere around the clause
+    # points, so that tail members win many draws even at low T
+    monkeypatch.setattr(generate, "_CANDIDATE_SCALE", 1e6)
+    n, reps = 14, 20_000
+    rng = np.random.default_rng(int(10 * T) + k)
+    way = rng.normal(size=(n, g.d))
+    ring = 0.5 + rng.uniform(0.15, 0.2, n)[:, None] * way / np.linalg.norm(
+        way, axis=1, keepdims=True)
+    w = power_law_weights(n, 3.5) if weighted else np.ones(n)
+    sites = WeightedSites.from_raw(ring, w)
+    sizes = generate._candidate_sizes(sites, k, T)
+    assert sum(sizes) < n
+    centers = 0.5 + rng.uniform(-0.02, 0.02, (3, g.d))
+    drawn = draw_geometric_clause_vars(np.tile(centers, (reps, 1)), sites, k, T,
+                                       g, np.random.default_rng(k))
+    cand = _class_candidates(centers, sites, g, sizes)[0]
+    tail_wins = 0
+    for j, center in enumerate(centers):
+        rows = drawn[j::3]
+        tail_wins += int((~np.isin(rows, cand[j]).all(axis=1)).sum())
+        score = weighted_score_matrix(center[None], sites, g)[0]
+        x = score ** (-g.d / (g.score_power * T))  # X(c, v) up to a factor
+        probs = _sequential_probabilities(x, k)
+        index = {tup: i for i, tup in enumerate(probs)}
+        counts = np.bincount([index[tuple(r)] for r in rows.tolist()],
+                             minlength=len(probs))
+        expected = reps * np.array(list(probs.values()))
+        big = expected >= 5  # pool the rare tuples into one cell
+        if not big.all():
+            counts = np.append(counts[big], counts[~big].sum())
+            expected = np.append(expected[big], expected[~big].sum())
+        res = stats.chisquare(counts, expected)
+        assert res.pvalue > 0.001
+    assert tail_wins > 0.2 * len(drawn)
+
+
+def test_lazy_race_stream_does_not_depend_on_blocks_or_budget_rounds(monkeypatch):
+    # weighted sites with tails, and a tail budget of two exponentials, so
+    # that many rows finish after the last block, some after several rounds
+    monkeypatch.setattr(generate, "_TAIL_BUDGET", 2)
+    widths = []
+    race_block = generate._race_block
+
+    def spy(points, sites, k, g, e, sizes, expo):
+        widths.append(expo.shape[1] - sum(sizes))
+        return race_block(points, sites, k, g, e, sizes, expo)
+
+    monkeypatch.setattr(generate, "_race_block", spy)
+
+    def literals():
+        return sample_geometric_formula(80, 1100, 3, G2, 0.5,
+                                        power_law_weights(80, 2.5),
+                                        seed=41).formula.literals
+
+    default = literals()
+    assert max(widths) >= 8  # at least two rounds after the blocks
+    monkeypatch.setattr(generate, "_CLAUSE_BLOCK", 7)
+    assert np.array_equal(literals(), default)
+
+
+@pytest.mark.parametrize("g", [G2, GeometrySpec(d=2, p_norm=1),
+                               GeometrySpec(d=2, p_norm=INFINITY),
+                               GeometrySpec(d=2, p_norm=2, wrap=False)],
+                         ids=["p2", "p1", "max", "cube"])
+def test_tail_bound_is_below_every_member_left_out(g):
+    # duplicated sites, and query points on the grid lines where the trees
+    # split their cells and where sites sit
+    rng = np.random.default_rng(61)
+    pos = np.round(rng.random((150, 2)) * 8) / 8 % 1.0
+    pos = np.vstack((pos, pos[:50]))
+    sites = WeightedSites.from_raw(pos, power_law_weights(200, 2.5))
+    grid = np.arange(8) / 8
+    pts = np.vstack((np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2),
+                     pos[:20], rng.random((30, 2))))
+    sizes = generate._candidate_sizes(sites, 3, 0.5)
+    cand, _, tails = _class_candidates(pts, sites, g, sizes)
+    assert tails
+    q = g.score_power
+    for members, bound in tails:
+        floor = bound / (1.0 + _TIE_GAP)
+        for row in range(len(pts)):
+            out = np.setdiff1d(members, cand[row])
+            scores = pnorm_scores(pts[row:row + 1], sites.positions[out], g)[0]
+            assert np.all(scores / sites.weights[out] ** (q / 2) >= floor[row])
+
+
+@pytest.mark.parametrize("T, weighted, digest", [
+    (1.5, False, "036e98e0326128220a1a49999f257fa9e3e261724661e1ebe661b913063c37b6"),
+    (1.5, True, "94fee95edb68409cb75f0fae577509fdfe1fb1a2ffebadffbc272f50af873230"),
+    (0.0, False, "eaccd03bf282edd5cbc85d714111c480c666e575616830b8e5305431f80c27a6"),
+    (0.0, True, "35af249662261cf96a9e60efc7df49512b044a52664ad30eb7c702026cb94543"),
+])
+def test_streams_at_zero_and_high_temperature_are_unchanged(T, weighted, digest):
+    # digests of the 0.1.0 sampler: only T in (0, 1) has a new stream
+    ws = power_law_weights(300, 2.5) if weighted else None
+    lits = sample_geometric_formula(300, 1500, 3, G2, T, ws, seed=61).formula.literals
+    assert hashlib.sha256(lits.astype("<i8").tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, -0.5])
+def test_non_finite_temperatures_are_rejected(T):
+    with pytest.raises(ValueError, match="temperature must be >= 0 and finite"):
+        sample_geometric_formula(20, 10, 2, G2, T, None, 0)
