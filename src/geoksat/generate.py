@@ -10,16 +10,17 @@ Geometric model: variables and clauses get uniform positions on the torus;
 for temperature T > 0 the k variables are drawn without repetition with
 probabilities proportional to the connection weight X(c, v), while T = 0
 deterministically takes the k variables of smallest weighted distance in
-increasing order (``knearest``).  T > 0 draws are an exponential race:
+increasing order (``knearest``).  T > 0 draws are one exponential race:
 each variable gets the key E_v / X(c, v) with E_v ~ Exp(1), and the k
 smallest keys, in order, have the sequential-draw law.  At T < 1 the race
 is lazy: each clause keys only its nearest members of every weight class
 of the site set (the k-nearest trees of ``voronoi``) and the members left
 out whose exponential is small enough to beat its k-th key, found by
-geometric skips; at T >= 1 and for inputs the trees do not serve, every
-clause keys all n variables.  Sign patterns are drawn uniformly without
-repetition per variable set until all 2^k are used.  Draw order is
-preserved in the clause literals for downstream niceness analysis.
+geometric skips.  At T >= 1 and for inputs the trees do not serve, no
+class is cut short and every clause keys all n variables.  Sign patterns
+are drawn uniformly without repetition per variable set until all 2^k are
+used.  Draw order is preserved in the clause literals for downstream
+niceness analysis.
 """
 
 import math
@@ -30,13 +31,12 @@ import numpy as np
 from .geometry import GeometrySpec, pnorm_scores
 from .sampling import sequential_weighted_draws
 from .voronoi import (_SCAN_ENTRIES, _TIE_GAP, WeightedSites, _class_candidates,
-                      _trees_serve, knearest, random_sites, rank_k_smallest,
-                      weighted_score_matrix)
+                      _trees_serve, knearest, random_sites, rank_k_smallest)
 
-# clauses per race block, which bounds the (block, n) score and key arrays;
-# numpy fills exponentials in sequence, so the sampler's race stream does not
-# depend on it, but nice_fraction_audit draws each block's points before its
-# exponentials, so its records do
+# most clauses per race block, which bounds the block's score, key and
+# exponential arrays; numpy fills exponentials in sequence, so the sampler's
+# race stream does not depend on it, but nice_fraction_audit draws each
+# block's points before its exponentials, so its records do
 _CLAUSE_BLOCK = 1024
 
 # smallest normal double: a race key below it has lost its significant digits
@@ -66,21 +66,25 @@ class Formula:
         lits = np.asarray(self.literals, dtype=np.int64)
         if lits.ndim != 2 or lits.shape[1] != self.k:
             raise ValueError(f"literals must be (m, {self.k})")
+        v = np.sort(np.abs(lits), axis=1)
         if lits.size:
-            v = np.sort(np.abs(lits), axis=1)
             if v[:, 0].min() < 1 or v[:, -1].max() > self.n:
                 raise ValueError("variable indices must lie in [1, n]")
             if np.any(v[:, 1:] == v[:, :-1]):
                 raise ValueError("clauses must not repeat variables")
+        v.flags.writeable = False
         object.__setattr__(self, "literals", lits)
+        # kept outside the fields, so eq and repr see only the literals
+        object.__setattr__(self, "_variable_sets", v)
 
     @property
     def m(self):
         return len(self.literals)
 
     def sorted_variable_sets(self):
-        """(m, k) matrix of each clause's variable set, sorted ascending."""
-        return np.sort(np.abs(self.literals), axis=1)
+        """(m, k) read-only matrix of each clause's variable set, sorted
+        ascending: the one sort that validated the literals."""
+        return self._variable_sets
 
 
 def formula_from_clauses(n, k, clauses):
@@ -151,35 +155,6 @@ def sample_nonuniform_formula(n, m, k, ws, seed):
     return Formula(n=n, k=k, literals=np.where(negate, -var, var))
 
 
-def _race_keys(scores, g, T, rng):
-    """Exponential-race keys for a (clauses, n) block of scores at T > 0:
-    the k smallest of a row, in order, are k sequential draws proportional
-    to X(c, v).  Consumes scores.shape exponentials E from ``rng``.
-
-    Ranking E/X(c,v) is preserved under the monotone map y -> y^(T*q/d)
-    with q = ``g.score_power``, which turns the key into E^e * score with
-    score the rootless weighted-distance score.  A row with a key that
-    overflows to inf or underflows to zero or a subnormal (large T) is
-    ranked by log(score) + e*log(E) instead, the same order in the log
-    domain (the Gumbel-top-k form of the race).
-    """
-    e = T * g.score_power / g.d
-    state = rng.bit_generator.state
-    # range errors are expected here and handled by the log-domain rows
-    with np.errstate(all="ignore"):
-        keys = scores * rng.standard_exponential(scores.shape) ** e
-        bad = np.flatnonzero(~_in_range(keys.min(axis=1), keys.max(axis=1)))
-        if len(bad):
-            # the same exponentials again, replayed from the state before
-            # the draw: holding on to a block's exponentials slows every
-            # block, and only a high T overflows
-            twin = np.random.Generator(type(rng.bit_generator)())
-            twin.bit_generator.state = state
-            expo = twin.standard_exponential((bad[-1] + 1, scores.shape[1]))[bad]
-            keys[bad] = np.log(scores[bad]) + e * np.log(expo)
-    return keys
-
-
 def _in_range(low, high):
     """Whether race keys from ``low`` to ``high`` rank as products: no
     overflow to inf, no underflow to zero or a subnormal."""
@@ -194,25 +169,37 @@ def _candidate_sizes(sites, k, T):
 
 
 def _race_block(points, sites, k, g, e, sizes, expo):
-    """The race of ``draw_geometric_clause_vars`` at T < 1 for a block of
-    points, over their class candidates and the members left out that can
-    still win.
+    """The race of ``draw_geometric_clause_vars`` for a block of points,
+    over their class candidates and the members left out that can still win.
 
     Row i's exponentials are ``expo[i]``: the first C key its C candidates,
     the rest drive its tail process.  Returns the (rows, k) ranking and the
     rows that ran out of exponentials, whose ranking is not set.
+
+    The key of a candidate is score * E^e with e = T * q / d: ranking
+    E / X(c, v) is preserved under the monotone map y -> y^(T*q/d), with
+    q = ``g.score_power`` and score the rootless weighted-distance score.  A
+    row with a key that overflows to inf or underflows to zero or a
+    subnormal (large T) is ranked by log(score) + e * log(E) instead, the
+    same order in the log domain (the Gumbel-top-k form of the race).  When
+    no class is cut short the candidates are all n sites and there is no
+    tail process.
     """
     cand, scores, tails = _class_candidates(points, sites, g, sizes)
     rows, width = cand.shape
+    # range errors are expected here and handled by the log-domain rows
+    with np.errstate(all="ignore"):
+        keys = scores * expo[:, :width] ** e
+        logs = ~_in_range(keys.min(axis=1), keys.max(axis=1))
+        keys[logs] = np.log(scores[logs]) + e * np.log(expo[logs, :width])
+    if not tails:
+        return rank_k_smallest(keys, k), np.empty(0, dtype=np.int64)
     tail = expo[:, width:]
     budget = tail.shape[1]
     # each row's first tail exponential that the next class may use
     start = np.zeros(rows, dtype=np.int64)
     hit_rows, hit_sites, hit_expo = [], [], []
     with np.errstate(all="ignore"):
-        keys = scores * expo[:, :width] ** e
-        logs = ~_in_range(keys.min(axis=1), keys.max(axis=1))
-        keys[logs] = np.log(scores[logs]) + e * np.log(expo[logs, :width])
         kth = np.partition(keys, k - 1, axis=1)[:, k - 1]
         # each row's candidates as one sorted array of row * n + site
         taken = (cand + np.arange(rows)[:, None] * sites.n).ravel()
@@ -276,23 +263,27 @@ def _race_block(points, sites, k, g, e, sizes, expo):
     return ranked, np.flatnonzero(over)
 
 
-def _lazy_race(pts, sites, k, T, g, rng, sizes):
-    """``draw_geometric_clause_vars`` at T < 1 by ``_race_block``.
+def _race(pts, sites, k, T, g, rng, sizes):
+    """``draw_geometric_clause_vars`` at T > 0 by ``_race_block``, with
+    ``sizes[j]`` candidates from weight class j.
 
-    Each row draws C + ``_TAIL_BUDGET`` exponentials, in row order and in
-    blocks of at most ``_CLAUSE_BLOCK`` rows; rows that spend them all
-    finish after the last block, in row order, with twice as many tail
-    exponentials at each round (the first ones kept), so the stream does
-    not depend on the block size.
+    Each row draws C exponentials, C = sum(sizes), plus ``_TAIL_BUDGET``
+    when a class is cut short (C < n), in row order and in blocks of at
+    most ``_CLAUSE_BLOCK`` rows; rows that spend them all finish after the
+    last block, in row order, with twice as many tail exponentials at each
+    round (the first ones kept), so the stream does not depend on the block
+    size.  With C = n a row draws exactly n exponentials.
     """
     e = T * g.score_power / g.d
     width = sum(sizes)
+    budget = _TAIL_BUDGET if width < sites.n else 0
     step = min(_CLAUSE_BLOCK, max(1, _SCAN_ENTRIES // width))
     out = np.empty((len(pts), k), dtype=np.int64)
-    late, late_expo = [], []
+    late = [np.empty(0, dtype=np.int64)]
+    late_expo = [np.empty((0, width + budget))]
     for a in range(0, len(pts), step):
         block = pts[a:a + step]
-        expo = rng.standard_exponential((len(block), width + _TAIL_BUDGET))
+        expo = rng.standard_exponential((len(block), width + budget))
         out[a:a + len(block)], over = _race_block(block, sites, k, g, e,
                                                   sizes, expo)
         late.append(a + over)
@@ -312,29 +303,24 @@ def draw_geometric_clause_vars(clause_positions, sites, k, T, g, rng):
     T = 0: the k smallest weighted distances, increasing, ties by smaller
     index (``knearest``).  T > 0: sequential draws proportional to X(c, v),
     realized as an exponential race (smallest E_v / X(c,v) first), which
-    has exactly the sequential-draw distribution.
+    has exactly the sequential-draw distribution (``_race``).
 
-    At T < 1, with the trees serving the call (as in ``knearest``) and a
-    weight class larger than its candidate count K_j, the race is lazy:
-    each clause keys only its K_j nearest members of each class j and the
-    members left out whose exponential falls below the class threshold
-    that lets them beat its k-th key; those are found by geometric skips
-    and keyed with their exponential truncated to the threshold.  Same law,
-    with sum_j K_j + O(1) exponentials per clause (``_lazy_race``).  Otherwise
-    every clause keys all n sites, in fixed-size clause blocks.
+    At T < 1, with the trees serving the call (as in ``knearest``), the
+    race is lazy: each clause keys only its K_j nearest members of each
+    weight class j and the members left out whose exponential falls below
+    the class threshold that lets them beat its k-th key; those are found
+    by geometric skips and keyed with their exponential truncated to the
+    threshold.  Same law, with sum_j K_j + O(1) exponentials per clause.
+    Otherwise no class is cut short and every clause keys all n sites.
     """
     pts = np.atleast_2d(np.asarray(clause_positions, dtype=float))
     if T == 0:
         return knearest(pts, sites, k, g)
     if T < 1 and _trees_serve(pts, sites):
         sizes = _candidate_sizes(sites, k, T)
-        if sum(sizes) < sites.n:
-            return _lazy_race(pts, sites, k, T, g, rng, sizes)
-    out = np.empty((len(pts), k), dtype=np.int64)
-    for a in range(0, len(pts), _CLAUSE_BLOCK):
-        scores = weighted_score_matrix(pts[a:a + _CLAUSE_BLOCK], sites, g)
-        out[a:a + len(scores)] = rank_k_smallest(_race_keys(scores, g, T, rng), k)
-    return out
+    else:
+        sizes = [len(members) for members in sites.weight_classes]
+    return _race(pts, sites, k, T, g, rng, sizes)
 
 
 def _apply_sign_patterns(drawn, pattern_u):

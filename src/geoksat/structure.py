@@ -364,10 +364,11 @@ def find_unsat_core(f):
     if f.m == 0:
         return None
     v = np.abs(f.literals)
-    by_var = np.argsort(v, axis=1)  # a clause repeats no variable: no ties
-    var_sets = np.take_along_axis(v, by_var, axis=1)
-    # bit i set: the i-th smallest variable of the clause is negated
-    patterns = np.take_along_axis(f.literals < 0, by_var, axis=1) @ (1 << np.arange(f.k))
+    var_sets = f.sorted_variable_sets()
+    # bit i set: the i-th smallest variable of the clause is negated; a
+    # literal's i counts the clause's variables below it (none repeats)
+    rank = sum(v > v[:, [j]] for j in range(f.k))
+    patterns = ((f.literals < 0) << rank).sum(axis=1)
     order = np.lexsort((patterns, *var_sets.T[::-1]))  # stable: index breaks ties
     sets, pats = var_sets[order], patterns[order]
     new_set = np.concatenate(([True], np.any(sets[1:] != sets[:-1], axis=1)))

@@ -14,10 +14,10 @@ class [2^j, 2^(j+1)) of weighted sites, the layering of the geometric
 inhomogeneous random graph samplers (Bringmann, Keusch and Lengler, arXiv
 1511.00576).  Rows the trees cannot settle and calls with few points go to
 the dense score scan, so both backends return the same indices.  The
-sampler's lazy race at T < 1 (``generate``) takes its candidates from the
-same class trees, through ``_class_candidates``.  Monte Carlo counting
-sorts ``knearest`` rows into region keys; ``k_nearest_sites`` is the
-scan-only reference for one point.
+sampler's exponential race (``generate``) takes its candidates from the
+same class trees, through ``_class_candidates``, or all n sites when no
+class is cut short.  Monte Carlo counting sorts ``knearest`` rows into
+region keys; ``k_nearest_sites`` is the scan-only reference for one point.
 """
 
 import bisect
@@ -194,8 +194,13 @@ def _class_candidates(points, sites, g, sizes):
     scores with the scan's arithmetic; ``tails`` holds ``(members, bound)``
     for each class with members left out, ``bound`` being the tree's lower
     bound on the score of every member left out: its last distance^q over
-    the class's largest weight^(q/d).
+    the class's largest weight^(q/d).  When no class has more members than
+    its size, the candidates are all n sites, scored by
+    ``weighted_score_matrix``.
     """
+    if all(len(m) <= s for m, s in zip(sites.weight_classes, sizes)):
+        cand = np.broadcast_to(np.arange(sites.n), (len(points), sites.n))
+        return cand, weighted_score_matrix(points, sites, g), []
     q = g.score_power
     wq = sites.weights ** (q / sites.d)  # the scan's divisor, bit for bit
     parts, tails = [], []

@@ -9,13 +9,14 @@ from scipy import stats
 
 from geoksat import generate
 from geoksat.geometry import INFINITY, GeometrySpec, pnorm_scores
-from geoksat.generate import (SignLedger, _apply_sign_patterns, _race_keys,
+from geoksat.generate import (SignLedger, _apply_sign_patterns,
                               draw_geometric_clause_vars,
                               formula_from_clauses, sample_geometric_formula,
                               sample_nonuniform_formula)
 from geoksat.structure import is_nice
 from geoksat.voronoi import (_TIE_GAP, WeightedSites, _class_candidates,
-                             k_nearest_sites, weighted_score_matrix)
+                             k_nearest_sites, rank_k_smallest,
+                             weighted_score_matrix)
 from geoksat.weights import power_law_weights, uniform_weights
 
 G2 = GeometrySpec(d=2, p_norm=2)
@@ -233,10 +234,12 @@ def test_geometric_accepts_high_temperature():
     assert inst.T == 1.5
 
 
-def test_race_stream_does_not_depend_on_the_clause_block(monkeypatch):
-    # 1100 clauses: two blocks of the default size, 158 blocks of 7
+@pytest.mark.parametrize("T", [0.5, 1.5])
+def test_race_stream_does_not_depend_on_the_clause_block(monkeypatch, T):
+    # 1100 clauses: two blocks of the default size, 158 blocks of 7; T = 0.5
+    # runs the lazy race, T = 1.5 keys all n sites
     def literals():
-        return sample_geometric_formula(60, 1100, 3, G2, 0.5, None,
+        return sample_geometric_formula(60, 1100, 3, G2, T, None,
                                         seed=37).formula.literals
 
     assert generate._CLAUSE_BLOCK == 1024
@@ -269,6 +272,14 @@ def test_grouped_signs_match_sequential_ledger(k, spare, m, seed):
     assert np.array_equal(_apply_sign_patterns(drawn, u), _signs_one_by_one(drawn, u))
 
 
+@pytest.mark.parametrize("T", [0.0, 0.5, 1.5])
+def test_no_clause_positions_draw_no_rows(T):
+    sites = WeightedSites(np.random.default_rng(0).random((50, 2)), np.ones(50))
+    drawn = draw_geometric_clause_vars(np.empty((0, 2)), sites, 3, T, G2,
+                                       np.random.default_rng(0))
+    assert drawn.shape == (0, 3)
+
+
 @pytest.mark.parametrize("T", [300.0, 1000.0])
 def test_race_at_high_temperature_is_not_index_biased(T):
     # E**(T*p/d) under- and overflows at large T; positions are i.i.d., so
@@ -279,31 +290,48 @@ def test_race_at_high_temperature_is_not_index_biased(T):
     assert abs(np.mean(drawn[:, 0] < 20) - 0.10) < 0.03
 
 
-def test_race_keys_are_the_product_without_overflow():
+def _full_race_keys(monkeypatch, pts, sites, T, g, rng):
+    """The keys the race ranks when no class is cut short, one row per point."""
+    keys = []
+
+    def spy(values, k):
+        keys.append(values.copy())
+        return rank_k_smallest(values, k)
+
+    monkeypatch.setattr(generate, "rank_k_smallest", spy)
+    sizes = [len(members) for members in sites.weight_classes]
+    generate._race(pts, sites, 1, T, g, rng, sizes)
+    return np.concatenate(keys)
+
+
+def test_race_keys_are_the_product_without_overflow(monkeypatch):
     rng = np.random.default_rng(47)
     sites = WeightedSites.from_raw(rng.random((300, 2)), rng.uniform(1, 5, 300))
-    scores = weighted_score_matrix(rng.random((500, 2)), sites, G2)
+    pts = rng.random((500, 2))
+    scores = weighted_score_matrix(pts, sites, G2)
     for seed, T in enumerate((0.3, 0.5, 1.0, 2.0)):
         e = T * 2 / 2
         expo = np.random.default_rng(seed).standard_exponential(scores.shape)
         want = scores * expo**e
         assert np.all(np.isfinite(want)) and want.min() > np.finfo(float).tiny
-        got = _race_keys(scores, G2, T, np.random.default_rng(seed))
+        got = _full_race_keys(monkeypatch, pts, sites, T, G2,
+                              np.random.default_rng(seed))
         assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("case", ["underflow", "overflow"])
-def test_race_keys_at_high_temperature_use_the_drawn_exponentials(case):
+def test_race_keys_at_high_temperature_use_the_drawn_exponentials(monkeypatch, case):
     rng = np.random.default_rng(53)
+    pts = rng.random((300, 2))
     if case == "underflow":  # E**100 below the smallest normal double
-        scores = weighted_score_matrix(rng.random((300, 2)),
-                                       WeightedSites(rng.random((100, 2)), np.ones(100)), G2)
-        T = 100.0
-    else:  # keys above the largest double
-        scores, T = np.full((300, 3), 1e308), 1.0
+        sites, g, T = WeightedSites(rng.random((100, 2)), np.ones(100)), G2, 100.0
+    else:  # three far sites, scores near the largest double: E > 1.8 overflows
+        sites = WeightedSites(7e153 + rng.random((3, 2)), np.ones(3))
+        g, T = GeometrySpec(d=2, p_norm=2, wrap=False), 1.0
+    scores = weighted_score_matrix(pts, sites, g)
     e = T * 2 / 2
     got_rng, ref_rng = np.random.default_rng(59), np.random.default_rng(59)
-    got = _race_keys(scores, G2, T, got_rng)
+    got = _full_race_keys(monkeypatch, pts, sites, T, g, got_rng)
     expo = ref_rng.standard_exponential(scores.shape)
     with np.errstate(over="ignore", under="ignore"):
         product = scores * expo**e
@@ -423,16 +451,23 @@ def test_tail_bound_is_below_every_member_left_out(g):
             assert np.all(scores / sites.weights[out] ** (q / 2) >= floor[row])
 
 
-@pytest.mark.parametrize("T, weighted, digest", [
-    (1.5, False, "036e98e0326128220a1a49999f257fa9e3e261724661e1ebe661b913063c37b6"),
-    (1.5, True, "94fee95edb68409cb75f0fae577509fdfe1fb1a2ffebadffbc272f50af873230"),
-    (0.0, False, "eaccd03bf282edd5cbc85d714111c480c666e575616830b8e5305431f80c27a6"),
-    (0.0, True, "35af249662261cf96a9e60efc7df49512b044a52664ad30eb7c702026cb94543"),
+@pytest.mark.parametrize("T, weighted, digest, m", [
+    (1.5, False, "036e98e0326128220a1a49999f257fa9e3e261724661e1ebe661b913063c37b6", 1500),
+    (1.5, True, "94fee95edb68409cb75f0fae577509fdfe1fb1a2ffebadffbc272f50af873230", 1500),
+    (0.0, False, "eaccd03bf282edd5cbc85d714111c480c666e575616830b8e5305431f80c27a6", 1500),
+    (0.0, True, "35af249662261cf96a9e60efc7df49512b044a52664ad30eb7c702026cb94543", 1500),
+    # log-domain rows
+    (300.0, False, "660d4caa16b9c7c441c308e53f7cb1bd0a1e362f14e9fa6f29ffdb5b0621cfb2", 1500),
+    (300.0, True, "0ff81d52ba5215c0852bf4f192769b4a2dd417d3343d711898bb215cab033f09", 1500),
+    # fewer points than the trees take: every site keyed at T < 1
+    (0.5, False, "406912890b0977ab9cdb920c9ad68984ef9140315d670bad1c95df1a4f5cc221", 5),
+    (0.5, True, "4427cea3f63078b443e6e67f555e737b703dc061c1972f9b80d799e58267306a", 5),
 ])
-def test_streams_at_zero_and_high_temperature_are_unchanged(T, weighted, digest):
-    # digests of the 0.1.0 sampler: only T in (0, 1) has a new stream
+def test_streams_at_zero_and_high_temperature_are_unchanged(T, weighted, digest, m):
+    # only T in (0, 1) with the trees serving has a new stream since 0.1.0;
+    # these cases keep its digests
     ws = power_law_weights(300, 2.5) if weighted else None
-    lits = sample_geometric_formula(300, 1500, 3, G2, T, ws, seed=61).formula.literals
+    lits = sample_geometric_formula(300, m, 3, G2, T, ws, seed=61).formula.literals
     assert hashlib.sha256(lits.astype("<i8").tobytes()).hexdigest() == digest
 
 
