@@ -6,6 +6,7 @@ Timing fields are the one exception: they are reported but excluded from
 the canonical form used for reproducibility comparisons.
 """
 
+import contextlib
 import json
 import math
 import time
@@ -52,7 +53,6 @@ class ExperimentConfig:
     c: float | None = None
     trials: int | None = None
     balls: int | None = None
-    method: str = "auto"
     output: str | None = None
 
     def __post_init__(self):
@@ -126,8 +126,6 @@ def validate_config(cfg):
         GeometrySpec(d=cfg.d or 1, p_norm=cfg.p_norm if cfg.p_norm is not None else 2)
     if cfg.weights not in ("uniform", "powerlaw"):
         raise ValueError(f"weights must be 'uniform' or 'powerlaw', not {cfg.weights!r}")
-    if cfg.method not in ("auto", "tree", "scan"):
-        raise ValueError(f"method must be 'auto', 'tree' or 'scan', not {cfg.method!r}")
     if cfg.weights == "powerlaw" and cfg.beta is None:
         raise ValueError("powerlaw weights require beta")
     missing = [x for x in _KINDS[cfg.kind][1] if getattr(cfg, x) is None]
@@ -176,9 +174,8 @@ def _region_scaling_point(cfg, n, seed):
     sites = random_sites(n, g, rng, weights=_site_weights(cfg, n))
     factor = cfg.sample_factor if cfg.sample_factor is not None else 200
     samples = cfg.samples if cfg.samples is not None else factor * n
-    result = count_regions_monte_carlo(
-        sites, cfg.k, samples, (seed, n, 0xC0DE), g,
-        method=cfg.method, checkpoints=(samples // 2,))
+    result = count_regions_monte_carlo(sites, cfg.k, samples, (seed, n, 0xC0DE),
+                                       g, checkpoints=(samples // 2,))
     return {"count": result.count,
             "count_half_budget": result.counts_at.get(samples // 2, 0),
             "samples": samples,
@@ -324,13 +321,8 @@ def rerun_record(record):
 def write_records(records, destination):
     """Write records as JSON lines; returns the number written."""
     count = 0
-    if hasattr(destination, "write"):
-        for rec in records:
-            destination.write(rec.to_json_line() + "\n")
-            count += 1
-    else:
-        with open(destination, "w") as fh:
-            for rec in records:
-                fh.write(rec.to_json_line() + "\n")
-                count += 1
+    with (contextlib.nullcontext(destination) if hasattr(destination, "write")
+          else open(destination, "w")) as fh:
+        for count, rec in enumerate(records, start=1):
+            fh.write(rec.to_json_line() + "\n")
     return count

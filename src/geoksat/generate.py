@@ -17,10 +17,11 @@ is lazy: each clause keys only its nearest members of every weight class
 of the site set (the k-nearest trees of ``voronoi``) and the members left
 out whose exponential is small enough to beat its k-th key, found by
 geometric skips.  At T >= 1 and for inputs the trees do not serve, no
-class is cut short and every clause keys all n variables.  Sign patterns
-are drawn uniformly without repetition per variable set until all 2^k are
-used.  Draw order is preserved in the clause literals for downstream
-niceness analysis.
+class is cut short and every clause keys all n variables.  Every score a
+key is made from, tail hits included, comes from
+``voronoi.weighted_score_matrix``.  Sign patterns are drawn uniformly
+without repetition per variable set until all 2^k are used.  Draw order is
+preserved in the clause literals for downstream niceness analysis.
 """
 
 import math
@@ -28,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometrySpec, pnorm_scores
+from .geometry import GeometrySpec
 from .sampling import sequential_weighted_draws
 from .voronoi import (_SCAN_ENTRIES, _TIE_GAP, WeightedSites, _class_candidates,
-                      _trees_serve, knearest, random_sites, rank_k_smallest)
+                      _trees_serve, knearest, random_sites, rank_k_smallest,
+                      weighted_score_matrix)
 
 # most clauses per race block, which bounds the block's score, key and
 # exponential arrays; numpy fills exponentials in sequence, so the sampler's
@@ -235,8 +237,7 @@ def _race_block(points, sites, k, g, e, sizes, expo):
         hr, hs, he = (np.concatenate(a) for a in (hit_rows, hit_sites, hit_expo))
         keep = ~over[hr]
         hr, hs, he = hr[keep], hs[keep], he[keep]
-        hit = pnorm_scores(points[hr], sites.positions[hs][:, None], g)[:, 0]
-        hit /= sites.weights[hs] ** (g.score_power / sites.d)
+        hit = weighted_score_matrix(points[hr], sites, g, hs[:, None])[:, 0]
         hk = hit * he ** e
         # a tail key out of range moves its row to the log domain
         bad = np.unique(hr[~logs[hr] & ~_in_range(hk, hk)])

@@ -4,8 +4,10 @@ Sites carry multiplicative weights with minimum exactly 1; the weighted
 distance of a point to site i is dist/w_i^(1/d).  The order-k region of a
 size-k set A is the set of points whose k weighted-nearest sites are
 exactly A.  Regions are never constructed explicitly; non-empty regions
-are discovered by Monte Carlo sampling of k-nearest queries.  Every score
-and distance here comes from ``geometry.pnorm_scores``.
+are discovered by Monte Carlo sampling of k-nearest queries.  Every
+distance here comes from ``geometry.pnorm_scores``, and every weighted
+score from ``weighted_score_matrix``: of all n sites for the scan, of
+chosen candidate indices for the trees and the sampler's race.
 
 ``knearest`` is the one exact k-nearest kernel.  It takes candidates from
 periodic cKDTrees that the site set builds once and keeps
@@ -16,8 +18,9 @@ inhomogeneous random graph samplers (Bringmann, Keusch and Lengler, arXiv
 the dense score scan, so both backends return the same indices.  The
 sampler's exponential race (``generate``) takes its candidates from the
 same class trees, through ``_class_candidates``, or all n sites when no
-class is cut short.  Monte Carlo counting sorts ``knearest`` rows into
-region keys; ``k_nearest_sites`` is the scan-only reference for one point.
+class is cut short.  Monte Carlo counting ranks through ``knearest`` alone
+and sorts its rows into region keys; ``k_nearest_sites`` is the scan-only
+reference for one point.
 """
 
 import bisect
@@ -43,6 +46,10 @@ _TIE_GAP = 1e-9
 # knearest scans fewer query rows than this: building the tree costs about as
 # much as scanning this many rows (2 vCPU, d = 2, n from 50 to 20000)
 _TREE_MIN_ROWS = 8
+# relevance_certificate's search: grid points per axis around s1, and radii
+# j * R_A for j = 1.._CERT_RADIUS_STEPS
+_CERT_GRID = 64
+_CERT_RADIUS_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -127,18 +134,26 @@ def random_sites(n, g, seed_or_rng, weights=None):
                                   np.ones(n) if weights is None else weights)
 
 
-def weighted_score_matrix(points, sites, g):
-    """(Q, n) matrix monotone in weighted distance: dist^q / w^(q/d) with
-    q = ``g.score_power``.
+def weighted_score_matrix(points, sites, g, cand=None):
+    """(rows, n) scores of every site, or (rows, C) scores of the site
+    indices ``cand``: dist^q / w^(q/d) with q = ``g.score_power``.
 
-    Avoids q-th roots; rankings and region keys are unchanged under the
-    strictly increasing map x -> x^q.
+    The package's one weighted score: the scan, the class candidates and
+    the race's tail hits all take it.  Avoids q-th roots; rankings and
+    region keys are unchanged under the strictly increasing map x -> x^q.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    base = pnorm_scores(pts, sites.positions, g)
+    if cand is None:
+        scores = pnorm_scores(pts, sites.positions, g)
+    else:
+        # a take per coordinate, each a contiguous (rows, C) block, is several
+        # times faster than the (rows, C, d) fancy index
+        others = np.moveaxis(np.take(sites.positions.T, cand, axis=1), 0, -1)
+        scores = pnorm_scores(pts, others, g)
     if not sites.unweighted:
-        base /= sites.weights ** (g.score_power / sites.d)
-    return base
+        wq = sites.weights ** (g.score_power / sites.d)
+        scores /= wq if cand is None else wq[cand]
+    return scores
 
 
 def rank_k_smallest(values, k):
@@ -147,9 +162,6 @@ def rank_k_smallest(values, k):
     rows, n = values.shape
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= {n} items")
-    if k == n:
-        order = np.argsort(values, axis=1, kind="stable")
-        return order
     part = np.argpartition(values, k - 1, axis=1)[:, :k]
     part.sort(axis=1)
     pv = np.take_along_axis(values, part, axis=1)
@@ -191,18 +203,17 @@ def _class_candidates(points, sites, g, sizes):
     Class c gives its ``sizes[c]`` nearest members by plain distance, or all
     of them when it has no more.  Returns ``(cand, scores, tails)``: the
     (rows, C) candidate site indices, increasing along each row, and their
-    scores with the scan's arithmetic; ``tails`` holds ``(members, bound)``
+    ``weighted_score_matrix`` scores; ``tails`` holds ``(members, bound)``
     for each class with members left out, ``bound`` being the tree's lower
     bound on the score of every member left out: its last distance^q over
     the class's largest weight^(q/d).  When no class has more members than
-    its size, the candidates are all n sites, scored by
-    ``weighted_score_matrix``.
+    its size, the candidates are all n sites.
     """
     if all(len(m) <= s for m, s in zip(sites.weight_classes, sizes)):
         cand = np.broadcast_to(np.arange(sites.n), (len(points), sites.n))
         return cand, weighted_score_matrix(points, sites, g), []
     q = g.score_power
-    wq = sites.weights ** (q / sites.d)  # the scan's divisor, bit for bit
+    wq = sites.weights ** (q / sites.d)  # the score's divisor, bit for bit
     parts, tails = [], []
     for c, members in enumerate(sites.weight_classes):
         if len(members) <= sizes[c]:
@@ -212,12 +223,7 @@ def _class_candidates(points, sites, g, sizes):
         parts.append(members[idx])
         tails.append((members, dist[:, -1] ** q / wq[members].max()))
     cand = np.sort(np.concatenate(parts, axis=1), axis=1)
-    # a take per coordinate, each a contiguous (rows, C) block, is several
-    # times faster than the (rows, C, d) fancy index
-    others = np.moveaxis(np.take(sites.positions.T, cand, axis=1), 0, -1)
-    scores = pnorm_scores(points, others, g)
-    scores /= wq[cand]
-    return cand, scores, tails
+    return cand, weighted_score_matrix(points, sites, g, cand), tails
 
 
 def _rank_layered(points, sites, k, g):
@@ -251,8 +257,8 @@ def knearest(points, sites, k, g):
 
     Weighted sites: each weight class [2^j, 2^(j+1)) has its own cKDTree
     and gives its k + 2 nearest members by plain distance (a class of at
-    most k + 2 sites gives all of them).  The candidates are scored with
-    the scan's arithmetic and ranked by (score, index).  A member a class
+    most k + 2 sites gives all of them).  The candidates are scored by
+    ``weighted_score_matrix`` and ranked by (score, index).  A member a class
     left out is no nearer than the class's last candidate and no heavier
     than its heaviest site; when that bound beats the row's k-th score by
     a relative ``_TIE_GAP`` in every such class, the row is exact.  Other
@@ -299,7 +305,6 @@ class RegionCountResult:
     witnesses: dict
     samples: int
     seed: object
-    method: str
 
     n: int = 0
     k: int = 0
@@ -308,28 +313,20 @@ class RegionCountResult:
     counts_at: dict = field(default_factory=dict)
 
 
-def count_regions_monte_carlo(sites, k, samples, seed, g, method="auto",
-                              checkpoints=()):
+def count_regions_monte_carlo(sites, k, samples, seed, g, checkpoints=()):
     """Count distinct RegionKeys among k-nearest queries at uniform points.
 
     Deterministic for a fixed seed, and the discovered key set is
     nondecreasing under prefix-extension of the sample stream.  The count
     is a lower bound on the true number of non-empty regions.
     ``checkpoints`` are sample prefixes at which the running count is
-    recorded (see RegionCountResult.counts_at).  ``method="tree"`` ranks
-    through ``knearest``, ``"scan"`` by the dense scan alone; ``"auto"``
-    takes the tree for sites in [0, 1)^d.
+    recorded (see RegionCountResult.counts_at).  Each block of sample
+    points is ranked by ``knearest``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 1 <= k <= sites.n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
-    if method == "auto":
-        method = "tree" if _in_unit_cube(sites.positions) else "scan"
-    if method not in ("tree", "scan"):
-        raise ValueError(f"unknown method {method!r}")
-    rank = knearest if method == "tree" else _rank_scan
-
     # a sorted key row is one int64 in mixed radix n when n^k fits
     radix = None
     if sites.n ** k < 1 << 63:
@@ -343,7 +340,7 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, method="auto",
     while done < samples:
         block = min(_MC_BLOCK, samples - done)
         pts = rng.random((block, g.d))
-        rows = rank(pts, sites, k, g)
+        rows = knearest(pts, sites, k, g)
         rows.sort(axis=1)
         if radix is not None:
             uniq, first = np.unique(rows @ radix, return_index=True)
@@ -365,7 +362,7 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, method="auto",
                  for c in checkpoints if 0 < c <= samples}
     return RegionCountResult(
         count=len(keys), keys=keys, witnesses=witnesses,
-        samples=samples, seed=seed, method=method, n=sites.n, k=k,
+        samples=samples, seed=seed, n=sites.n, k=k,
         counts_at=counts_at)
 
 
@@ -394,8 +391,7 @@ def _relevant_at(p, r, s1, outside_pos, outside_omega, sites, g):
                 and np.all(dist[1:] > outside_omega * r))
 
 
-def relevance_certificate(A, sites, g, grid_resolution=64, radius_steps=16,
-                          seed_point=None):
+def relevance_certificate(A, sites, g, seed_point=None):
     """Search for a (point, radius >= R_A) pair certifying that A is relevant.
 
     A is relevant if some point p and radius r >= R_A satisfy
@@ -407,12 +403,10 @@ def relevance_certificate(A, sites, g, grid_resolution=64, radius_steps=16,
     ``seed_point`` (e.g. the Monte Carlo sample point that discovered A's
     region) is tried first with the radius induced by the region
     membership; otherwise candidate points come from a regular grid
-    around s1 with ``grid_resolution`` points per axis, for radii
-    j * R_A, j = 1..radius_steps.
+    around s1 with ``_CERT_GRID`` points per axis, for radii j * R_A,
+    j = 1.._CERT_RADIUS_STEPS.
     """
     key = tuple(sorted(int(i) for i in A))
-    if grid_resolution < 1:
-        raise ValueError("grid_resolution must be >= 1")
     idx = np.asarray(key, dtype=int)
     w = sites.weights[idx]
     s1 = int(idx[np.argmin(w)])
@@ -444,10 +438,10 @@ def relevance_certificate(A, sites, g, grid_resolution=64, radius_steps=16,
         return None
 
     s1_pos = sites.positions[s1]
-    for j in range(1, radius_steps + 1):
+    for j in range(1, _CERT_RADIUS_STEPS + 1):
         r = j * R
         extent = om[s1] * (j + 1) * R
-        axis = np.linspace(-extent, extent, grid_resolution)
+        axis = np.linspace(-extent, extent, _CERT_GRID)
         grids = np.meshgrid(*([axis] * g.d), indexing="ij")
         cand = np.stack([c.ravel() for c in grids], axis=1) + s1_pos
         cand = np.mod(cand, 1.0) if g.wrap else np.clip(cand, 0.0, 1.0)

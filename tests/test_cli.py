@@ -311,13 +311,13 @@ def test_experiment_echoes_only_the_given_fields(capsys):
     # reach experiment records
     (rec,) = _experiment_records(_MOMENTS, capsys)
     assert set(rec.params) == {"kind", "n_values", "beta",
-                               "seeds", "weights", "method"}  # dataclass defaults
+                               "seeds", "weights"}  # dataclass defaults
     (rec,) = _experiment_records(
         ["experiment", "--kind", "REGION_SCALING", "--n-values", "10",
          "-k", "2", "--d", "2", "--p-norm", "2", "--samples", "50"], capsys)
     assert "temperature" not in rec.params
     assert set(rec.params) == {"kind", "n_values", "k", "d", "p_norm",
-                               "samples", "seeds", "weights", "method"}
+                               "samples", "seeds", "weights"}
 
 
 def test_moments_is_the_moment_check_experiment(capsys):

@@ -31,13 +31,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(kind="REGION_SCALING", n_values=(10,), k=2, d=2,
                          p_norm=2, weights="powerlaw")
-    # the region-count method is checked for every kind, not only when used
-    for kind, extra in (("REGION_SCALING", dict(k=2, d=2, p_norm=2)),
-                        ("BALLS_BINS", {})):
-        with pytest.raises(ValueError, match="method"):
-            ExperimentConfig(kind=kind, n_values=(10,), method="bogus", **extra)
-        for method in ("auto", "tree", "scan"):
-            ExperimentConfig(kind=kind, n_values=(10,), method=method, **extra)
 
 
 @pytest.mark.parametrize("n", (1, 2))
@@ -57,6 +50,15 @@ def test_config_json_round_trip():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"kind": "MOMENT_CHECK", "n_values": [5],
                                     "beta": 3.0, "bogus": 1})
+
+
+def test_config_with_a_region_count_method_is_rejected():
+    # counting ranks through knearest alone; a record echoing the former
+    # "method" option does not re-run silently
+    data = {"kind": "REGION_SCALING", "n_values": [10], "k": 2, "d": 2,
+            "p_norm": 2, "method": "auto"}
+    with pytest.raises(ValueError, match=r"unknown config keys: \['method'\]"):
+        ExperimentConfig.from_dict(data)
 
 
 def test_balls_into_bins_basics():

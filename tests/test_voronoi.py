@@ -108,6 +108,7 @@ def test_rank_k_smallest_exact_tie_handling():
     assert list(sel[1]) == [0, 1]
     full = rank_k_smallest(vals, 4)
     assert list(full[0]) == [1, 2, 3, 0]
+    assert list(full[1]) == [0, 1, 2, 3]
 
 
 def test_region_count_trivial_cases():
@@ -143,22 +144,43 @@ def test_region_count_prefix_extension_and_checkpoints():
     assert b.count >= a.count
 
 
+def _region_count_reference(sites, k, samples, seed, g, checkpoints):
+    """Keys, witnesses in discovery order and counts_at, one point at a
+    time over the same sample stream, ranked by the dense scan."""
+    pts = np.random.default_rng(seed).random((samples, g.d))
+    rows = np.sort(rank_k_smallest(weighted_score_matrix(pts, sites, g), k), axis=1)
+    witnesses, counts_at = {}, {}
+    for i, row in enumerate(rows.tolist(), start=1):
+        witnesses.setdefault(tuple(row), pts[i - 1])
+        if i in checkpoints:
+            counts_at[i] = len(witnesses)
+    return witnesses, counts_at
+
+
+def _assert_matches_reference(res, sites, k, samples, seed, g, checkpoints=()):
+    """The count equals ``_region_count_reference``: keys, witnesses in
+    discovery order, and counts_at."""
+    witnesses, counts_at = _region_count_reference(sites, k, samples, seed, g,
+                                                   checkpoints)
+    assert list(res.witnesses) == list(witnesses)
+    assert res.keys == set(witnesses) and res.count == len(witnesses)
+    for key, point in witnesses.items():
+        assert np.array_equal(res.witnesses[key], point)
+    assert res.counts_at == counts_at
+
+
 def test_region_count_methods_agree():
+    # knearest's trees (counting's ranking) and the dense scan (the reference)
     s = random_sites(300, G2, 11)
     for g in (G2, GeometrySpec(d=2, p_norm=1), GeometrySpec(d=2, p_norm=INFINITY),
               GeometrySpec(d=3, p_norm=2)):
         sg = random_sites(200, g, 13)
-        scan = count_regions_monte_carlo(sg, 2, 20_000, 7, g, method="scan")
-        tree = count_regions_monte_carlo(sg, 2, 20_000, 7, g, method="tree")
-        assert scan.keys == tree.keys
+        res = count_regions_monte_carlo(sg, 2, 20_000, 7, g)
+        _assert_matches_reference(res, sg, 2, 20_000, 7, g)
     # weighted sites rank through knearest's weight-class trees
     weighted = WeightedSites.from_raw(s.positions, power_law_weights(300, 2.5))
-    scan = count_regions_monte_carlo(weighted, 2, 20_000, 7, G2, method="scan")
-    tree = count_regions_monte_carlo(weighted, 2, 20_000, 7, G2, method="tree")
-    assert tree.keys == scan.keys
-    assert list(tree.witnesses) == list(scan.witnesses)
-    for key, point in scan.witnesses.items():
-        assert np.array_equal(tree.witnesses[key], point)
+    res = count_regions_monte_carlo(weighted, 2, 20_000, 7, G2)
+    _assert_matches_reference(res, weighted, 2, 20_000, 7, G2)
 
 
 def test_region_count_tree_keys_equal_scan_keys_at_ties():
@@ -166,27 +188,24 @@ def test_region_count_tree_keys_equal_scan_keys_at_ties():
     # the scan's smaller-index rule there, not the tree's internal order
     rng = np.random.default_rng(2)
     s = WeightedSites(rng.integers(0, 8, (40, 2)) / 8, np.ones(40))
-    scan = count_regions_monte_carlo(s, 3, 20_000, 3, G2, method="scan")
-    tree = count_regions_monte_carlo(s, 3, 20_000, 3, G2, method="tree")
-    assert list(tree.witnesses) == list(scan.witnesses)
-    for key, point in scan.witnesses.items():
-        assert np.array_equal(tree.witnesses[key], point)
+    res = count_regions_monte_carlo(s, 3, 20_000, 3, G2)
+    _assert_matches_reference(res, s, 3, 20_000, 3, G2)
     # k = n: the tree has no (k + 1)-th neighbour to compare with
     every = count_regions_monte_carlo(WeightedSites(s.positions[:3], np.ones(3)),
-                                      3, 100, 0, G2, method="tree")
+                                      3, 100, 0, G2)
     assert every.keys == {(0, 1, 2)}
 
 
-def test_region_count_auto_scans_sites_outside_the_unit_cube():
+def test_region_count_scans_sites_outside_the_unit_cube():
     # a site at 1.0 (a loaded site file may hold one) lies outside the
-    # tree's periodic box, so auto must take the scan, as knearest does
+    # tree's periodic box, so the count takes knearest's scan
     pos = random_sites(30, G2, 6).positions.copy()
     pos[0, 0] = 1.0
     s = WeightedSites(pos, np.ones(30))
-    auto = count_regions_monte_carlo(s, 2, 3000, 1, G2)
-    scan = count_regions_monte_carlo(s, 2, 3000, 1, G2, method="scan")
-    assert auto.method == "scan"
-    assert list(auto.witnesses) == list(scan.witnesses)
+    with mock.patch.object(voronoi, "cKDTree") as tree:
+        res = count_regions_monte_carlo(s, 2, 3000, 1, G2)
+    tree.assert_not_called()
+    _assert_matches_reference(res, s, 2, 3000, 1, G2)
 
 
 def test_region_count_determinism():
@@ -297,41 +316,29 @@ def test_score_matrix_matches_weighted_distance_ranking():
                 q = int(g.p_norm)
                 wd = (diffs**q).sum(axis=1) ** (1 / q) / s.normalized_weights
             assert np.array_equal(np.argsort(row), np.argsort(wd))
-
-
-def _region_count_reference(sites, k, samples, seed, g, checkpoints):
-    """Keys, witnesses in discovery order and counts_at, one point at a
-    time over the same sample stream, ranked by the dense scan."""
-    pts = np.random.default_rng(seed).random((samples, g.d))
-    rows = np.sort(rank_k_smallest(weighted_score_matrix(pts, sites, g), k), axis=1)
-    witnesses, counts_at = {}, {}
-    for i, row in enumerate(rows.tolist(), start=1):
-        witnesses.setdefault(tuple(row), pts[i - 1])
-        if i in checkpoints:
-            counts_at[i] = len(witnesses)
-    return witnesses, counts_at
+        # candidate indices score bit for bit as the full matrix's entries
+        cand = rng.integers(0, 12, (20, 5))
+        assert np.array_equal(weighted_score_matrix(pts, s, g, cand),
+                              np.take_along_axis(scores, cand, axis=1))
 
 
 @pytest.mark.parametrize(
-    "n,k,method,samples",
+    "n,k,backend,samples",
     [(60, 2, "scan", 40_000), (40, 3, "tree", 40_000), (100, 10, "tree", 40_000),
      (40, 3, "tree", 32_771)],
     ids=["60-2-scan", "40-3-tree", "100-10-tree", "40-3-tree-32771"])
-def test_region_count_dedup_matches_reference(n, k, method, samples):
+def test_region_count_dedup_matches_reference(n, k, backend, samples,
+                                              monkeypatch):
     # 100^10 >= 2^63: the third case dedups tuple keys instead of int64 codes;
     # 40k samples span two Monte Carlo blocks, with marks on both sides; the
     # last block of 32771 samples has fewer than _TREE_MIN_ROWS rows, so
-    # knearest scans it inside the count
+    # knearest scans it inside the count; the scan case scans every block
+    if backend == "scan":
+        monkeypatch.setattr(voronoi, "_TREE_MIN_ROWS", samples + 1)
     s = random_sites(n, G2, 4)
     marks = (1, 700, 2500, 6000, 32_768, 32_769, 32_771, 40_000)
-    res = count_regions_monte_carlo(s, k, samples, 12, G2, method=method,
-                                    checkpoints=marks)
-    witnesses, counts_at = _region_count_reference(s, k, samples, 12, G2, marks)
-    assert list(res.witnesses) == list(witnesses)
-    assert res.keys == set(witnesses) and res.count == len(witnesses)
-    for key, point in witnesses.items():
-        assert np.array_equal(res.witnesses[key], point)
-    assert res.counts_at == counts_at
+    res = count_regions_monte_carlo(s, k, samples, 12, G2, checkpoints=marks)
+    _assert_matches_reference(res, s, k, samples, 12, G2, marks)
 
 
 def _brute_ranking(points, sites, k, g):
@@ -456,7 +463,7 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
     # one tree per site set: the knearest calls above and a count over two
     # Monte Carlo blocks share it; the plain (unwrapped) distance gets a
     # second one, also kept
-    count_regions_monte_carlo(plain, 3, 40_000, 1, G2, method="tree")
+    count_regions_monte_carlo(plain, 3, 40_000, 1, G2)
     assert calls["built"] == [1.0]
     flat = GeometrySpec(d=2, p_norm=2, wrap=False)
     assert np.array_equal(knearest(pts, plain, 3, flat), knearest(pts, plain, 3, flat))
@@ -527,7 +534,7 @@ def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
     # the class trees are kept: a two-block Monte Carlo count and a second
     # call build nothing; the unwrapped metric gets its own trees, also kept
     scanned.clear()
-    count_regions_monte_carlo(sites, k, 40_000, 1, G2, method="tree")
+    count_regions_monte_carlo(sites, k, 40_000, 1, G2)
     knearest(pts, sites, k, G2)
     assert len(built) == len(queried) and len(scanned) == 3
     flat = GeometrySpec(d=2, p_norm=2, wrap=False)
