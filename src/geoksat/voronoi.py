@@ -10,20 +10,25 @@ score from ``weighted_score_matrix``: of all n sites for the scan, of
 chosen candidate indices for the trees and the sampler's race.
 
 ``knearest`` is the one exact k-nearest kernel.  It takes candidates from
-periodic cKDTrees that the site set builds once and keeps
+plain cKDTrees that the site set builds once and keeps
 (``WeightedSites.tree``): one over all unweighted sites, or one per weight
 class [2^j, 2^(j+1)) of weighted sites, the layering of the geometric
 inhomogeneous random graph samplers (Bringmann, Keusch and Lengler, arXiv
-1511.00576).  Rows the trees cannot settle and calls with few points go to
-the dense score scan, so both backends return the same indices.  The
-sampler's exponential race (``generate``) takes its candidates from the
-same class trees, through ``_class_candidates``, or all n sites when no
-class is cut short.  Monte Carlo counting ranks through ``knearest`` alone
-and sorts its rows into region keys; ``k_nearest_sites`` is the scan-only
-reference for one point.
+1511.00576).  On the torus a tree holds the periodic images of its sites
+that lie within a reach of the unit cube, so its plain distances are torus
+distances wherever the reach covers the query; a weighted row it does not
+cover, and every row of a class too small to have a reach below 1/2, takes
+one dense selection over the class instead.  Other rows the trees cannot
+settle and calls with few points go to the dense score scan, so both
+backends return the same indices.  The sampler's exponential race (``generate``) takes its
+candidates from the same class trees, through ``_class_candidates``, or
+all n sites when no class is cut short.  Monte Carlo counting ranks
+through ``knearest`` alone and sorts its rows into region keys;
+``k_nearest_sites`` is the scan-only reference for one point.
 """
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,7 +36,7 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import cross_distances, pnorm_scores
+from .geometry import ball_volume_constant, cross_distances, pnorm_scores
 from .weights import check_weights
 
 # Monte Carlo points are drawn from the seeded stream in blocks of this
@@ -98,9 +103,14 @@ class WeightedSites:
         """Total weight W."""
         return float(math.fsum(self.weights))
 
-    @property
+    @cached_property
     def unweighted(self):
         return bool(np.all(self.weights == 1.0))
+
+    @cached_property
+    def in_unit_cube(self):
+        """Whether every position lies in [0, 1)^d."""
+        return _in_unit_cube(self.positions)
 
     @cached_property
     def weight_classes(self):
@@ -114,17 +124,51 @@ class WeightedSites:
     def _trees(self):
         return {}
 
-    def tree(self, wrap, cls=None):
-        """cKDTree of the positions, or of weight class ``cls``'s members,
-        periodic on the unit torus when ``wrap``; built on first use and
-        kept, one per wrap mode."""
+    def tree(self, g, cls, K):
+        """``(tree, owner, reach)`` for K-nearest queries under ``g`` among
+        all sites (``cls`` None) or weight class ``cls``'s members, all in
+        [0, 1)^d; built on first use and kept, one per (class, K, p-norm) on
+        the torus and one per class in the cube.
+
+        ``tree`` is a plain cKDTree, ``owner`` maps its points to site
+        indices, and a query row whose K-th tree distance is below ``reach``
+        has the K nearest sites under ``g``.  In the cube the tree holds the
+        sites and the reach is infinite.  On the torus it holds the periodic
+        images s + t, t in {-1, 0, 1}^d, with every coordinate in
+        [-r, 1 + r], where r = (4K / (n_c V))^(1/d) for the n_c sites and
+        the unit ball volume V of ``g``: a ball that holds 4K sites in
+        expectation, so about P(Poisson(4K) < K) of the rows fall beyond it
+        for uniform sites.  Every image within D < r of a point in [0, 1)^d
+        is in the tree, and for r < 1/2 no two images of one site lie within
+        r of it, so the reach is r less a relative ``_TIE_GAP``.  None when
+        r >= 1/2: at most 4K 2^d / V sites, which one dense selection ranks
+        faster than a tree (``_nearest_dense``).
+        """
         if len(self.weight_classes) == 1:
             cls = None  # the one class holds every site, in index order
-        if (wrap, cls) not in self._trees:
-            pos = (self.positions if cls is None
-                   else self.positions[self.weight_classes[cls]])
-            self._trees[wrap, cls] = cKDTree(pos, boxsize=1.0 if wrap else None)
-        return self._trees[wrap, cls]
+        key = (cls, K, g.p_norm) if g.wrap else (cls,)
+        if key not in self._trees:
+            members = (np.arange(self.n) if cls is None
+                       else self.weight_classes[cls])
+            self._trees[key] = self._image_tree(g, members, K)
+        return self._trees[key]
+
+    def _image_tree(self, g, members, K):
+        """``tree``'s result for these member sites, built."""
+        pos = self.positions[members]
+        if not g.wrap:
+            return cKDTree(pos), members, math.inf
+        r = (4 * K / (len(members) * ball_volume_constant(g)))**(1 / self.d)
+        if r >= 0.5:
+            return None
+        images, owner = [], []
+        for t in itertools.product((0.0, -1.0, 1.0), repeat=self.d):
+            img = pos + t
+            near = np.all((img >= -r) & (img <= 1.0 + r), axis=1)
+            images.append(img[near])
+            owner.append(members[near])
+        return (cKDTree(np.concatenate(images)), np.concatenate(owner),
+                r * (1.0 - _TIE_GAP))
 
 
 def random_sites(n, g, seed_or_rng, weights=None):
@@ -193,21 +237,40 @@ def _rank_scan(points, sites, k, g):
 def _trees_serve(points, sites):
     """Whether the trees may rank these points: at least ``_TREE_MIN_ROWS``
     of them, and sites and points in [0, 1)^d."""
-    return (len(points) >= _TREE_MIN_ROWS and _in_unit_cube(sites.positions)
+    return (len(points) >= _TREE_MIN_ROWS and sites.in_unit_cube
             and _in_unit_cube(points))
+
+
+def _nearest_dense(points, sites, members, g, K):
+    """The K nearest ``members`` of each point by ``pnorm_scores``, in
+    blocks of bounded size: (rows, K) site indices in no order, and each
+    row's K-th score."""
+    idx = np.empty((len(points), K), dtype=np.int64)
+    kth = np.empty(len(points))
+    pos = sites.positions[members]
+    step = max(1, _SCAN_ENTRIES // len(members))
+    for a in range(0, len(points), step):
+        scores = pnorm_scores(points[a:a + step], pos, g)
+        part = np.argpartition(scores, K - 1, axis=1)[:, :K]
+        idx[a:a + step] = members[part]
+        kth[a:a + step] = np.take_along_axis(scores, part[:, -1:], axis=1)[:, 0]
+    return idx, kth
 
 
 def _class_candidates(points, sites, g, sizes):
     """Each point's nearest members of every weight class, scored.
 
     Class c gives its ``sizes[c]`` nearest members by plain distance, or all
-    of them when it has no more.  Returns ``(cand, scores, tails)``: the
-    (rows, C) candidate site indices, increasing along each row, and their
-    ``weighted_score_matrix`` scores; ``tails`` holds ``(members, bound)``
-    for each class with members left out, ``bound`` being the tree's lower
-    bound on the score of every member left out: its last distance^q over
-    the class's largest weight^(q/d).  When no class has more members than
-    its size, the candidates are all n sites.
+    of them when it has no more: from its tree (``WeightedSites.tree``)
+    for the rows within the tree's reach, and by ``_nearest_dense`` for the
+    other rows, or for every row when the class has no tree.  Returns
+    ``(cand, scores, tails)``: the (rows, C) candidate site indices,
+    increasing along each row, and their ``weighted_score_matrix`` scores;
+    ``tails`` holds ``(members, bound)`` for each class with members left
+    out, ``bound`` being a lower bound on the score of every member left
+    out: the last candidate's plain score (the tree's distance^q) over the
+    class's largest weight^(q/d).  When no class has more members than its
+    size, the candidates are all n sites.
     """
     if all(len(m) <= s for m, s in zip(sites.weight_classes, sizes)):
         cand = np.broadcast_to(np.arange(sites.n), (len(points), sites.n))
@@ -216,12 +279,23 @@ def _class_candidates(points, sites, g, sizes):
     wq = sites.weights ** (q / sites.d)  # the score's divisor, bit for bit
     parts, tails = [], []
     for c, members in enumerate(sites.weight_classes):
-        if len(members) <= sizes[c]:
+        K = sizes[c]
+        if len(members) <= K:
             parts.append(np.broadcast_to(members, (len(points), len(members))))
             continue
-        dist, idx = sites.tree(g.wrap, c).query(points, k=sizes[c], p=g.p_norm)
-        parts.append(members[idx])
-        tails.append((members, dist[:, -1] ** q / wq[members].max()))
+        found = sites.tree(g, c, K)
+        if found is None:
+            idx, kth = _nearest_dense(points, sites, members, g, K)
+        else:
+            tree, owner, reach = found
+            dist, i = tree.query(points, k=K, p=g.p_norm)
+            idx, kth = owner[i], dist[:, -1] ** q
+            far = np.flatnonzero(dist[:, -1] >= reach)
+            if len(far):
+                idx[far], kth[far] = _nearest_dense(points[far], sites, members,
+                                                    g, K)
+        parts.append(idx)
+        tails.append((members, kth / wq[members].max()))
     cand = np.sort(np.concatenate(parts, axis=1), axis=1)
     return cand, weighted_score_matrix(points, sites, g, cand), tails
 
@@ -247,22 +321,29 @@ def knearest(points, sites, k, g):
     index: ``rank_k_smallest`` on ``weighted_score_matrix``, row for row.
 
     The trees serve ``_TREE_MIN_ROWS`` or more points when sites and points
-    lie in [0, 1)^d and k < n; every other input is scanned.
+    lie in [0, 1)^d and k < n; every other input is scanned.  On the torus
+    a tree is a plain cKDTree over the sites' periodic images within its
+    reach (``WeightedSites.tree``); a row whose last tree distance is not
+    below the reach is a far row, and a set of sites too small for a reach
+    below 1/2 has no tree.
 
-    Unweighted sites: the sites' cKDTree returns the k + 1 nearest sites of
-    each point in distance order.  If every two adjacent distances of a row
-    lie more than a relative ``_TIE_GAP`` apart, the exact scores keep that
+    Unweighted sites: the tree returns the k + 1 nearest sites of each
+    point in distance order.  If every two adjacent distances of a row lie
+    more than a relative ``_TIE_GAP`` apart, the exact scores keep that
     order, every other site is farther than the k-th, and the row is the
-    tree's first k.  Rows with a closer pair are scanned.
+    tree's first k.  Rows with a closer pair, and far rows, are scanned;
+    with no tree, every row is.
 
-    Weighted sites: each weight class [2^j, 2^(j+1)) has its own cKDTree
-    and gives its k + 2 nearest members by plain distance (a class of at
-    most k + 2 sites gives all of them).  The candidates are scored by
-    ``weighted_score_matrix`` and ranked by (score, index).  A member a class
-    left out is no nearer than the class's last candidate and no heavier
-    than its heaviest site; when that bound beats the row's k-th score by
-    a relative ``_TIE_GAP`` in every such class, the row is exact.  Other
-    rows are scanned.
+    Weighted sites: each weight class [2^j, 2^(j+1)) gives its k + 2
+    nearest members by plain distance (a class of at most k + 2 sites gives
+    all of them): from its tree, or, for far rows and for a class with no
+    tree, by one dense selection over the class (``_class_candidates``).
+    The candidates are scored by ``weighted_score_matrix`` and ranked by
+    (score, index).  A member a class left out is no nearer than the
+    class's last candidate and no heavier than its heaviest site; when that
+    bound beats the row's k-th score by a relative ``_TIE_GAP`` in every
+    such class, the row is exact.  Other rows are scanned, and so is every
+    row when no class has a tree.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not 1 <= k <= sites.n:
@@ -270,17 +351,25 @@ def knearest(points, sites, k, g):
     if not (k < sites.n and _trees_serve(pts, sites)):
         return _rank_scan(pts, sites, k, g)
     if not sites.unweighted:
+        if all(len(m) <= k + 2 or sites.tree(g, c, k + 2) is None
+               for c, m in enumerate(sites.weight_classes)):
+            return _rank_scan(pts, sites, k, g)
         out = np.empty((len(pts), k), dtype=np.int64)
         step = max(1, _SCAN_ENTRIES // ((k + 2) * len(sites.weight_classes)))
         for a in range(0, len(pts), step):
             out[a:a + step] = _rank_layered(pts[a:a + step], sites, k, g)
         return out
-    dist, idx = sites.tree(g.wrap).query(pts, k=k + 1, p=g.p_norm)
-    ranked = idx[:, :k].astype(np.int64)
-    tie = np.flatnonzero(
-        (dist[:, 1:] <= dist[:, :-1] * (1.0 + _TIE_GAP)).any(axis=1))
-    if len(tie):
-        ranked[tie] = _rank_scan(pts[tie], sites, k, g)
+    found = sites.tree(g, None, k + 1)
+    if found is None:
+        return _rank_scan(pts, sites, k, g)
+    tree, owner, reach = found
+    dist, idx = tree.query(pts, k=k + 1, p=g.p_norm)
+    ranked = owner[idx[:, :k]]
+    unsure = np.flatnonzero(
+        (dist[:, 1:] <= dist[:, :-1] * (1.0 + _TIE_GAP)).any(axis=1)
+        | (dist[:, -1] >= reach))
+    if len(unsure):
+        ranked[unsure] = _rank_scan(pts[unsure], sites, k, g)
     return ranked
 
 
@@ -348,15 +437,14 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, checkpoints=()):
             seen = np.sort(np.concatenate((seen, uniq[new])))
             fresh = np.sort(first[new])
         else:
-            _, first = np.unique(rows, axis=0, return_index=True)
-            fresh = [i for i in np.sort(first)
-                     if tuple(rows[i].tolist()) not in keys]
+            first = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+            fresh = first[np.array([tuple(r) not in keys
+                                    for r in rows[first].tolist()], dtype=bool)]
         # in discovery order, so witnesses are the earliest points
-        for i in fresh:
-            key = tuple(rows[i].tolist())
-            keys.add(key)
-            witnesses[key] = pts[i].copy()
-            found.append(done + int(i))
+        new_keys = list(map(tuple, rows[fresh].tolist()))
+        keys.update(new_keys)
+        witnesses.update(zip(new_keys, pts[fresh]))
+        found.extend((done + fresh).tolist())
         done += block
     counts_at = {int(c): bisect.bisect_left(found, c)
                  for c in checkpoints if 0 < c <= samples}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from geoksat import generate
+from geoksat import generate, voronoi
 from geoksat.geometry import INFINITY, GeometrySpec, pnorm_scores
 from geoksat.generate import (SignLedger, _apply_sign_patterns,
                               draw_geometric_clause_vars,
@@ -425,23 +425,40 @@ def test_lazy_race_stream_does_not_depend_on_blocks_or_budget_rounds(monkeypatch
     assert np.array_equal(literals(), default)
 
 
-@pytest.mark.parametrize("g", [G2, GeometrySpec(d=2, p_norm=1),
-                               GeometrySpec(d=2, p_norm=INFINITY),
-                               GeometrySpec(d=2, p_norm=2, wrap=False)],
-                         ids=["p2", "p1", "max", "cube"])
-def test_tail_bound_is_below_every_member_left_out(g):
-    # duplicated sites, and query points on the grid lines where the trees
-    # split their cells and where sites sit
+_TAIL_METRICS = {"p2": G2, "p1": GeometrySpec(d=2, p_norm=1),
+                 "max": GeometrySpec(d=2, p_norm=INFINITY),
+                 "cube": GeometrySpec(d=2, p_norm=2, wrap=False)}
+
+
+@pytest.mark.parametrize(
+    "g, clustered",
+    [(g, False) for g in _TAIL_METRICS.values()]
+    + [(g, True) for g in _TAIL_METRICS.values()],
+    ids=list(_TAIL_METRICS) + [f"{name}-clustered" for name in _TAIL_METRICS])
+def test_tail_bound_is_below_every_member_left_out(g, clustered, monkeypatch):
+    # grid: duplicated sites, and query points on the grid lines where the
+    # trees split their cells and where sites sit; clustered: sites within
+    # 0.05 of one point, so most rows lie beyond the trees' reach and take
+    # the dense selection, as do the small classes
     rng = np.random.default_rng(61)
     pos = np.round(rng.random((150, 2)) * 8) / 8 % 1.0
+    if clustered:
+        pos = (0.7 + rng.uniform(-0.05, 0.05, (150, 2))) % 1.0
     pos = np.vstack((pos, pos[:50]))
     sites = WeightedSites.from_raw(pos, power_law_weights(200, 2.5))
     grid = np.arange(8) / 8
     pts = np.vstack((np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2),
                      pos[:20], rng.random((30, 2))))
     sizes = generate._candidate_sizes(sites, 3, 0.5)
+    dense_rows = []
+    real_dense = voronoi._nearest_dense
+    monkeypatch.setattr(voronoi, "_nearest_dense", lambda points, *args: (
+        dense_rows.append(len(points)) or real_dense(points, *args)))
     cand, _, tails = _class_candidates(pts, sites, g, sizes)
     assert tails
+    if clustered and g.wrap:
+        # a small class selected densely, and the far rows of a tree class
+        assert len(pts) in dense_rows and min(dense_rows) < len(pts)
     q = g.score_power
     for members, bound in tails:
         floor = bound / (1.0 + _TIE_GAP)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from unittest import mock
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from geoksat import voronoi
 from geoksat.dimacs import load_sites
-from geoksat.geometry import GeometrySpec, INFINITY, weighted_distance
+from geoksat.geometry import (GeometrySpec, INFINITY, ball_volume_constant,
+                              pnorm_scores, weighted_distance)
 from geoksat.voronoi import (WeightedSites, compute_R_A,
                              count_regions_monte_carlo,
                              generate_worst_case_sites, k_nearest_sites,
@@ -197,8 +199,9 @@ def test_region_count_tree_keys_equal_scan_keys_at_ties():
 
 
 def test_region_count_scans_sites_outside_the_unit_cube():
-    # a site at 1.0 (a loaded site file may hold one) lies outside the
-    # tree's periodic box, so the count takes knearest's scan
+    # a site at 1.0 (a loaded site file may hold one) lies outside
+    # [0, 1)^d, where the trees' periodic images are not shown to be exact,
+    # so the count takes knearest's scan
     pos = random_sites(30, G2, 6).positions.copy()
     pos[0, 0] = 1.0
     s = WeightedSites(pos, np.ones(30))
@@ -416,34 +419,61 @@ def test_knearest_equals_scan_and_brute_force(case):
     assert np.array_equal(got[clear], brute[clear, :k])
 
 
-def test_knearest_backend_and_fallback_rows(monkeypatch):
-    calls = {"tree": 0, "scan_rows": [], "built": []}
+def _tree_spy(monkeypatch):
+    """Record every cKDTree that voronoi builds, each query, and the rows
+    sent to the scan."""
+    calls = {"built": [], "queries": 0, "scanned": []}
     real_tree, real_scan = voronoi.cKDTree, voronoi._rank_scan
 
     class Tree(real_tree):
-        def __init__(self, *args, **kwargs):
-            calls["built"].append(kwargs.get("boxsize"))
-            super().__init__(*args, **kwargs)
+        def __init__(self, data, *args, **kwargs):
+            assert not args and not kwargs  # plain trees only, no periodic box
+            calls["built"].append(np.array(data))
+            super().__init__(data)
 
         def query(self, *args, **kwargs):
-            calls["tree"] += 1
+            calls["queries"] += 1
             return super().query(*args, **kwargs)
 
     def scan(points, *args):
-        calls["scan_rows"].append(len(points))
+        calls["scanned"].append(points.copy())
         return real_scan(points, *args)
 
     monkeypatch.setattr(voronoi, "cKDTree", Tree)
     monkeypatch.setattr(voronoi, "_rank_scan", scan)
+    return calls
+
+
+def _image_count(pos, K, g):
+    """The periodic images within the reach of [0, 1)^d that a torus tree
+    over ``pos`` holds for K neighbours, counted over all 3^d shifts."""
+    r = (4 * K / (len(pos) * ball_volume_constant(g))) ** (1 / g.d)
+    shifts = np.array(list(itertools.product((-1, 0, 1), repeat=g.d)))
+    images = pos[None, :, :] + shifts[:, None, :]
+    return int(np.all((images >= -r) & (images <= 1 + r), axis=2).sum())
+
+
+def _clustered(rng, n, d):
+    """n sites within 0.05 of one point of the torus, with one site at the
+    origin and one at 1 - 2^-53 in every coordinate."""
+    pos = (rng.random(d) + rng.uniform(-0.05, 0.05, (n, d))) % 1.0
+    pos[pos == 1.0] = 0.0
+    pos[:2] = ([0.0] * d, [1.0 - 2.0 ** -53] * d)
+    return pos
+
+
+def test_knearest_backend_and_fallback_rows(monkeypatch):
+    calls = _tree_spy(monkeypatch)
     rng = np.random.default_rng(2)
     pts = rng.random((500, 2))
+    flat = GeometrySpec(d=2, p_norm=2, wrap=False)
 
-    def run(sites, k=3, pts=pts):
-        calls["tree"], calls["scan_rows"] = 0, []
-        got = knearest(pts, sites, k, G2)
+    def run(sites, k=3, pts=pts, g=G2):
+        calls["queries"], calls["scanned"] = 0, []
+        got = knearest(pts, sites, k, g)
         assert np.array_equal(got, rank_k_smallest(
-            weighted_score_matrix(pts, sites, G2), k))
-        return calls["tree"], sum(calls["scan_rows"])
+            weighted_score_matrix(pts, sites, g), k))
+        return calls["queries"], sum(len(p) for p in calls["scanned"])
 
     pos = rng.random((200, 2))
     plain = WeightedSites(pos, np.ones(200))
@@ -455,54 +485,76 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
     # the one-point reference never takes the tree, whatever the threshold
     monkeypatch.setattr(voronoi, "_TREE_MIN_ROWS", 1)
     assert run(plain, pts=pts[:1]) == (1, 0)
-    calls["tree"] = 0
+    calls["queries"] = 0
     _, ranked = k_nearest_sites(pts[0], plain, 3, G2)
-    assert calls["tree"] == 0
+    assert calls["queries"] == 0
     assert np.array_equal(ranked, knearest(pts[:1], plain, 3, G2)[0])
     monkeypatch.setattr(voronoi, "_TREE_MIN_ROWS", few)
-    # one tree per site set: the knearest calls above and a count over two
-    # Monte Carlo blocks share it; the plain (unwrapped) distance gets a
-    # second one, also kept
+    # one tree per (site set, K): the knearest calls above and a count over
+    # two Monte Carlo blocks share it; it holds the sites' periodic images
+    # within its reach, each owned by its site; the plain (unwrapped)
+    # distance gets a second one over the sites themselves, also kept
     count_regions_monte_carlo(plain, 3, 40_000, 1, G2)
-    assert calls["built"] == [1.0]
-    flat = GeometrySpec(d=2, p_norm=2, wrap=False)
+    assert [len(t) for t in calls["built"]] == [_image_count(pos, 4, G2)]
+    tree, owner, reach = plain.tree(G2, None, 4)
+    shift = np.round(tree.data - pos[owner])
+    assert np.array_equal(tree.data, pos[owner] + shift)
+    assert np.abs(shift).max() == 1
+    assert np.array_equal(np.unique(owner), np.arange(200))
+    assert 0 < reach < 0.5
     assert np.array_equal(knearest(pts, plain, 3, flat), knearest(pts, plain, 3, flat))
-    assert calls["built"] == [1.0, None]
+    assert len(calls["built"]) == 2 and np.array_equal(calls["built"][1], pos)
+    # the rows to scan: a near tie among the k + 1 nearest images, or the
+    # (k + 1)-th beyond the reach (a far row)
+    def unsure(sites, k):
+        tree, _, reach = sites.tree(G2, None, k + 1)
+        dist, _ = tree.query(pts, k=k + 1)
+        far = dist[:, -1] >= reach
+        return far, (dist[:, 1:] <= dist[:, :-1] * (1 + 1e-9)).any(axis=1) | far
+
     # a site twice or three times: a point whose nearest site is repeated
-    # sees a tie at the k-th place, and exactly those rows are scanned
-    dup = np.flatnonzero(rank_k_smallest(
-        weighted_score_matrix(pts, plain, G2), 1)[:, 0] < 50)
-    assert 0 < len(dup) < len(pts)
-    assert run(WeightedSites(np.vstack([pos, pos[:50]]), np.ones(250)),
-               k=1) == (1, len(dup))
-    assert run(WeightedSites(np.vstack([pos, pos[:50], pos[:50]]),
-                             np.ones(300)), k=1) == (1, len(dup))
+    # sees a tie at the k-th place, and exactly those rows and the far rows
+    # are scanned
+    dup = rank_k_smallest(weighted_score_matrix(pts, plain, G2), 1)[:, 0] < 50
+    assert 0 < dup.sum() < len(pts)
+    for copies in (1, 2):
+        twice = WeightedSites(np.vstack([pos] + [pos[:50]] * copies),
+                              np.ones(200 + 50 * copies))
+        far, rows = unsure(twice, 1)
+        assert np.array_equal(rows, dup | far) and far.sum() < len(pts) // 20
+        assert run(twice, k=1) == (1, rows.sum())
+        assert np.array_equal(calls["scanned"][0], pts[rows])
+    # clustered sites: rows far from the cluster have their k + 1 nearest
+    # images beyond the reach; exactly the tie rows and those far rows are
+    # scanned
+    clustered = WeightedSites(_clustered(rng, 200, 2), np.ones(200))
+    far, rows = unsure(clustered, 3)
+    assert 0 < far.sum() < len(pts)
+    assert run(clustered) == (1, rows.sum())
+    assert np.array_equal(calls["scanned"][0], pts[rows])
     # a site on the border scans every row, weighted or not
     at_one = pos.copy()
     at_one[0, 0] = 1.0
     assert run(WeightedSites(at_one, np.ones(200))) == (0, len(pts))
     assert run(WeightedSites.from_raw(at_one, rng.uniform(1, 3, 200))) == (0, len(pts))
-    # k = n - 1 still has a (k + 1)-th neighbour to compare with; k = n scans
+    # a site set at the reach cap (n <= 4 (k + 1) 2^d / V sites) builds no
+    # tree on the torus and scans every row; one site more takes the tree
+    built = len(calls["built"])
+    cap = math.floor(4 * 4 * 2**2 / math.pi)
+    assert run(WeightedSites(pos[:cap], np.ones(cap))) == (0, len(pts))
+    assert len(calls["built"]) == built
+    assert run(WeightedSites(pos[:cap + 1], np.ones(cap + 1))) == (1, 0)
+    assert len(calls["built"]) == built + 1
+    # in the cube, k = n - 1 still has a (k + 1)-th neighbour to compare
+    # with; k = n scans
     four = WeightedSites(pos[:4], np.ones(4))
-    assert run(four) == (1, 0)
-    assert run(four, k=4) == (0, len(pts))
+    assert run(four, g=flat) == (1, 0)
+    assert run(four, k=4, g=flat) == (0, len(pts))
 
 
 def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
-    built, scanned = [], []
-    real_tree, real_scan = voronoi.cKDTree, voronoi._rank_scan
-
-    class Tree(real_tree):
-        def __init__(self, data, *args, **kwargs):
-            built.append((len(data), kwargs.get("boxsize")))
-            super().__init__(data, *args, **kwargs)
-
-    def scan(points, *args):
-        scanned.append(points.copy())
-        return real_scan(points, *args)
-
-    monkeypatch.setattr(voronoi, "cKDTree", Tree)
-    monkeypatch.setattr(voronoi, "_rank_scan", scan)
+    calls = _tree_spy(monkeypatch)
+    built, scanned = calls["built"], calls["scanned"]
     rng = np.random.default_rng(5)
     pts = rng.random((2000, 2))
     k = 2
@@ -512,27 +564,34 @@ def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
     assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(500))
     for j, members in enumerate(classes):
         assert np.all(np.floor(np.log2(sites.weights[members])) == j)
-    queried = [c for c in classes if len(c) > k + 2]
-    assert 0 < len(queried) < len(classes)
+    # a class of more than k + 2 members gets a tree unless it is at the
+    # reach cap, 4 (k + 2) 2^d / V members, where it is selected densely
+    cut = [c for c in classes if len(c) > k + 2]
+    cap = 4 * (k + 2) * 2**2 / math.pi
+    queried = [c for c in cut if len(c) > cap]
+    assert 0 < len(queried) < len(cut) < len(classes)
 
-    # the rows that fail the exactness check, recomputed from plain trees
+    # the rows that fail the exactness check, recomputed from dense scores:
+    # each cut class's (k + 2)-th plain score bounds the members left out
     wq = sites.weights ** (G2.score_power / G2.d)
     scores = weighted_score_matrix(pts, sites, G2)
     kth = np.sort(scores, axis=1)[:, k - 1]
     unsure = np.zeros(len(pts), dtype=bool)
-    for members in queried:
-        dist, _ = real_tree(sites.positions[members], boxsize=1.0).query(
-            pts, k=k + 2)
-        unsure |= dist[:, -1] ** 2 / wq[members].max() <= kth * (1 + 1e-9)
+    for members in cut:
+        plain = pnorm_scores(pts, sites.positions[members], G2)
+        bound = np.sort(plain, axis=1)[:, k + 1] / wq[members].max()
+        unsure |= bound <= kth * (1 + 1e-9)
     assert 0 < unsure.sum() < len(pts) // 4
 
     got = knearest(pts, sites, k, G2)
     assert np.array_equal(got, rank_k_smallest(scores, k))
-    assert built == [(len(c), 1.0) for c in queried]
+    assert [len(t) for t in built] == [
+        _image_count(sites.positions[c], k + 2, G2) for c in queried]
     assert len(scanned) == 1 and np.array_equal(scanned[0], pts[unsure])
 
     # the class trees are kept: a two-block Monte Carlo count and a second
-    # call build nothing; the unwrapped metric gets its own trees, also kept
+    # call build nothing; the unwrapped metric gets its own trees, one per
+    # cut class (the cube has no reach cap), also kept
     scanned.clear()
     count_regions_monte_carlo(sites, k, 40_000, 1, G2)
     knearest(pts, sites, k, G2)
@@ -541,7 +600,7 @@ def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
     assert np.array_equal(knearest(pts, sites, k, flat),
                           rank_k_smallest(weighted_score_matrix(pts, sites, flat), k))
     knearest(pts, sites, k, flat)
-    assert built[len(queried):] == [(len(c), None) for c in queried]
+    assert [len(t) for t in built[len(queried):]] == [len(c) for c in cut]
 
     # too few points to pay for the trees: the scan alone
     scanned.clear()
@@ -549,4 +608,59 @@ def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
     knearest(pts[:few - 1], random_sites(500, G2, 4, power_law_weights(500, 2.5)),
              k, G2)
     assert [len(p) for p in scanned] == [few - 1]
-    assert len(built) == 2 * len(queried)
+    assert len(built) == len(queried) + len(cut)
+
+    # when no class gets a tree, every row is scanned and nothing is built
+    scanned.clear()
+    small = random_sites(20, G2, 4, power_law_weights(20, 2.5))
+    assert all(len(c) <= cap for c in small.weight_classes)
+    assert np.array_equal(knearest(pts, small, k, G2), rank_k_smallest(
+        weighted_score_matrix(pts, small, G2), k))
+    assert [len(p) for p in scanned] == [len(pts)]
+    assert len(built) == len(queried) + len(cut)
+
+
+def _brute_plain(points, sites, k, g):
+    """Sites ranked by (weighted distance, index) from per-coordinate torus
+    or cube differences and ``np.linalg.norm``, with each row's weighted
+    distances in that order."""
+    diff = np.abs(points[:, None, :] - sites.positions[None, :, :])
+    if g.wrap:
+        diff = np.minimum(diff, 1.0 - diff)
+    dist = np.linalg.norm(diff, ord=g.p_norm, axis=2) / sites.normalized_weights
+    order = np.lexsort((np.broadcast_to(np.arange(sites.n), dist.shape), dist))
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
+@st.composite
+def _clustered_cases(draw):
+    d = draw(st.sampled_from((1, 2, 3)))
+    g = GeometrySpec(d=d, p_norm=draw(st.sampled_from((1, 2, 3, INFINITY))))
+    n = draw(st.integers(3, 300))
+    k = draw(st.integers(1, min(n, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = _clustered(rng, n, d)
+    # uniform points, mostly far from the cluster, some inside it and some
+    # near its antipode, where the nearest image of a site wraps around
+    near = pos[rng.integers(0, n, 8)] * (1 - 1e-3) + 5e-4
+    pts = np.vstack((rng.random((draw(st.integers(8, 40)), d)), near[:4],
+                     (near[4:] + 0.5 + rng.uniform(-0.1, 0.1, (4, d))) % 1.0))
+    return g, WeightedSites.from_raw(pos, _case_weights(draw, rng, n)), pts, k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_clustered_cases())
+def test_knearest_on_clustered_sites_equals_scan_and_brute_force(case):
+    # sites within 0.05 of one point: most rows lie beyond a tree's reach
+    # (the far rows) and small weight classes are selected densely
+    g, sites, pts, k = case
+    got = knearest(pts, sites, k, g)
+    assert np.array_equal(got, voronoi._rank_scan(pts, sites, k, g))
+    brute, dist = _brute_plain(pts, sites, k, g)
+    got_dist = np.take_along_axis(dist, np.argsort(brute, axis=1), axis=1)
+    assert np.allclose(np.take_along_axis(got_dist, got, axis=1), dist[:, :k],
+                       rtol=1e-12, atol=0)
+    # rows whose first k + 1 distances nearly tie are held to the distances
+    head = dist[:, :k + 1]
+    clear = ~(head[:, 1:] <= head[:, :-1] * (1 + 1e-9)).any(axis=1)
+    assert np.array_equal(got[clear], brute[clear, :k])
