@@ -10,6 +10,8 @@ dist^q with q = ``GeometrySpec.score_power``.  Distances are its q-th root,
 and the Voronoi scan and the temperature race rank by it, so every distance
 and score the package computes comes from the same arithmetic (the k-d tree
 in ``voronoi.knearest`` is used only where its order is provably the same).
+``box_score_bounds`` bounds the same score over a box of points, for the
+cell table of ``voronoi.knearest``.
 """
 
 import math
@@ -73,7 +75,6 @@ def pnorm_scores(points, others, g):
     Accumulates one dimension at a time with in-place updates to keep the
     memory traffic at (Q, c).
     """
-    q = g.score_power
     base = None
     scratch = None
     for j in range(others.shape[-1]):
@@ -83,15 +84,49 @@ def pnorm_scores(points, others, g):
                 scratch = np.empty_like(diff)
             np.subtract(1.0, diff, out=scratch)
             np.minimum(diff, scratch, out=diff)
-        if g.is_max_norm:
-            base = diff if base is None else np.maximum(base, diff, out=base)
-        else:
-            if q == 2:
-                np.multiply(diff, diff, out=diff)
-            elif q != 1:
-                np.power(diff, q, out=diff)
-            base = diff if base is None else np.add(base, diff, out=base)
+        base = _accumulate(base, diff, g)
     return base
+
+
+def box_score_bounds(centres, half, others, g):
+    """``(lo, up)``: bounds on the rootless score (as ``pnorm_scores``)
+    between each of ``others`` and every point of the box of half-side
+    ``half`` around each centre.
+
+    ``centres`` and ``others`` are sequences of d coordinate arrays;
+    coordinate j of the centres broadcasts against coordinate j of the
+    others, and the bounds against all of them, so a coordinate that varies
+    along its own axis is worked out once per value.  With delta a
+    coordinate's difference from the centre (circular on the torus), a
+    point's difference lies in [max(delta - half, 0), delta + half], so lo
+    sums max(delta - half, 0)^p and up sums (delta + half)^p (the max of
+    each for the max norm).
+    """
+    lo = up = None
+    for centre, other in zip(centres, others):
+        diff = np.abs(centre - other)
+        if g.wrap:
+            np.minimum(diff, 1.0 - diff, out=diff)
+        up = _accumulate(up, diff + half, g)
+        np.subtract(diff, half, out=diff)
+        lo = _accumulate(lo, np.maximum(diff, 0.0, out=diff), g)
+    return lo, up
+
+
+def _accumulate(base, term, g):
+    """``base`` with one coordinate's differences ``term`` (overwritten)
+    added as term^q, or maxed in for the max norm; in place when the shapes
+    agree, and ``term`` itself when base is None."""
+    if not g.is_max_norm:
+        q = g.score_power
+        if q == 2:
+            np.multiply(term, term, out=term)
+        elif q != 1:
+            np.power(term, q, out=term)
+    if base is None:
+        return term
+    combine = np.maximum if g.is_max_norm else np.add
+    return combine(base, term, out=base if base.shape == term.shape else None)
 
 
 def cross_distances(points, others, g):

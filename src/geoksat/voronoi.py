@@ -7,24 +7,29 @@ exactly A.  Regions are never constructed explicitly; non-empty regions
 are discovered by Monte Carlo sampling of k-nearest queries.  Every
 distance here comes from ``geometry.pnorm_scores``, and every weighted
 score from ``weighted_score_matrix``: of all n sites for the scan, of
-chosen candidate indices for the trees and the sampler's race.
+chosen candidate indices for the cell table, the trees and the sampler's
+race.
 
-``knearest`` is the one exact k-nearest kernel.  It takes candidates from
-plain cKDTrees that the site set builds once and keeps
-(``WeightedSites.tree``): one over all unweighted sites, or one per weight
-class [2^j, 2^(j+1)) of weighted sites, the layering of the geometric
-inhomogeneous random graph samplers (Bringmann, Keusch and Lengler, arXiv
-1511.00576).  On the torus a tree holds the periodic images of its sites
-that lie within a reach of the unit cube, so its plain distances are torus
-distances wherever the reach covers the query; a weighted row it does not
-cover, and every row of a class too small to have a reach below 1/2, takes
-one dense selection over the class instead.  Other rows the trees cannot
-settle and calls with few points go to the dense score scan, so both
-backends return the same indices.  The sampler's exponential race (``generate``) takes its
-candidates from the same class trees, through ``_class_candidates``, or
-all n sites when no class is cut short.  Monte Carlo counting ranks
-through ``knearest`` alone and sorts its rows into region keys;
-``k_nearest_sites`` is the scan-only reference for one point.
+``knearest`` is the one exact k-nearest kernel.  For weighted sites it
+reads its candidates from a cell table that the site set builds and keeps
+(``WeightedSites.table``), the uniform-grid bucketing of Bentley, Weide and
+Yao (ACM TOMS 1980): each cell of a grid lists, in increasing index, the
+sites that can rank among the k weighted-nearest anywhere in the cell,
+proved by score bounds over the cell's box (``geometry.box_score_bounds``),
+so a row scores only its cell's list.  Random positions with multiplicative
+weights give O(n) non-empty order-k regions, so these lists stay short.
+For unweighted sites it queries one plain cKDTree (``WeightedSites.tree``);
+on the torus the tree holds the periodic images of the sites that lie
+within a reach of the unit cube, so its plain distances are torus distances
+wherever the reach covers the query.  Rows the tree cannot settle, calls
+with few points and inputs outside [0, 1)^d go to the dense score scan, so
+every backend returns the same indices.  The sampler's exponential race
+(``generate``) takes its candidates from one tree per weight class
+[2^j, 2^(j+1)), the layering of the geometric inhomogeneous random graph
+samplers (Bringmann, Keusch and Lengler, arXiv 1511.00576), through
+``_class_candidates``, or all n sites when no class is cut short.  Monte
+Carlo counting ranks through ``knearest`` alone and sorts its rows into
+region keys; ``k_nearest_sites`` is the scan-only reference for one point.
 """
 
 import bisect
@@ -36,7 +41,8 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import ball_volume_constant, cross_distances, pnorm_scores
+from .geometry import (ball_volume_constant, box_score_bounds, cross_distances,
+                       pnorm_scores)
 from .weights import check_weights
 
 # Monte Carlo points are drawn from the seeded stream in blocks of this
@@ -46,11 +52,30 @@ _MC_BLOCK = 1 << 15
 _SCAN_ENTRIES = 4_000_000
 # two adjacent tree distances of a row further apart than this relative gap
 # keep their order under the exact scores (the float error of either is far
-# smaller); a row with a closer pair may hide a tie and is scanned
+# smaller); a row with a closer pair may hide a tie and is scanned.  The cell
+# table's lists keep this relative slack over their bound for the same reason
 _TIE_GAP = 1e-9
 # knearest scans fewer query rows than this: building the tree costs about as
 # much as scanning this many rows (2 vCPU, d = 2, n from 50 to 20000)
 _TREE_MIN_ROWS = 8
+# knearest scans weighted site sets of fewer sites than this: per 32,768
+# points (d = 2, k = 2, beta 2.5, 2 vCPU) the scan took 16.4 ms at 8 sites
+# against 21.3 ms for a one-shot table, and 17.6 against 15.3 ms at 15 sites
+_TABLE_MIN_SITES = 12
+# the depth rule of the weighted cell table (``knearest``): a root grid of
+# G^d cells with G^d n <= _ROOT_ENTRIES, deepened while it has fewer cells
+# than _CELLS_PER_SITE n / K and than one per _ROWS_PER_CELL rows ranked
+_ROOT_ENTRIES = 1 << 16
+_CELLS_PER_SITE = 8
+_ROWS_PER_CELL = 16
+# most (cells x parent list width) bounds per build chunk, and (rows x list
+# width) scores per ranking block, which bound the table's temporaries
+_BUILD_ENTRIES = 1 << 15
+_RANK_ENTRIES = 1 << 16
+# a cell's half-side is widened by this much, more than the rounding of any
+# coordinate difference in [0, 1) (a few ulps of 1), so the bounds hold for
+# the computed scores of every point of the cell
+_CELL_MARGIN = 2.0 ** -40
 # relevance_certificate's search: grid points per axis around s1, and radii
 # j * R_A for j = 1.._CERT_RADIUS_STEPS
 _CERT_GRID = 64
@@ -60,7 +85,12 @@ _CERT_RADIUS_STEPS = 16
 @dataclass(frozen=True)
 class WeightedSites:
     """Finite site positions (n, d) with multiplicative weights, min weight 1;
-    positions outside [0, 1)^d are legal (``knearest`` scans them)."""
+    positions outside [0, 1)^d are legal (``knearest`` scans them).
+
+    A site set keeps what ``knearest`` and the sampler's race build for it
+    on first use: the cell tables of weighted k-nearest (``table``, one per
+    (k, metric), deepened as they rank more rows) and the plain cKDTrees of
+    unweighted k-nearest and of the race's weight classes (``tree``)."""
 
     positions: np.ndarray
     weights: np.ndarray
@@ -124,6 +154,24 @@ class WeightedSites:
     def _trees(self):
         return {}
 
+    @cached_property
+    def _tables(self):
+        return {}
+
+    def table(self, g, K):
+        """The ``_CellTable`` for K-nearest queries under ``g``, all sites in
+        [0, 1)^d: built at its root level on first use and kept, one per
+        (K, g); ``knearest`` deepens it as it ranks more rows."""
+        key = (K, g)
+        if key not in self._tables:
+            table = _CellTable(1, np.arange(self.n)[None, :],
+                               np.array([self.n]))
+            while ((2 * table.side) ** self.d * self.n <= _ROOT_ENTRIES
+                   and table.side ** self.d < _CELLS_PER_SITE * self.n / K):
+                table.split(self, g, K)
+            self._tables[key] = table
+        return self._tables[key]
+
     def tree(self, g, cls, K):
         """``(tree, owner, reach)`` for K-nearest queries under ``g`` among
         all sites (``cls`` None) or weight class ``cls``'s members, all in
@@ -169,6 +217,78 @@ class WeightedSites:
             owner.append(members[near])
         return (cKDTree(np.concatenate(images)), np.concatenate(owner),
                 r * (1.0 - _TIE_GAP))
+
+
+@dataclass
+class _CellTable:
+    """The sites that can rank among the K weighted-nearest of some point
+    of each cell of a grid of ``side``^d cells of [0, 1)^d, cells in
+    row-major order: row c of ``cand`` holds ``length[c]`` increasing site
+    indices, then padding.  ``rows`` counts the rows it has ranked."""
+
+    side: int
+    cand: np.ndarray
+    length: np.ndarray
+    rows: int = 0
+
+    def split(self, sites, g, K):
+        """Halve the cell side: each child cell keeps the sites of its
+        parent's list whose lower bound lo is at most U (1 + ``_TIE_GAP``),
+        U the K-th smallest upper bound over that list (see ``knearest``).
+        The child's box lies in its parent's, so a site the parent dropped
+        cannot rank in it either.  Works in chunks of at most
+        ``_BUILD_ENTRIES`` (child x parent list) bounds.
+        """
+        d, side = sites.d, 2 * self.side
+        half = 0.5 / side + _CELL_MARGIN
+        wq = sites.weights ** (g.score_power / d)
+        # parent cells in row-major order, and the centre coordinates of
+        # their children, low child then high child on each axis
+        coords = np.indices((self.side,) * d).reshape(d, -1).T
+        offset = np.array([0.5, 1.5])
+        halves = np.indices((2,) * d).reshape(d, -1).T
+        step = max(1, _BUILD_ENTRIES // (2**d * self.cand.shape[1]))
+        blocks = []
+        for a in range(0, len(coords), step):
+            parent = coords[a:a + step]
+            c = self.cand[a:a + step, :self.length[a:a + step].max()]
+            # axis j + 1 runs over the child's half on axis j
+            shape = [len(c)] + [1] * d + [c.shape[1]]
+            centres, others = [], []
+            for j in range(d):
+                axis = [len(c)] + [1] * (d + 1)
+                axis[j + 1] = 2
+                centres.append(((2 * parent[:, j, None] + offset) / side)
+                               .reshape(axis))
+                others.append(sites.positions[c, j].reshape(shape))
+            lo, up = box_score_bounds(centres, half, others, g)
+            wc = wq[c].reshape(shape)
+            lo = (lo / wc).reshape(-1, c.shape[1])
+            up = (up / wc).reshape(-1, c.shape[1])
+            length = np.repeat(self.length[a:a + step], 2**d)
+            pad = np.arange(c.shape[1]) >= length[:, None]
+            lo[pad] = up[pad] = np.inf
+            bound = np.partition(up, K - 1, axis=1)[:, K - 1] * (1.0 + _TIE_GAP)
+            keep = lo <= bound[:, None]
+            # each child's kept sites, still increasing, to the front of its
+            # row; the child's row on the finer grid is row-major
+            counts = np.count_nonzero(keep, axis=1)
+            rows = np.repeat(np.arange(len(keep)), counts)
+            flat = np.flatnonzero(keep)
+            at = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts,
+                                                  counts)
+            block = np.zeros((len(keep), counts.max()), dtype=np.int64)
+            block[rows, at] = c[rows >> d, flat - rows * c.shape[1]]
+            child = (2 * parent[:, None, :] + halves).reshape(-1, d)
+            blocks.append((np.ravel_multi_index(child.T, (side,) * d), counts,
+                           block))
+        self.cand = np.zeros((side**d, max(b.shape[1] for *_, b in blocks)),
+                             dtype=np.int64)
+        self.length = np.empty(side**d, dtype=np.int64)
+        for cell, counts, block in blocks:
+            self.cand[cell, :block.shape[1]] = block
+            self.length[cell] = counts
+        self.side = side
 
 
 def random_sites(n, g, seed_or_rng, weights=None):
@@ -235,8 +355,8 @@ def _rank_scan(points, sites, k, g):
 
 
 def _trees_serve(points, sites):
-    """Whether the trees may rank these points: at least ``_TREE_MIN_ROWS``
-    of them, and sites and points in [0, 1)^d."""
+    """Whether the trees and the cell table may rank these points: at least
+    ``_TREE_MIN_ROWS`` of them, and sites and points in [0, 1)^d."""
     return (len(points) >= _TREE_MIN_ROWS and sites.in_unit_cube
             and _in_unit_cube(points))
 
@@ -300,19 +420,40 @@ def _class_candidates(points, sites, g, sizes):
     return cand, weighted_score_matrix(points, sites, g, cand), tails
 
 
-def _rank_layered(points, sites, k, g):
-    """``knearest`` of weighted sites through the weight-class trees."""
-    cand, scores, tails = _class_candidates(
-        points, sites, g, [k + 2] * len(sites.weight_classes))
-    sel = rank_k_smallest(scores, k)
-    ranked = np.take_along_axis(cand, sel, axis=1)
-    if tails:
-        kth = np.take_along_axis(scores, sel[:, -1:], axis=1)[:, 0]
-        bounds = np.array([bound for _, bound in tails])
-        unsure = np.flatnonzero((bounds <= kth * (1.0 + _TIE_GAP)).any(axis=0))
-        if len(unsure):
-            ranked[unsure] = _rank_scan(points[unsure], sites, k, g)
-    return ranked
+def _rank_table(points, sites, k, g):
+    """``knearest`` of weighted sites by their cell table for k.
+
+    The table first deepens by the depth rule (see ``_ROWS_PER_CELL``).
+    Each row then scores its cell's list by ``weighted_score_matrix``, with
+    +inf past the list's length, and ranks it by ``rank_k_smallest``: the
+    lists increase in site index, so that is the scan's (score, index)
+    rule.  Rows are grouped by list length into widths 8, 16, 32, ... up
+    to the table's width and scored in blocks of at most ``_RANK_ENTRIES``.
+    """
+    table = sites.table(g, k)
+    table.rows += len(points)
+    d = sites.d
+    cap = min(_CELLS_PER_SITE * sites.n / k, table.rows / _ROWS_PER_CELL)
+    while table.side ** d < cap:
+        table.split(sites, g, k)
+    cell = np.ravel_multi_index(
+        np.floor(points * table.side).astype(np.int64).T, (table.side,) * d)
+    length = table.length[cell]
+    # the least power of two >= length (frexp(0) gives exponent 0)
+    width = np.left_shift(1, np.frexp(length - 1)[1])
+    width = np.minimum(np.maximum(width, 8), table.cand.shape[1])
+    out = np.empty((len(points), k), dtype=np.int64)
+    for w in np.unique(width):
+        group = np.flatnonzero(width == w)
+        step = max(1, _RANK_ENTRIES // w)
+        for a in range(0, len(group), step):
+            rows = group[a:a + step]
+            cand = table.cand[cell[rows], :w]
+            scores = weighted_score_matrix(points[rows], sites, g, cand)
+            scores[np.arange(w) >= length[rows, None]] = np.inf
+            out[rows] = np.take_along_axis(cand, rank_k_smallest(scores, k),
+                                           axis=1)
+    return out
 
 
 def knearest(points, sites, k, g):
@@ -320,12 +461,12 @@ def knearest(points, sites, k, g):
     each point, ranked by increasing distance with ties broken by smaller
     index: ``rank_k_smallest`` on ``weighted_score_matrix``, row for row.
 
-    The trees serve ``_TREE_MIN_ROWS`` or more points when sites and points
-    lie in [0, 1)^d and k < n; every other input is scanned.  On the torus
-    a tree is a plain cKDTree over the sites' periodic images within its
-    reach (``WeightedSites.tree``); a row whose last tree distance is not
-    below the reach is a far row, and a set of sites too small for a reach
-    below 1/2 has no tree.
+    The tree and the cell table serve ``_TREE_MIN_ROWS`` or more points
+    when sites and points lie in [0, 1)^d and k < n; every other input is
+    scanned.  On the torus a tree is a plain cKDTree over the sites'
+    periodic images within its reach (``WeightedSites.tree``); a row whose
+    last tree distance is not below the reach is a far row, and a set of
+    sites too small for a reach below 1/2 has no tree.
 
     Unweighted sites: the tree returns the k + 1 nearest sites of each
     point in distance order.  If every two adjacent distances of a row lie
@@ -334,16 +475,25 @@ def knearest(points, sites, k, g):
     tree's first k.  Rows with a closer pair, and far rows, are scanned;
     with no tree, every row is.
 
-    Weighted sites: each weight class [2^j, 2^(j+1)) gives its k + 2
-    nearest members by plain distance (a class of at most k + 2 sites gives
-    all of them): from its tree, or, for far rows and for a class with no
-    tree, by one dense selection over the class (``_class_candidates``).
-    The candidates are scored by ``weighted_score_matrix`` and ranked by
-    (score, index).  A member a class left out is no nearer than the
-    class's last candidate and no heavier than its heaviest site; when that
-    bound beats the row's k-th score by a relative ``_TIE_GAP`` in every
-    such class, the row is exact.  Other rows are scanned, and so is every
-    row when no class has a tree.
+    Weighted sites (at least ``_TABLE_MIN_SITES`` of them; fewer are
+    scanned): each row scores the list of its cell in the site set's table
+    for k (``WeightedSites.table``) and ranks it by (score, index),
+    ``_rank_table``.  For a cell of centre c and side h and a site s, with
+    delta the per-coordinate distance from c to s (wrapped on the torus),
+    the rootless score of every point of the cell lies in [lo, up] / w^(q/d),
+    lo = sum max(delta - h/2, 0)^q and up = sum (delta + h/2)^q (max for
+    p = inf).  With U the k-th smallest up, every point of the cell has k
+    sites of score at most U, so a site with lo > U (1 + ``_TIE_GAP``) never
+    ranks there and the list holds every other site: the rows are exact by
+    construction, with no fallback.  The slack, and a half-side widened by
+    ``_CELL_MARGIN``, cover the rounding of the scores.  The table starts
+    from one cell and halves its side, each child filtering its parent's
+    list, to the finest grid of G^d cells with G^d n <= ``_ROOT_ENTRIES``,
+    or the first with ``_CELLS_PER_SITE`` n / k cells if that is coarser;
+    it then halves again while it has fewer cells than
+    min(``_CELLS_PER_SITE`` n / k, R / ``_ROWS_PER_CELL``), R the rows it
+    has ranked, this call included.  So a one-shot call stays coarse and a
+    Monte Carlo count deepens after its first block.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not 1 <= k <= sites.n:
@@ -351,14 +501,9 @@ def knearest(points, sites, k, g):
     if not (k < sites.n and _trees_serve(pts, sites)):
         return _rank_scan(pts, sites, k, g)
     if not sites.unweighted:
-        if all(len(m) <= k + 2 or sites.tree(g, c, k + 2) is None
-               for c, m in enumerate(sites.weight_classes)):
+        if sites.n < _TABLE_MIN_SITES:
             return _rank_scan(pts, sites, k, g)
-        out = np.empty((len(pts), k), dtype=np.int64)
-        step = max(1, _SCAN_ENTRIES // ((k + 2) * len(sites.weight_classes)))
-        for a in range(0, len(pts), step):
-            out[a:a + step] = _rank_layered(pts[a:a + step], sites, k, g)
-        return out
+        return _rank_table(pts, sites, k, g)
     found = sites.tree(g, None, k + 1)
     if found is None:
         return _rank_scan(pts, sites, k, g)

@@ -144,7 +144,7 @@ def test_threshold_clauses_match_k_nearest():
 
 
 def test_weighted_threshold_clauses_match_k_nearest():
-    # weighted sites take knearest's weight-class trees; the scan-only
+    # weighted sites take knearest's cell table; the scan-only
     # reference must rank every checked clause the same way
     inst = sample_geometric_formula(500, 1000, 3, G2, 0.0,
                                     power_law_weights(500, 2.5), seed=13)

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from geoksat import voronoi
 from geoksat.dimacs import load_sites
+from geoksat.generate import draw_geometric_clause_vars
 from geoksat.geometry import (GeometrySpec, INFINITY, ball_volume_constant,
-                              pnorm_scores, weighted_distance)
+                              box_score_bounds, weighted_distance)
 from geoksat.voronoi import (WeightedSites, compute_R_A,
                              count_regions_monte_carlo,
                              generate_worst_case_sites, k_nearest_sites,
@@ -137,6 +138,64 @@ def test_region_count_upper_bound_and_1d_oracle():
         assert res.count == n
 
 
+def _exact_1d_regions(sites, k):
+    """{key: length} of the non-empty order-k regions of weighted sites on
+    the circle, exactly: each f_i(x) = dist(x, s_i) / w_i is linear between
+    its kinks s_i and s_i + 1/2, so the ranking of all sites is constant
+    between consecutive kinks and pairwise crossings; each such cell's
+    midpoint is ranked by the scan."""
+    s, w = sites.positions[:, 0], sites.weights
+    i, j = np.triu_indices(sites.n, 1)
+    shift = np.array([-1.0, 0.0, 1.0])
+    # f_i = f_j where (x - a) / w_i = +-(x - b) / w_j, a and b the sites
+    # shifted by a period; candidates that are no crossing only split cells
+    a = (s[i, None] + shift)[:, :, None]
+    b = (s[j, None] + shift)[:, None, :]
+    wi, wj = w[i, None, None], w[j, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cuts = np.concatenate(((a * wj - b * wi) / (wj - wi),
+                               (a * wj + b * wi) / (wi + wj)), axis=None)
+    cuts = np.concatenate((cuts[np.isfinite(cuts)] % 1.0, s, (s + 0.5) % 1.0))
+    cuts = np.unique(cuts)
+    ends = np.append(cuts[1:], cuts[0] + 1.0)
+    mids = ((cuts + ends) / 2 % 1.0)[:, None]
+    keys = np.sort(voronoi._rank_scan(mids, sites, k, G1), axis=1)
+    regions = {}
+    for key, length in zip(map(tuple, keys.tolist()), ends - cuts):
+        regions[key] = regions.get(key, 0.0) + length
+    return regions
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 60), st.integers(1, 4), st.sampled_from((2.1, 2.5, 3.0)),
+       st.integers(0, 2**32 - 1))
+def test_weighted_1d_region_counts_against_the_exact_oracle(n, k, beta, seed):
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    sites = WeightedSites.from_raw(rng.random((n, 1)),
+                                   rng.permutation(power_law_weights(n, beta)))
+    regions = _exact_1d_regions(sites, k)
+    samples = 20_000
+    res = count_regions_monte_carlo(sites, k, samples, seed, G1)
+    # Monte Carlo finds only regions that exist, and every region longer
+    # than 30 / samples (each missed with probability below e^-30)
+    assert res.keys <= set(regions) and res.count <= len(regions)
+    assert {key for key, length in regions.items()
+            if length > 30 / samples} <= res.keys
+
+
+def test_weighted_1d_region_count_reaches_the_exact_count():
+    # a small site set and a large budget find every region
+    rng = np.random.default_rng(4)
+    sites = WeightedSites.from_raw(rng.random((12, 1)),
+                                   rng.permutation(power_law_weights(12, 2.5)))
+    for k in (1, 2, 3):
+        regions = _exact_1d_regions(sites, k)
+        assert min(regions.values()) > 1e-4
+        res = count_regions_monte_carlo(sites, k, 400_000, 1, G1)
+        assert res.keys == set(regions)
+
+
 def test_region_count_prefix_extension_and_checkpoints():
     s = random_sites(100, G2, 5)
     a = count_regions_monte_carlo(s, 2, 5000, 3, G2)
@@ -179,10 +238,19 @@ def test_region_count_methods_agree():
         sg = random_sites(200, g, 13)
         res = count_regions_monte_carlo(sg, 2, 20_000, 7, g)
         _assert_matches_reference(res, sg, 2, 20_000, 7, g)
-    # weighted sites rank through knearest's weight-class trees
+    # weighted sites rank through knearest's cell table
     weighted = WeightedSites.from_raw(s.positions, power_law_weights(300, 2.5))
     res = count_regions_monte_carlo(weighted, 2, 20_000, 7, G2)
     _assert_matches_reference(res, weighted, 2, 20_000, 7, G2)
+    # in d = 1 one block of 32,768 rows deepens the table to 2048 cells and
+    # the second block to 4096 (8 n / K = 2400 cells)
+    line = WeightedSites.from_raw(s.positions[:, :1], power_law_weights(300, 2.5))
+    res = count_regions_monte_carlo(line, 1, 40_000, 7, G1)
+    _assert_matches_reference(res, line, 1, 40_000, 7, G1)
+    assert line.table(G1, 1).side == 4096
+    one = WeightedSites(line.positions, line.weights)
+    count_regions_monte_carlo(one, 1, 32_768, 7, G1)
+    assert one.table(G1, 1).side == 2048
 
 
 def test_region_count_tree_keys_equal_scan_keys_at_ties():
@@ -556,7 +624,7 @@ def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
     calls = _tree_spy(monkeypatch)
     built, scanned = calls["built"], calls["scanned"]
     rng = np.random.default_rng(5)
-    pts = rng.random((2000, 2))
+    pts = rng.random((4000, 2))
     k = 2
     sites = random_sites(500, G2, 3, power_law_weights(500, 2.5))
     classes = sites.weight_classes
@@ -564,60 +632,89 @@ def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
     assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(500))
     for j, members in enumerate(classes):
         assert np.all(np.floor(np.log2(sites.weights[members])) == j)
-    # a class of more than k + 2 members gets a tree unless it is at the
-    # reach cap, 4 (k + 2) 2^d / V members, where it is selected densely
-    cut = [c for c in classes if len(c) > k + 2]
-    cap = 4 * (k + 2) * 2**2 / math.pi
-    queried = [c for c in cut if len(c) > cap]
-    assert 0 < len(queried) < len(cut) < len(classes)
-
-    # the rows that fail the exactness check, recomputed from dense scores:
-    # each cut class's (k + 2)-th plain score bounds the members left out
-    wq = sites.weights ** (G2.score_power / G2.d)
-    scores = weighted_score_matrix(pts, sites, G2)
-    kth = np.sort(scores, axis=1)[:, k - 1]
-    unsure = np.zeros(len(pts), dtype=bool)
-    for members in cut:
-        plain = pnorm_scores(pts, sites.positions[members], G2)
-        bound = np.sort(plain, axis=1)[:, k + 1] / wq[members].max()
-        unsure |= bound <= kth * (1 + 1e-9)
-    assert 0 < unsure.sum() < len(pts) // 4
-
-    got = knearest(pts, sites, k, G2)
-    assert np.array_equal(got, rank_k_smallest(scores, k))
-    assert [len(t) for t in built] == [
-        _image_count(sites.positions[c], k + 2, G2) for c in queried]
-    assert len(scanned) == 1 and np.array_equal(scanned[0], pts[unsure])
-
-    # the class trees are kept: a two-block Monte Carlo count and a second
-    # call build nothing; the unwrapped metric gets its own trees, one per
-    # cut class (the cube has no reach cap), also kept
-    scanned.clear()
-    count_regions_monte_carlo(sites, k, 40_000, 1, G2)
-    knearest(pts, sites, k, G2)
-    assert len(built) == len(queried) and len(scanned) == 3
     flat = GeometrySpec(d=2, p_norm=2, wrap=False)
-    assert np.array_equal(knearest(pts, sites, k, flat),
-                          rank_k_smallest(weighted_score_matrix(pts, sites, flat), k))
-    knearest(pts, sites, k, flat)
-    assert [len(t) for t in built[len(queried):]] == [len(c) for c in cut]
 
-    # too few points to pay for the trees: the scan alone
-    scanned.clear()
+    # weighted sites rank through their cell table: no cKDTree, no scan
+    got = knearest(pts, sites, k, G2)
+    assert np.array_equal(got, rank_k_smallest(
+        weighted_score_matrix(pts, sites, G2), k))
+    assert not built and not scanned
+    # one 4000-row call stays coarse: the root has 8^2 cells (8^2 * 500 <=
+    # 2^16 < 16^2 * 500) and one split reaches 4000 / 16 = 250 cells
+    table = sites.table(G2, k)
+    assert (table.side, table.rows) == (16, 4000)
+    cells = table.side ** 2
+    assert table.cand.shape == (cells, table.length.max())
+    for row, length in zip(table.cand, table.length):
+        assert k <= length and np.all(np.diff(row[:length]) > 0)
+
+    # one table per (K, g), kept: a Monte Carlo count deepens it; the first
+    # grid with at least 8 n / K = 2000 cells is the deepest, however many
+    # rows follow
+    count_regions_monte_carlo(sites, k, 40_000, 1, G2)
+    assert sites.table(G2, k) is table and table.rows == 44_000
+    assert (table.side // 2) ** 2 < 8 * 500 / k <= table.side ** 2
+    side = table.side
+    count_regions_monte_carlo(sites, k, 100_000, 2, G2)
+    assert table.side == side and table.rows == 144_000
+    # the unwrapped metric and another k get tables of their own
+    assert np.array_equal(knearest(pts, sites, k, flat), rank_k_smallest(
+        weighted_score_matrix(pts, sites, flat), k))
+    knearest(pts, sites, k + 1, G2)
+    assert set(sites._tables) == {(k, G2), (k, flat), (k + 1, G2)}
+    assert sites.table(G2, k) is table
+    assert not built and not scanned
+
+    # too few points or too few sites: the scan alone
     few = voronoi._TREE_MIN_ROWS
-    knearest(pts[:few - 1], random_sites(500, G2, 4, power_law_weights(500, 2.5)),
-             k, G2)
-    assert [len(p) for p in scanned] == [few - 1]
-    assert len(built) == len(queried) + len(cut)
-
-    # when no class gets a tree, every row is scanned and nothing is built
-    scanned.clear()
-    small = random_sites(20, G2, 4, power_law_weights(20, 2.5))
-    assert all(len(c) <= cap for c in small.weight_classes)
+    knearest(pts[:few - 1], sites, k, G2)
+    small = random_sites(voronoi._TABLE_MIN_SITES - 1, G2, 4,
+                         power_law_weights(voronoi._TABLE_MIN_SITES - 1, 2.5))
     assert np.array_equal(knearest(pts, small, k, G2), rank_k_smallest(
         weighted_score_matrix(pts, small, G2), k))
-    assert [len(p) for p in scanned] == [len(pts)]
-    assert len(built) == len(queried) + len(cut)
+    assert [len(p) for p in scanned] == [few - 1, len(pts)]
+    assert not small._tables and not built
+
+    # the T < 1 race still takes its candidates from the weight-class trees
+    draw_geometric_clause_vars(pts[:100], sites, k, 0.5, G2,
+                               np.random.default_rng(0))
+    assert built
+
+
+def test_cell_table_lists_hold_every_site_that_can_rank():
+    # on every cell of the table of a 40-site set: a site left out has a
+    # lower bound above the cell's U, the K-th smallest upper bound over all
+    # sites; and the brute-force K nearest at the cell's corners, and one
+    # ulp inside or outside each edge, are in its list
+    rng = np.random.default_rng(8)
+    sites = WeightedSites.from_raw(rng.random((40, 2)),
+                                   rng.permutation(power_law_weights(40, 2.1)))
+    for g in (G2, GeometrySpec(d=2, p_norm=INFINITY),
+              GeometrySpec(d=2, p_norm=1, wrap=False)):
+        for K in (1, 3):
+            table = sites.table(g, K)
+            side = table.side
+            assert side > 1
+            wq = sites.weights ** (g.score_power / 2)
+            edges = np.arange(side + 1) / side
+            # per axis: each edge, and one ulp below and above it
+            near = np.stack((edges, np.nextafter(edges, -1), np.nextafter(edges, 2)))
+            for cell in range(side ** 2):
+                i, j = divmod(cell, side)
+                listed = table.cand[cell, :table.length[cell]]
+                centre = [np.array([[(i + 0.5) / side]]),
+                          np.array([[(j + 0.5) / side]])]
+                lo, up = box_score_bounds(centre, 0.5 / side,
+                                          list(sites.positions.T), g)
+                lo, up = lo[0] / wq, up[0] / wq
+                U = np.sort(up)[K - 1]
+                out = np.setdiff1d(np.arange(sites.n), listed)
+                assert np.all(lo[out] > U)
+                xs = near[:, [i, i + 1]].ravel()
+                ys = near[:, [j, j + 1]].ravel()
+                pts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+                order, _ = _brute_plain(pts, sites, K, g)
+                assert np.all(np.isin(order[:, :K], listed))
 
 
 def _brute_plain(points, sites, k, g):
@@ -651,8 +748,9 @@ def _clustered_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_clustered_cases())
 def test_knearest_on_clustered_sites_equals_scan_and_brute_force(case):
-    # sites within 0.05 of one point: most rows lie beyond a tree's reach
-    # (the far rows) and small weight classes are selected densely
+    # sites within 0.05 of one point: most rows lie beyond the unweighted
+    # tree's reach (the far rows), and most cells of a weighted table lie
+    # far from every site
     g, sites, pts, k = case
     got = knearest(pts, sites, k, g)
     assert np.array_equal(got, voronoi._rank_scan(pts, sites, k, g))
