@@ -10,26 +10,29 @@ score from ``weighted_score_matrix``: of all n sites for the scan, of
 chosen candidate indices for the cell table, the trees and the sampler's
 race.
 
-``knearest`` is the one exact k-nearest kernel.  For weighted sites it
-reads its candidates from a cell table that the site set builds and keeps
+``knearest`` is the one exact k-nearest kernel.  It reads its candidates
+from a cell table that the site set builds and keeps
 (``WeightedSites.table``), the uniform-grid bucketing of Bentley, Weide and
 Yao (ACM TOMS 1980): each cell of a grid lists, in increasing index, the
 sites that can rank among the k weighted-nearest anywhere in the cell,
 proved by score bounds over the cell's box (``geometry.box_score_bounds``),
 so a row scores only its cell's list.  Random positions with multiplicative
 weights give O(n) non-empty order-k regions, so these lists stay short.
-For unweighted sites it queries one plain cKDTree (``WeightedSites.tree``);
-on the torus the tree holds the periodic images of the sites that lie
-within a reach of the unit cube, so its plain distances are torus distances
-wherever the reach covers the query.  Rows the tree cannot settle, calls
-with few points and inputs outside [0, 1)^d go to the dense score scan, so
-every backend returns the same indices.  The sampler's exponential race
-(``generate``) takes its candidates from one tree per weight class
-[2^j, 2^(j+1)), the layering of the geometric inhomogeneous random graph
-samplers (Bringmann, Keusch and Lengler, arXiv 1511.00576), through
-``_class_candidates``, or all n sites when no class is cut short.  Monte
-Carlo counting ranks through ``knearest`` alone and sorts its rows into
-region keys; ``k_nearest_sites`` is the scan-only reference for one point.
+Weighted sites take the table at once; unweighted sites take it once
+warm, after 16 n / k rows ranked, and before that query one plain cKDTree
+(``WeightedSites.tree``), which a one-shot call builds faster than a table
+deep enough to beat it.  On the torus the tree holds the periodic images of
+the sites that lie within a reach of the unit cube, so its plain distances
+are torus distances wherever the reach covers the query.  Rows the tree
+cannot settle, calls with few points and inputs outside [0, 1)^d go to the
+dense score scan, so every backend returns the same indices.  The
+sampler's exponential race (``generate``) takes its candidates from one
+tree per weight class [2^j, 2^(j+1)), the layering of the geometric
+inhomogeneous random graph samplers (Bringmann, Keusch and Lengler, arXiv
+1511.00576), through ``_class_candidates``, or all n sites when no class is
+cut short.  Monte Carlo counting ranks through ``knearest`` alone and sorts
+its rows into region keys; ``k_nearest_sites`` is the scan-only reference
+for one point.
 """
 
 import bisect
@@ -62,9 +65,11 @@ _TREE_MIN_ROWS = 8
 # points (d = 2, k = 2, beta 2.5, 2 vCPU) the scan took 16.4 ms at 8 sites
 # against 21.3 ms for a one-shot table, and 17.6 against 15.3 ms at 15 sites
 _TABLE_MIN_SITES = 12
-# the depth rule of the weighted cell table (``knearest``): a root grid of
-# G^d cells with G^d n <= _ROOT_ENTRIES, deepened while it has fewer cells
-# than _CELLS_PER_SITE n / K and than one per _ROWS_PER_CELL rows ranked
+# the depth rule of the cell table (``knearest``): a root grid of G^d cells
+# with G^d n <= _ROOT_ENTRIES, deepened while it has fewer cells than
+# _CELLS_PER_SITE n / K and than one per _ROWS_PER_CELL rows ranked.
+# Unweighted sites take the table once _ROWS_PER_CELL n / K rows are ranked
+# (by the tree until then), so it then has at least n / K cells
 _ROOT_ENTRIES = 1 << 16
 _CELLS_PER_SITE = 8
 _ROWS_PER_CELL = 16
@@ -72,6 +77,9 @@ _ROWS_PER_CELL = 16
 # width) scores per ranking block, which bound the table's temporaries
 _BUILD_ENTRIES = 1 << 15
 _RANK_ENTRIES = 1 << 16
+# the table ranks a call's points in chunks of this many rows, so that its
+# per-row index arrays stay small
+_RANK_ROWS = 1 << 12
 # a cell's half-side is widened by this much, more than the rounding of any
 # coordinate difference in [0, 1) (a few ulps of 1), so the bounds hold for
 # the computed scores of every point of the cell
@@ -88,9 +96,11 @@ class WeightedSites:
     positions outside [0, 1)^d are legal (``knearest`` scans them).
 
     A site set keeps what ``knearest`` and the sampler's race build for it
-    on first use: the cell tables of weighted k-nearest (``table``, one per
-    (k, metric), deepened as they rank more rows) and the plain cKDTrees of
-    unweighted k-nearest and of the race's weight classes (``tree``)."""
+    on first use: the cell tables of k-nearest (``table``, one per
+    (k, metric), deepened as they rank more rows; unweighted sites count
+    their rows there from the first call and rank through it once warm)
+    and the plain cKDTrees of cold unweighted k-nearest and of the race's
+    weight classes (``tree``)."""
 
     positions: np.ndarray
     weights: np.ndarray
@@ -164,7 +174,7 @@ class WeightedSites:
         (K, g); ``knearest`` deepens it as it ranks more rows."""
         key = (K, g)
         if key not in self._tables:
-            table = _CellTable(1, np.arange(self.n)[None, :],
+            table = _CellTable(1, np.arange(self.n, dtype=np.int32)[None, :],
                                np.array([self.n]))
             while ((2 * table.side) ** self.d * self.n <= _ROOT_ENTRIES
                    and table.side ** self.d < _CELLS_PER_SITE * self.n / K):
@@ -223,8 +233,10 @@ class WeightedSites:
 class _CellTable:
     """The sites that can rank among the K weighted-nearest of some point
     of each cell of a grid of ``side``^d cells of [0, 1)^d, cells in
-    row-major order: row c of ``cand`` holds ``length[c]`` increasing site
-    indices, then padding.  ``rows`` counts the rows it has ranked."""
+    row-major order: row c of ``cand`` (int32) holds ``length[c]``
+    increasing site indices, then padding.  ``rows`` counts the rows ranked
+    under its (K, metric): by the table, and for unweighted sites also by
+    the tree before the table takes over (see ``knearest``)."""
 
     side: int
     cand: np.ndarray
@@ -247,8 +259,10 @@ class _CellTable:
         coords = np.indices((self.side,) * d).reshape(d, -1).T
         offset = np.array([0.5, 1.5])
         halves = np.indices((2,) * d).reshape(d, -1).T
+        # a child's list is part of its parent's, so it fits the parent's width
+        cand = np.zeros((side**d, self.cand.shape[1]), dtype=np.int32)
+        length = np.empty(side**d, dtype=np.int64)
         step = max(1, _BUILD_ENTRIES // (2**d * self.cand.shape[1]))
-        blocks = []
         for a in range(0, len(coords), step):
             parent = coords[a:a + step]
             c = self.cand[a:a + step, :self.length[a:a + step].max()]
@@ -265,8 +279,8 @@ class _CellTable:
             wc = wq[c].reshape(shape)
             lo = (lo / wc).reshape(-1, c.shape[1])
             up = (up / wc).reshape(-1, c.shape[1])
-            length = np.repeat(self.length[a:a + step], 2**d)
-            pad = np.arange(c.shape[1]) >= length[:, None]
+            inherited = np.repeat(self.length[a:a + step], 2**d)
+            pad = np.arange(c.shape[1]) >= inherited[:, None]
             lo[pad] = up[pad] = np.inf
             bound = np.partition(up, K - 1, axis=1)[:, K - 1] * (1.0 + _TIE_GAP)
             keep = lo <= bound[:, None]
@@ -277,17 +291,11 @@ class _CellTable:
             flat = np.flatnonzero(keep)
             at = np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts,
                                                   counts)
-            block = np.zeros((len(keep), counts.max()), dtype=np.int64)
-            block[rows, at] = c[rows >> d, flat - rows * c.shape[1]]
             child = (2 * parent[:, None, :] + halves).reshape(-1, d)
-            blocks.append((np.ravel_multi_index(child.T, (side,) * d), counts,
-                           block))
-        self.cand = np.zeros((side**d, max(b.shape[1] for *_, b in blocks)),
-                             dtype=np.int64)
-        self.length = np.empty(side**d, dtype=np.int64)
-        for cell, counts, block in blocks:
-            self.cand[cell, :block.shape[1]] = block
-            self.length[cell] = counts
+            child = np.ravel_multi_index(child.T, (side,) * d)
+            cand[child[rows], at] = c[rows >> d, flat - rows * c.shape[1]]
+            length[child] = counts
+        self.cand, self.length = cand[:, :length.max()], length
         self.side = side
 
 
@@ -421,38 +429,41 @@ def _class_candidates(points, sites, g, sizes):
 
 
 def _rank_table(points, sites, k, g):
-    """``knearest`` of weighted sites by their cell table for k.
+    """``knearest`` by the site set's cell table for k.
 
     The table first deepens by the depth rule (see ``_ROWS_PER_CELL``).
     Each row then scores its cell's list by ``weighted_score_matrix``, with
     +inf past the list's length, and ranks it by ``rank_k_smallest``: the
     lists increase in site index, so that is the scan's (score, index)
-    rule.  Rows are grouped by list length into widths 8, 16, 32, ... up
-    to the table's width and scored in blocks of at most ``_RANK_ENTRIES``.
+    rule.  In chunks of ``_RANK_ROWS`` rows, rows are grouped by list
+    length into widths 8, 16, 32, ... up to the table's width and scored in
+    blocks of at most ``_RANK_ENTRIES``.
     """
     table = sites.table(g, k)
     table.rows += len(points)
-    d = sites.d
-    cap = min(_CELLS_PER_SITE * sites.n / k, table.rows / _ROWS_PER_CELL)
-    while table.side ** d < cap:
+    while (table.side ** sites.d < _CELLS_PER_SITE * sites.n / k
+           and table.side ** sites.d * _ROWS_PER_CELL < table.rows):
         table.split(sites, g, k)
-    cell = np.ravel_multi_index(
-        np.floor(points * table.side).astype(np.int64).T, (table.side,) * d)
-    length = table.length[cell]
-    # the least power of two >= length (frexp(0) gives exponent 0)
-    width = np.left_shift(1, np.frexp(length - 1)[1])
-    width = np.minimum(np.maximum(width, 8), table.cand.shape[1])
+    side = table.side
     out = np.empty((len(points), k), dtype=np.int64)
-    for w in np.unique(width):
-        group = np.flatnonzero(width == w)
-        step = max(1, _RANK_ENTRIES // w)
-        for a in range(0, len(group), step):
-            rows = group[a:a + step]
-            cand = table.cand[cell[rows], :w]
-            scores = weighted_score_matrix(points[rows], sites, g, cand)
-            scores[np.arange(w) >= length[rows, None]] = np.inf
-            out[rows] = np.take_along_axis(cand, rank_k_smallest(scores, k),
-                                           axis=1)
+    for a in range(0, len(points), _RANK_ROWS):
+        chunk = points[a:a + _RANK_ROWS]
+        cell = np.ravel_multi_index(
+            np.floor(chunk * side).astype(np.int64).T, (side,) * sites.d)
+        length = table.length[cell]
+        # the least power of two >= length (frexp(0) gives exponent 0)
+        width = np.left_shift(1, np.frexp(length - 1)[1])
+        width = np.minimum(np.maximum(width, 8), table.cand.shape[1])
+        for w in np.unique(width):
+            group = np.flatnonzero(width == w)
+            step = max(1, _RANK_ENTRIES // w)
+            for b in range(0, len(group), step):
+                rows = group[b:b + step]
+                cand = table.cand[cell[rows], :w]
+                scores = weighted_score_matrix(chunk[rows], sites, g, cand)
+                scores[np.arange(w) >= length[rows, None]] = np.inf
+                out[a + rows] = np.take_along_axis(
+                    cand, rank_k_smallest(scores, k), axis=1)
     return out
 
 
@@ -463,21 +474,26 @@ def knearest(points, sites, k, g):
 
     The tree and the cell table serve ``_TREE_MIN_ROWS`` or more points
     when sites and points lie in [0, 1)^d and k < n; every other input is
-    scanned.  On the torus a tree is a plain cKDTree over the sites'
-    periodic images within its reach (``WeightedSites.tree``); a row whose
-    last tree distance is not below the reach is a far row, and a set of
-    sites too small for a reach below 1/2 has no tree.
+    scanned.  The table serves site sets of at least ``_TABLE_MIN_SITES``
+    sites: weighted ones always (fewer weighted sites are scanned), and
+    unweighted ones once warm, when the table for (k, metric) counts at
+    least ``_ROWS_PER_CELL`` n / k rows ranked before this call.  Until then
+    an unweighted call takes the tree and adds its rows to that count, so a
+    one-shot call keeps the tree and a Monte Carlo count takes the table
+    from its second block on.  Fewer unweighted sites always take the tree.
 
-    Unweighted sites: the tree returns the k + 1 nearest sites of each
-    point in distance order.  If every two adjacent distances of a row lie
-    more than a relative ``_TIE_GAP`` apart, the exact scores keep that
-    order, every other site is farther than the k-th, and the row is the
-    tree's first k.  Rows with a closer pair, and far rows, are scanned;
-    with no tree, every row is.
+    Unweighted sites on the tree: on the torus it is a plain cKDTree over
+    the sites' periodic images within its reach (``WeightedSites.tree``);
+    a row whose last tree distance is not below the reach is a far row, and
+    a set of sites too small for a reach below 1/2 has no tree.  The tree
+    returns the k + 1 nearest sites of each point in distance order.  If
+    every two adjacent distances of a row lie more than a relative
+    ``_TIE_GAP`` apart, the exact scores keep that order, every other site
+    is farther than the k-th, and the row is the tree's first k.  Rows with
+    a closer pair, and far rows, are scanned; with no tree, every row is.
 
-    Weighted sites (at least ``_TABLE_MIN_SITES`` of them; fewer are
-    scanned): each row scores the list of its cell in the site set's table
-    for k (``WeightedSites.table``) and ranks it by (score, index),
+    The cell table: each row scores the list of its cell in the site set's
+    table for k (``WeightedSites.table``) and ranks it by (score, index),
     ``_rank_table``.  For a cell of centre c and side h and a site s, with
     delta the per-coordinate distance from c to s (wrapped on the torus),
     the rootless score of every point of the cell lies in [lo, up] / w^(q/d),
@@ -492,18 +508,23 @@ def knearest(points, sites, k, g):
     or the first with ``_CELLS_PER_SITE`` n / k cells if that is coarser;
     it then halves again while it has fewer cells than
     min(``_CELLS_PER_SITE`` n / k, R / ``_ROWS_PER_CELL``), R the rows it
-    has ranked, this call included.  So a one-shot call stays coarse and a
-    Monte Carlo count deepens after its first block.
+    counts, this call included.  So a one-shot call stays coarse and a
+    Monte Carlo count deepens after its first block; a warm unweighted call
+    finds at least n / k cells.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not 1 <= k <= sites.n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
     if not (k < sites.n and _trees_serve(pts, sites)):
         return _rank_scan(pts, sites, k, g)
-    if not sites.unweighted:
-        if sites.n < _TABLE_MIN_SITES:
-            return _rank_scan(pts, sites, k, g)
-        return _rank_table(pts, sites, k, g)
+    if sites.n >= _TABLE_MIN_SITES:
+        table = sites.table(g, k)
+        if (not sites.unweighted
+                or table.rows >= _ROWS_PER_CELL * sites.n / k):
+            return _rank_table(pts, sites, k, g)
+        table.rows += len(pts)
+    elif not sites.unweighted:
+        return _rank_scan(pts, sites, k, g)
     found = sites.tree(g, None, k + 1)
     if found is None:
         return _rank_scan(pts, sites, k, g)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from geoksat import voronoi
 from geoksat.dimacs import load_sites
-from geoksat.generate import draw_geometric_clause_vars
+from geoksat.generate import (draw_geometric_clause_vars,
+                              sample_geometric_formula)
 from geoksat.geometry import (GeometrySpec, INFINITY, ball_volume_constant,
                               box_score_bounds, weighted_distance)
 from geoksat.voronoi import (WeightedSites, compute_R_A,
@@ -255,11 +256,14 @@ def test_region_count_methods_agree():
 
 def test_region_count_tree_keys_equal_scan_keys_at_ties():
     # coincident grid sites tie at the k-th place: the tree path must keep
-    # the scan's smaller-index rule there, not the tree's internal order
+    # the scan's smaller-index rule there, not the tree's internal order;
+    # 40,000 samples span two Monte Carlo blocks, the first on the tree and
+    # the second, warm, on the cell table
     rng = np.random.default_rng(2)
     s = WeightedSites(rng.integers(0, 8, (40, 2)) / 8, np.ones(40))
-    res = count_regions_monte_carlo(s, 3, 20_000, 3, G2)
-    _assert_matches_reference(res, s, 3, 20_000, 3, G2)
+    res = count_regions_monte_carlo(s, 3, 40_000, 3, G2)
+    _assert_matches_reference(res, s, 3, 40_000, 3, G2)
+    assert s.table(G2, 3).rows == 40_000
     # k = n: the tree has no (k + 1)-th neighbour to compare with
     every = count_regions_monte_carlo(WeightedSites(s.positions[:3], np.ones(3)),
                                       3, 100, 0, G2)
@@ -475,6 +479,16 @@ def test_knearest_equals_scan_and_brute_force(case):
     brute, dist = _brute_ranking(pts, sites, k, g)
     if sites.unweighted:
         assert np.array_equal(got, brute[:, :k])
+        # warm at once: the same site set ranks the rows again through its
+        # cell table, exact ties and all
+        served = (sites.n >= voronoi._TABLE_MIN_SITES and k < sites.n
+                  and sites.in_unit_cube)
+        with mock.patch.object(voronoi, "_TREE_MIN_ROWS", 1), \
+                mock.patch.object(voronoi, "_ROWS_PER_CELL", 0), \
+                mock.patch.object(voronoi, "_rank_table",
+                                  wraps=voronoi._rank_table) as ranked:
+            assert np.array_equal(knearest(pts, sites, k, g), got)
+        assert ranked.called == served
         return
     # weighted distances are roots of the scores: a tie of scores may round
     # apart, so rows whose first k + 1 distances nearly tie are held to the
@@ -545,7 +559,9 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
 
     pos = rng.random((200, 2))
     plain = WeightedSites(pos, np.ones(200))
+    # a site set's first call takes the tree, and its table counts the rows
     assert run(plain) == (1, 0)
+    assert plain.table(G2, 3).rows == len(pts)
     # too few points to pay for the tree: the scan alone
     few = voronoi._TREE_MIN_ROWS
     assert run(plain, pts=pts[:few]) == (1, 0)
@@ -562,8 +578,14 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
     # two Monte Carlo blocks share it; it holds the sites' periodic images
     # within its reach, each owned by its site; the plain (unwrapped)
     # distance gets a second one over the sites themselves, also kept
+    calls["queries"] = 0
     count_regions_monte_carlo(plain, 3, 40_000, 1, G2)
     assert [len(t) for t in calls["built"]] == [_image_count(pos, 4, G2)]
+    # warm: after 16 n / k = 1067 rows (the count's first block) the site
+    # set ranks through its cell table, with no tree query and no scan
+    assert calls["queries"] == 1
+    assert plain.table(G2, 3).rows == len(pts) + 10 + 40_000
+    assert run(plain) == (0, 0)
     tree, owner, reach = plain.tree(G2, None, 4)
     shift = np.round(tree.data - pos[owner])
     assert np.array_equal(tree.data, pos[owner] + shift)
@@ -592,6 +614,11 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
         assert np.array_equal(rows, dup | far) and far.sum() < len(pts) // 20
         assert run(twice, k=1) == (1, rows.sum())
         assert np.array_equal(calls["scanned"][0], pts[rows])
+        # the table ranks the tie rows too, from the call after the one
+        # that reaches 16 n / k rows ranked
+        knearest(rng.random((16 * twice.n - 2 * len(pts), 2)), twice, 1, G2)
+        assert run(twice, k=1) == (1, rows.sum())
+        assert run(twice, k=1) == (0, 0)
     # clustered sites: rows far from the cluster have their k + 1 nearest
     # images beyond the reach; exactly the tie rows and those far rows are
     # scanned
@@ -618,6 +645,17 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
     four = WeightedSites(pos[:4], np.ones(4))
     assert run(four, g=flat) == (1, 0)
     assert run(four, k=4, g=flat) == (0, len(pts))
+    # fewer than 12 sites keep the tree however many rows they rank
+    for _ in range(3):
+        assert run(four, g=flat) == (1, 0)
+    assert not four._tables
+    # a T = 0 core at the pigeonhole clause count (n 2000, k 2, m 31,969) is
+    # one call on a fresh site set: one tree query, and no table level
+    # beyond the root
+    calls["queries"], m = 0, 4 * 2 * 2 * 1998 + 1
+    core = sample_geometric_formula(2000, m, 2, G2, 0.0, None, seed=7)
+    assert calls["queries"] == 1
+    assert (core.sites.table(G2, 2).side, core.sites.table(G2, 2).rows) == (4, m)
 
 
 def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
