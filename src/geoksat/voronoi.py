@@ -18,14 +18,16 @@ sites that can rank among the k weighted-nearest anywhere in the cell,
 proved by score bounds over the cell's box (``geometry.box_score_bounds``),
 so a row scores only its cell's list.  Random positions with multiplicative
 weights give O(n) non-empty order-k regions, so these lists stay short.
-Weighted sites take the table at once; unweighted sites take it once
-warm, after 16 n / k rows ranked, and before that query one plain cKDTree
+A table starts as one cell listing all n sites, where ranking is the
+dense scan, and halves its cells as it ranks more rows.  Weighted sites
+take the table at once; unweighted sites take it once warm, after 16 n / k
+rows ranked, and before that query one plain cKDTree
 (``WeightedSites.tree``), which a one-shot call builds faster than a table
 deep enough to beat it.  On the torus the tree holds the periodic images of
 the sites that lie within a reach of the unit cube, so its plain distances
 are torus distances wherever the reach covers the query.  Rows the tree
-cannot settle, calls with few points and inputs outside [0, 1)^d go to the
-dense score scan, so every backend returns the same indices.  The
+cannot settle, k = n and inputs outside [0, 1)^d go to the dense score
+scan, so every backend returns the same indices.  The
 sampler's exponential race (``generate``) takes its candidates from one
 tree per weight class [2^j, 2^(j+1)), the layering of the geometric
 inhomogeneous random graph samplers (Bringmann, Keusch and Lengler, arXiv
@@ -58,19 +60,14 @@ _SCAN_ENTRIES = 4_000_000
 # smaller); a row with a closer pair may hide a tie and is scanned.  The cell
 # table's lists keep this relative slack over their bound for the same reason
 _TIE_GAP = 1e-9
-# knearest scans fewer query rows than this: building the tree costs about as
-# much as scanning this many rows (2 vCPU, d = 2, n from 50 to 20000)
+# the sampler's race is lazy only for calls of at least this many clauses
+# (``_trees_serve``); kept so that smaller calls draw the full race's stream
 _TREE_MIN_ROWS = 8
-# knearest scans weighted site sets of fewer sites than this: per 32,768
-# points (d = 2, k = 2, beta 2.5, 2 vCPU) the scan took 16.4 ms at 8 sites
-# against 21.3 ms for a one-shot table, and 17.6 against 15.3 ms at 15 sites
-_TABLE_MIN_SITES = 12
-# the depth rule of the cell table (``knearest``): a root grid of G^d cells
-# with G^d n <= _ROOT_ENTRIES, deepened while it has fewer cells than
-# _CELLS_PER_SITE n / K and than one per _ROWS_PER_CELL rows ranked.
-# Unweighted sites take the table once _ROWS_PER_CELL n / K rows are ranked
-# (by the tree until then), so it then has at least n / K cells
-_ROOT_ENTRIES = 1 << 16
+# the depth rule of the cell table (``_rank_table``): from one cell, halved
+# while it has fewer cells than _CELLS_PER_SITE n / K and than one per
+# _ROWS_PER_CELL rows ranked.  Unweighted sites take the table once
+# _ROWS_PER_CELL n / K rows are ranked (by the tree until then), so it then
+# has at least n / K cells
 _CELLS_PER_SITE = 8
 _ROWS_PER_CELL = 16
 # most (cells x parent list width) bounds per build chunk, and (rows x list
@@ -170,16 +167,12 @@ class WeightedSites:
 
     def table(self, g, K):
         """The ``_CellTable`` for K-nearest queries under ``g``, all sites in
-        [0, 1)^d: built at its root level on first use and kept, one per
-        (K, g); ``knearest`` deepens it as it ranks more rows."""
+        [0, 1)^d: one cell listing every site on first use, kept, one per
+        (K, g); ``_rank_table`` deepens it as it ranks more rows."""
         key = (K, g)
         if key not in self._tables:
-            table = _CellTable(1, np.arange(self.n, dtype=np.int32)[None, :],
-                               np.array([self.n]))
-            while ((2 * table.side) ** self.d * self.n <= _ROOT_ENTRIES
-                   and table.side ** self.d < _CELLS_PER_SITE * self.n / K):
-                table.split(self, g, K)
-            self._tables[key] = table
+            self._tables[key] = _CellTable(
+                1, np.arange(self.n, dtype=np.int32)[None, :], np.array([self.n]))
         return self._tables[key]
 
     def tree(self, g, cls, K):
@@ -199,8 +192,9 @@ class WeightedSites:
         for uniform sites.  Every image within D < r of a point in [0, 1)^d
         is in the tree, and for r < 1/2 no two images of one site lie within
         r of it, so the reach is r less a relative ``_TIE_GAP``.  None when
-        r >= 1/2: at most 4K 2^d / V sites, which one dense selection ranks
-        faster than a tree (``_nearest_dense``).
+        r >= 1/2: at most 4K 2^d / V sites, which one dense selection
+        (``_nearest_dense``) or ``knearest``'s cell table ranks faster than
+        a tree.
         """
         if len(self.weight_classes) == 1:
             cls = None  # the one class holds every site, in index order
@@ -363,8 +357,9 @@ def _rank_scan(points, sites, k, g):
 
 
 def _trees_serve(points, sites):
-    """Whether the trees and the cell table may rank these points: at least
-    ``_TREE_MIN_ROWS`` of them, and sites and points in [0, 1)^d."""
+    """Whether the sampler's race may be lazy for these clause points: at
+    least ``_TREE_MIN_ROWS`` of them, and sites and points in [0, 1)^d.
+    Smaller calls keep the full race, and so its stream of exponentials."""
     return (len(points) >= _TREE_MIN_ROWS and sites.in_unit_cube
             and _in_unit_cube(points))
 
@@ -472,15 +467,13 @@ def knearest(points, sites, k, g):
     each point, ranked by increasing distance with ties broken by smaller
     index: ``rank_k_smallest`` on ``weighted_score_matrix``, row for row.
 
-    The tree and the cell table serve ``_TREE_MIN_ROWS`` or more points
-    when sites and points lie in [0, 1)^d and k < n; every other input is
-    scanned.  The table serves site sets of at least ``_TABLE_MIN_SITES``
-    sites: weighted ones always (fewer weighted sites are scanned), and
-    unweighted ones once warm, when the table for (k, metric) counts at
-    least ``_ROWS_PER_CELL`` n / k rows ranked before this call.  Until then
-    an unweighted call takes the tree and adds its rows to that count, so a
-    one-shot call keeps the tree and a Monte Carlo count takes the table
-    from its second block on.  Fewer unweighted sites always take the tree.
+    k = n, and sites or points outside [0, 1)^d, are scanned.  Otherwise
+    the cell table ranks weighted sites always, and unweighted ones once
+    warm, when the table for (k, metric) counts at least ``_ROWS_PER_CELL``
+    n / k rows ranked before this call, or when they have no tree.  Until
+    then an unweighted call takes the tree and adds its rows to that count,
+    so a one-shot call keeps the tree and a Monte Carlo count takes the
+    table from its second block on.
 
     Unweighted sites on the tree: on the torus it is a plain cKDTree over
     the sites' periodic images within its reach (``WeightedSites.tree``);
@@ -490,7 +483,7 @@ def knearest(points, sites, k, g):
     every two adjacent distances of a row lie more than a relative
     ``_TIE_GAP`` apart, the exact scores keep that order, every other site
     is farther than the k-th, and the row is the tree's first k.  Rows with
-    a closer pair, and far rows, are scanned; with no tree, every row is.
+    a closer pair, and far rows, are scanned.
 
     The cell table: each row scores the list of its cell in the site set's
     table for k (``WeightedSites.table``) and ranks it by (score, index),
@@ -503,31 +496,26 @@ def knearest(points, sites, k, g):
     ranks there and the list holds every other site: the rows are exact by
     construction, with no fallback.  The slack, and a half-side widened by
     ``_CELL_MARGIN``, cover the rounding of the scores.  The table starts
-    from one cell and halves its side, each child filtering its parent's
-    list, to the finest grid of G^d cells with G^d n <= ``_ROOT_ENTRIES``,
-    or the first with ``_CELLS_PER_SITE`` n / k cells if that is coarser;
-    it then halves again while it has fewer cells than
+    as one cell listing every site, the dense scan, and halves its side,
+    each child filtering its parent's list, while it has fewer cells than
     min(``_CELLS_PER_SITE`` n / k, R / ``_ROWS_PER_CELL``), R the rows it
-    counts, this call included.  So a one-shot call stays coarse and a
-    Monte Carlo count deepens after its first block; a warm unweighted call
-    finds at least n / k cells.
+    counts, this call included.  So a call of few rows ranks as the scan
+    does, a one-shot call stays coarse and a Monte Carlo count deepens
+    after its first block; a warm unweighted call finds at least n / k
+    cells.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not 1 <= k <= sites.n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
-    if not (k < sites.n and _trees_serve(pts, sites)):
+    if k == sites.n or not (sites.in_unit_cube and _in_unit_cube(pts)):
         return _rank_scan(pts, sites, k, g)
-    if sites.n >= _TABLE_MIN_SITES:
-        table = sites.table(g, k)
-        if (not sites.unweighted
-                or table.rows >= _ROWS_PER_CELL * sites.n / k):
-            return _rank_table(pts, sites, k, g)
-        table.rows += len(pts)
-    elif not sites.unweighted:
-        return _rank_scan(pts, sites, k, g)
-    found = sites.tree(g, None, k + 1)
+    table = sites.table(g, k)
+    found = None
+    if sites.unweighted and table.rows < _ROWS_PER_CELL * sites.n / k:
+        found = sites.tree(g, None, k + 1)
     if found is None:
-        return _rank_scan(pts, sites, k, g)
+        return _rank_table(pts, sites, k, g)
+    table.rows += len(pts)
     tree, owner, reach = found
     dist, idx = tree.query(pts, k=k + 1, p=g.p_norm)
     ranked = owner[idx[:, :k]]
@@ -716,7 +704,7 @@ def relevance_certificate(A, sites, g, seed_point=None):
     return None
 
 
-def generate_worst_case_sites(n, high_weight=None):
+def generate_worst_case_sites(n):
     """2D Euclidean configuration whose order-3 diagram grows superlinearly.
 
     Half the sites are high-weight and collinear on the left (a vertical
@@ -732,7 +720,7 @@ def generate_worst_case_sites(n, high_weight=None):
     if n < 4 or n % 2:
         raise ValueError("n must be even and >= 4")
     h = n // 2
-    sqrt_h_weight = 3.0 * n if high_weight is None else math.sqrt(high_weight)
+    sqrt_h_weight = 3.0 * n
     heavy_x = 0.18
     light_x0, light_x1 = 0.40, 0.62
     light_x = (np.linspace(light_x0, light_x1, h) if h > 1

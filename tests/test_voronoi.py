@@ -406,10 +406,10 @@ def test_region_count_dedup_matches_reference(n, k, backend, samples,
                                               monkeypatch):
     # 100^10 >= 2^63: the third case dedups tuple keys instead of int64 codes;
     # 40k samples span two Monte Carlo blocks, with marks on both sides; the
-    # last block of 32771 samples has fewer than _TREE_MIN_ROWS rows, so
-    # knearest scans it inside the count; the scan case scans every block
+    # last block of 32771 samples is 3 rows, which the warm cell table ranks
+    # inside the count; the scan case ranks every block by the dense scan
     if backend == "scan":
-        monkeypatch.setattr(voronoi, "_TREE_MIN_ROWS", samples + 1)
+        monkeypatch.setattr(voronoi, "knearest", voronoi._rank_scan)
     s = random_sites(n, G2, 4)
     marks = (1, 700, 2500, 6000, 32_768, 32_769, 32_771, 40_000)
     res = count_regions_monte_carlo(s, k, samples, 12, G2, checkpoints=marks)
@@ -470,25 +470,22 @@ def _knearest_cases(draw):
 @given(_knearest_cases())
 def test_knearest_equals_scan_and_brute_force(case):
     g, sites, pts, k = case
+    # 1 to 30 rows: calls of fewer than 8 rows take the tree or the table too
     got = knearest(pts, sites, k, g)
     assert got.dtype == np.int64
     assert np.array_equal(got, rank_k_smallest(weighted_score_matrix(pts, sites, g), k))
-    # the same rows with the tree allowed for a single point
-    with mock.patch.object(voronoi, "_TREE_MIN_ROWS", 1):
+    # one point alone, after the table has counted the call above
+    assert np.array_equal(knearest(pts[:1], sites, k, g), got[:1])
+    # warm and deep at once: the same site set ranks the rows again through
+    # its cell table, split to _CELLS_PER_SITE n / k cells, exact ties and all
+    with mock.patch.object(voronoi, "_ROWS_PER_CELL", 0), \
+            mock.patch.object(voronoi, "_rank_table",
+                              wraps=voronoi._rank_table) as ranked:
         assert np.array_equal(knearest(pts, sites, k, g), got)
+    assert ranked.called == (k < sites.n and sites.in_unit_cube)
     brute, dist = _brute_ranking(pts, sites, k, g)
     if sites.unweighted:
         assert np.array_equal(got, brute[:, :k])
-        # warm at once: the same site set ranks the rows again through its
-        # cell table, exact ties and all
-        served = (sites.n >= voronoi._TABLE_MIN_SITES and k < sites.n
-                  and sites.in_unit_cube)
-        with mock.patch.object(voronoi, "_TREE_MIN_ROWS", 1), \
-                mock.patch.object(voronoi, "_ROWS_PER_CELL", 0), \
-                mock.patch.object(voronoi, "_rank_table",
-                                  wraps=voronoi._rank_table) as ranked:
-            assert np.array_equal(knearest(pts, sites, k, g), got)
-        assert ranked.called == served
         return
     # weighted distances are roots of the scores: a tie of scores may round
     # apart, so rows whose first k + 1 distances nearly tie are held to the
@@ -559,21 +556,18 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
 
     pos = rng.random((200, 2))
     plain = WeightedSites(pos, np.ones(200))
-    # a site set's first call takes the tree, and its table counts the rows
+    # a site set's first call takes the tree, and its table, still the one
+    # cell it starts as, counts the rows
     assert run(plain) == (1, 0)
-    assert plain.table(G2, 3).rows == len(pts)
-    # too few points to pay for the tree: the scan alone
-    few = voronoi._TREE_MIN_ROWS
-    assert run(plain, pts=pts[:few]) == (1, 0)
-    assert run(plain, pts=pts[:few - 1]) == (0, few - 1)
-    # the one-point reference never takes the tree, whatever the threshold
-    monkeypatch.setattr(voronoi, "_TREE_MIN_ROWS", 1)
+    assert (plain.table(G2, 3).side, plain.table(G2, 3).rows) == (1, len(pts))
+    # calls of 1 to 7 points take the tree too
+    assert run(plain, pts=pts[:7]) == (1, 0)
     assert run(plain, pts=pts[:1]) == (1, 0)
+    # the one-point reference never takes the tree
     calls["queries"] = 0
     _, ranked = k_nearest_sites(pts[0], plain, 3, G2)
     assert calls["queries"] == 0
     assert np.array_equal(ranked, knearest(pts[:1], plain, 3, G2)[0])
-    monkeypatch.setattr(voronoi, "_TREE_MIN_ROWS", few)
     # one tree per (site set, K): the knearest calls above and a count over
     # two Monte Carlo blocks share it; it holds the sites' periodic images
     # within its reach, each owned by its site; the plain (unwrapped)
@@ -584,7 +578,7 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
     # warm: after 16 n / k = 1067 rows (the count's first block) the site
     # set ranks through its cell table, with no tree query and no scan
     assert calls["queries"] == 1
-    assert plain.table(G2, 3).rows == len(pts) + 10 + 40_000
+    assert plain.table(G2, 3).rows == len(pts) + 9 + 40_000
     assert run(plain) == (0, 0)
     tree, owner, reach = plain.tree(G2, None, 4)
     shift = np.round(tree.data - pos[owner])
@@ -633,10 +627,13 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
     assert run(WeightedSites(at_one, np.ones(200))) == (0, len(pts))
     assert run(WeightedSites.from_raw(at_one, rng.uniform(1, 3, 200))) == (0, len(pts))
     # a site set at the reach cap (n <= 4 (k + 1) 2^d / V sites) builds no
-    # tree on the torus and scans every row; one site more takes the tree
+    # tree on the torus and ranks every row through its table; one site
+    # more takes the tree
     built = len(calls["built"])
     cap = math.floor(4 * 4 * 2**2 / math.pi)
-    assert run(WeightedSites(pos[:cap], np.ones(cap))) == (0, len(pts))
+    capped = WeightedSites(pos[:cap], np.ones(cap))
+    assert run(capped) == (0, 0)
+    assert capped.table(G2, 3).rows == len(pts)
     assert len(calls["built"]) == built
     assert run(WeightedSites(pos[:cap + 1], np.ones(cap + 1))) == (1, 0)
     assert len(calls["built"]) == built + 1
@@ -645,17 +642,17 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
     four = WeightedSites(pos[:4], np.ones(4))
     assert run(four, g=flat) == (1, 0)
     assert run(four, k=4, g=flat) == (0, len(pts))
-    # fewer than 12 sites keep the tree however many rows they rank
-    for _ in range(3):
-        assert run(four, g=flat) == (1, 0)
-    assert not four._tables
+    # four sites are warm after 16 n / k = 22 rows like any other set: the
+    # 500 rows above make the next call take the table
+    assert four.table(flat, 3).rows == len(pts)
+    assert run(four, g=flat) == (0, 0)
     # a T = 0 core at the pigeonhole clause count (n 2000, k 2, m 31,969) is
-    # one call on a fresh site set: one tree query, and no table level
-    # beyond the root
+    # one call on a fresh site set: one tree query, and its table counts the
+    # rows and stays one cell
     calls["queries"], m = 0, 4 * 2 * 2 * 1998 + 1
     core = sample_geometric_formula(2000, m, 2, G2, 0.0, None, seed=7)
     assert calls["queries"] == 1
-    assert (core.sites.table(G2, 2).side, core.sites.table(G2, 2).rows) == (4, m)
+    assert (core.sites.table(G2, 2).side, core.sites.table(G2, 2).rows) == (1, m)
 
 
 def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
@@ -672,14 +669,19 @@ def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
         assert np.all(np.floor(np.log2(sites.weights[members])) == j)
     flat = GeometrySpec(d=2, p_norm=2, wrap=False)
 
-    # weighted sites rank through their cell table: no cKDTree, no scan
-    got = knearest(pts, sites, k, G2)
-    assert np.array_equal(got, rank_k_smallest(
-        weighted_score_matrix(pts, sites, G2), k))
-    assert not built and not scanned
-    # one 4000-row call stays coarse: the root has 8^2 cells (8^2 * 500 <=
-    # 2^16 < 16^2 * 500) and one split reaches 4000 / 16 = 250 cells
+    # a fresh table is one cell listing every site in index order
     table = sites.table(G2, k)
+    assert (table.side, table.rows) == (1, 0)
+    assert table.cand.dtype == np.int32
+    assert np.array_equal(table.cand, np.arange(500)[None, :])
+    assert np.array_equal(table.length, [500])
+    # weighted sites rank through their cell table: no cKDTree, no scan
+    reference = rank_k_smallest(weighted_score_matrix(pts, sites, G2), k)
+    got = knearest(pts, sites, k, G2)
+    assert np.array_equal(got, reference)
+    assert not built and not scanned
+    # one 4000-row call stays coarse: halved until 4000 / 16 = 250 cells
+    assert sites.table(G2, k) is table
     assert (table.side, table.rows) == (16, 4000)
     cells = table.side ** 2
     assert table.cand.shape == (cells, table.length.max())
@@ -703,15 +705,19 @@ def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
     assert sites.table(G2, k) is table
     assert not built and not scanned
 
-    # too few points or too few sites: the scan alone
-    few = voronoi._TREE_MIN_ROWS
-    knearest(pts[:few - 1], sites, k, G2)
-    small = random_sites(voronoi._TABLE_MIN_SITES - 1, G2, 4,
-                         power_law_weights(voronoi._TABLE_MIN_SITES - 1, 2.5))
-    assert np.array_equal(knearest(pts, small, k, G2), rank_k_smallest(
-        weighted_score_matrix(pts, small, G2), k))
-    assert [len(p) for p in scanned] == [few - 1, len(pts)]
-    assert not small._tables and not built
+    # calls of 1 to 7 points and sets of fewer than 12 sites take the table
+    # too; one that has not split is the scan of every site
+    for rows in (1, 7):
+        assert np.array_equal(knearest(pts[:rows], sites, k, G2),
+                              reference[:rows])
+    small = random_sites(11, G2, 4, power_law_weights(11, 2.5))
+    for rows in (1, 7, len(pts)):
+        assert np.array_equal(knearest(pts[:rows], small, k, G2), rank_k_smallest(
+            weighted_score_matrix(pts[:rows], small, G2), k))
+        if rows < 16:
+            assert small.table(G2, k).side == 1
+    assert small.table(G2, k).rows == 8 + len(pts)
+    assert not scanned and not built
 
     # the T < 1 race still takes its candidates from the weight-class trees
     draw_geometric_clause_vars(pts[:100], sites, k, 0.5, G2,
@@ -720,19 +726,21 @@ def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
 
 
 def test_cell_table_lists_hold_every_site_that_can_rank():
-    # on every cell of the table of a 40-site set: a site left out has a
-    # lower bound above the cell's U, the K-th smallest upper bound over all
-    # sites; and the brute-force K nearest at the cell's corners, and one
-    # ulp inside or outside each edge, are in its list
+    # on every cell of the table of a 40-site set, deepened by ranking
+    # 16 * 8 n rows to its finest grid (8 n / K cells): a site left out has
+    # a lower bound above the cell's U, the K-th smallest upper bound over
+    # all sites; and the brute-force K nearest at the cell's corners, and
+    # one ulp inside or outside each edge, are in its list
     rng = np.random.default_rng(8)
     sites = WeightedSites.from_raw(rng.random((40, 2)),
                                    rng.permutation(power_law_weights(40, 2.1)))
     for g in (G2, GeometrySpec(d=2, p_norm=INFINITY),
               GeometrySpec(d=2, p_norm=1, wrap=False)):
         for K in (1, 3):
+            knearest(rng.random((16 * 8 * 40, 2)), sites, K, g)
             table = sites.table(g, K)
             side = table.side
-            assert side > 1
+            assert (side // 2) ** 2 < 8 * 40 / K <= side ** 2
             wq = sites.weights ** (g.score_power / 2)
             edges = np.arange(side + 1) / side
             # per axis: each edge, and one ulp below and above it
