@@ -14,7 +14,7 @@ increasing order (``knearest``).  T > 0 draws are one exponential race:
 each variable gets the key E_v / X(c, v) with E_v ~ Exp(1), and the k
 smallest keys, in order, have the sequential-draw law.  At T < 1 the race
 is lazy: each clause keys only its nearest members of every weight class
-of the site set (the k-nearest trees of ``voronoi``) and the members left
+of the site set (the class trees of ``voronoi``) and the members left
 out whose exponential is small enough to beat its k-th key, found by
 geometric skips.  At T >= 1 and for inputs the trees do not serve, no
 class is cut short and every clause keys all n variables.  Every score a
@@ -306,7 +306,7 @@ def draw_geometric_clause_vars(clause_positions, sites, k, T, g, rng):
     realized as an exponential race (smallest E_v / X(c,v) first), which
     has exactly the sequential-draw distribution (``_race``).
 
-    At T < 1, with the trees serving the call (as in ``knearest``), the
+    At T < 1, with the trees serving the call (``_trees_serve``), the
     race is lazy: each clause keys only its K_j nearest members of each
     weight class j and the members left out whose exponential falls below
     the class threshold that lets them beat its k-th key; those are found

@@ -8,8 +8,8 @@ reuses all code paths.
 ``pnorm_scores`` is the package's one p-norm kernel: the rootless score
 dist^q with q = ``GeometrySpec.score_power``.  Distances are its q-th root,
 and the Voronoi scan and the temperature race rank by it, so every distance
-and score the package computes comes from the same arithmetic (the k-d tree
-in ``voronoi.knearest`` is used only where its order is provably the same).
+and score the package computes comes from the same arithmetic (the race's
+k-d trees in ``voronoi`` only pick candidates, which this kernel scores).
 ``box_score_bounds`` bounds the same score over a box of points, for the
 cell table of ``voronoi.knearest``.
 """
@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 INFINITY = math.inf
 # sums of |delta|**p underflow for large p: against a max-scaled reference
@@ -157,8 +156,8 @@ def ball_volume_constant(g):
     if g.is_max_norm:
         return float(2.0**g.d)
     p = int(g.p_norm)
-    log_vol = g.d * (math.log(2.0) + gammaln(1.0 / p + 1.0)) - gammaln(g.d / p + 1.0)
-    return float(math.exp(log_vol))
+    return math.exp(g.d * (math.log(2.0) + math.lgamma(1.0 / p + 1.0))
+                    - math.lgamma(g.d / p + 1.0))
 
 
 def dist_cdf(x, g):

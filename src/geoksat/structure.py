@@ -395,8 +395,8 @@ def is_nice(clause_index, inst):
     coincide under the strictly monotone map between them); rank ties
     break by smaller index, matching the generator.  For T = 0 instances
     this holds by construction: the ranking is ``knearest``'s, the
-    generator's own (the tree, or a weighted site set's cell table, whose
-    one cell scores all n sites until it counts more than 16 rows).
+    generator's own (the site set's cell table, whose one cell scores all
+    n sites until it counts more than 16 rows).
     """
     f = inst.formula
     if not 0 <= clause_index < f.m:

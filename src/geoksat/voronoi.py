@@ -7,8 +7,7 @@ exactly A.  Regions are never constructed explicitly; non-empty regions
 are discovered by Monte Carlo sampling of k-nearest queries.  Every
 distance here comes from ``geometry.pnorm_scores``, and every weighted
 score from ``weighted_score_matrix``: of all n sites for the scan, of
-chosen candidate indices for the cell table, the trees and the sampler's
-race.
+chosen candidate indices for the cell table and the sampler's race.
 
 ``knearest`` is the one exact k-nearest kernel.  It reads its candidates
 from a cell table that the site set builds and keeps
@@ -19,20 +18,17 @@ proved by score bounds over the cell's box (``geometry.box_score_bounds``),
 so a row scores only its cell's list.  Random positions with multiplicative
 weights give O(n) non-empty order-k regions, so these lists stay short.
 A table starts as one cell listing all n sites, where ranking is the
-dense scan, and halves its cells as it ranks more rows.  Weighted sites
-take the table at once; unweighted sites take it once warm, after 16 n / k
-rows ranked, and before that query one plain cKDTree
-(``WeightedSites.tree``), which a one-shot call builds faster than a table
-deep enough to beat it.  On the torus the tree holds the periodic images of
-the sites that lie within a reach of the unit cube, so its plain distances
-are torus distances wherever the reach covers the query.  Rows the tree
-cannot settle, k = n and inputs outside [0, 1)^d go to the dense score
-scan, so every backend returns the same indices.  The
-sampler's exponential race (``generate``) takes its candidates from one
-tree per weight class [2^j, 2^(j+1)), the layering of the geometric
-inhomogeneous random graph samplers (Bringmann, Keusch and Lengler, arXiv
-1511.00576), through ``_class_candidates``, or all n sites when no class is
-cut short.  Monte Carlo counting ranks through ``knearest`` alone and sorts
+dense scan, and halves its cells as it ranks more rows; weighted and
+unweighted sites take it alike.  k = n and inputs outside [0, 1)^d go to
+the dense score scan, which returns the same indices.  The sampler's
+exponential race (``generate``) takes its candidates from one plain
+cKDTree per weight class [2^j, 2^(j+1)) (``WeightedSites.tree``), the
+layering of the geometric inhomogeneous random graph samplers (Bringmann,
+Keusch and Lengler, arXiv 1511.00576), through ``_class_candidates``, or
+all n sites when no class is cut short.  On the torus a class tree holds
+the periodic images of its sites that lie within a reach of the unit cube,
+so its plain distances are torus distances wherever the reach covers the
+query.  Monte Carlo counting ranks through ``knearest`` alone and sorts
 its rows into region keys; ``k_nearest_sites`` is the scan-only reference
 for one point.
 """
@@ -55,19 +51,17 @@ from .weights import check_weights
 _MC_BLOCK = 1 << 15
 # cap on distance-matrix entries processed at once
 _SCAN_ENTRIES = 4_000_000
-# two adjacent tree distances of a row further apart than this relative gap
-# keep their order under the exact scores (the float error of either is far
-# smaller); a row with a closer pair may hide a tie and is scanned.  The cell
-# table's lists keep this relative slack over their bound for the same reason
+# a relative slack far larger than the float error of a score: the cell
+# table's lists keep it over their bound, the race's tail bounds under
+# theirs, and its class trees keep their reach this far below the radius
+# within which their rows are exact
 _TIE_GAP = 1e-9
 # the sampler's race is lazy only for calls of at least this many clauses
 # (``_trees_serve``); kept so that smaller calls draw the full race's stream
 _TREE_MIN_ROWS = 8
 # the depth rule of the cell table (``_rank_table``): from one cell, halved
 # while it has fewer cells than _CELLS_PER_SITE n / K and than one per
-# _ROWS_PER_CELL rows ranked.  Unweighted sites take the table once
-# _ROWS_PER_CELL n / K rows are ranked (by the tree until then), so it then
-# has at least n / K cells
+# _ROWS_PER_CELL rows ranked
 _CELLS_PER_SITE = 8
 _ROWS_PER_CELL = 16
 # most (cells x parent list width) bounds per build chunk, and (rows x list
@@ -94,10 +88,8 @@ class WeightedSites:
 
     A site set keeps what ``knearest`` and the sampler's race build for it
     on first use: the cell tables of k-nearest (``table``, one per
-    (k, metric), deepened as they rank more rows; unweighted sites count
-    their rows there from the first call and rank through it once warm)
-    and the plain cKDTrees of cold unweighted k-nearest and of the race's
-    weight classes (``tree``)."""
+    (k, metric), deepened as they rank more rows) and the plain cKDTrees of
+    the race's weight classes (``tree``)."""
 
     positions: np.ndarray
     weights: np.ndarray
@@ -176,10 +168,11 @@ class WeightedSites:
         return self._tables[key]
 
     def tree(self, g, cls, K):
-        """``(tree, owner, reach)`` for K-nearest queries under ``g`` among
-        all sites (``cls`` None) or weight class ``cls``'s members, all in
-        [0, 1)^d; built on first use and kept, one per (class, K, p-norm) on
-        the torus and one per class in the cube.
+        """``(tree, owner, reach)`` for the sampler's race
+        (``_class_candidates``): K-nearest queries under ``g`` among weight
+        class ``cls``'s members, all in [0, 1)^d; built on first use and
+        kept, one per (class, K, p-norm) on the torus and one per class in
+        the cube.
 
         ``tree`` is a plain cKDTree, ``owner`` maps its points to site
         indices, and a query row whose K-th tree distance is below ``reach``
@@ -193,16 +186,11 @@ class WeightedSites:
         is in the tree, and for r < 1/2 no two images of one site lie within
         r of it, so the reach is r less a relative ``_TIE_GAP``.  None when
         r >= 1/2: at most 4K 2^d / V sites, which one dense selection
-        (``_nearest_dense``) or ``knearest``'s cell table ranks faster than
-        a tree.
+        (``_nearest_dense``) ranks faster than a tree.
         """
-        if len(self.weight_classes) == 1:
-            cls = None  # the one class holds every site, in index order
         key = (cls, K, g.p_norm) if g.wrap else (cls,)
         if key not in self._trees:
-            members = (np.arange(self.n) if cls is None
-                       else self.weight_classes[cls])
-            self._trees[key] = self._image_tree(g, members, K)
+            self._trees[key] = self._image_tree(g, self.weight_classes[cls], K)
         return self._trees[key]
 
     def _image_tree(self, g, members, K):
@@ -228,9 +216,8 @@ class _CellTable:
     """The sites that can rank among the K weighted-nearest of some point
     of each cell of a grid of ``side``^d cells of [0, 1)^d, cells in
     row-major order: row c of ``cand`` (int32) holds ``length[c]``
-    increasing site indices, then padding.  ``rows`` counts the rows ranked
-    under its (K, metric): by the table, and for unweighted sites also by
-    the tree before the table takes over (see ``knearest``)."""
+    increasing site indices, then padding.  ``rows`` counts the rows it
+    has ranked (see ``knearest``)."""
 
     side: int
     cand: np.ndarray
@@ -468,25 +455,9 @@ def knearest(points, sites, k, g):
     index: ``rank_k_smallest`` on ``weighted_score_matrix``, row for row.
 
     k = n, and sites or points outside [0, 1)^d, are scanned.  Otherwise
-    the cell table ranks weighted sites always, and unweighted ones once
-    warm, when the table for (k, metric) counts at least ``_ROWS_PER_CELL``
-    n / k rows ranked before this call, or when they have no tree.  Until
-    then an unweighted call takes the tree and adds its rows to that count,
-    so a one-shot call keeps the tree and a Monte Carlo count takes the
-    table from its second block on.
-
-    Unweighted sites on the tree: on the torus it is a plain cKDTree over
-    the sites' periodic images within its reach (``WeightedSites.tree``);
-    a row whose last tree distance is not below the reach is a far row, and
-    a set of sites too small for a reach below 1/2 has no tree.  The tree
-    returns the k + 1 nearest sites of each point in distance order.  If
-    every two adjacent distances of a row lie more than a relative
-    ``_TIE_GAP`` apart, the exact scores keep that order, every other site
-    is farther than the k-th, and the row is the tree's first k.  Rows with
-    a closer pair, and far rows, are scanned.
-
-    The cell table: each row scores the list of its cell in the site set's
-    table for k (``WeightedSites.table``) and ranks it by (score, index),
+    the cell table ranks every row, weighted sites or not, from the first
+    call: each row scores the list of its cell in the site set's table for
+    k (``WeightedSites.table``) and ranks it by (score, index),
     ``_rank_table``.  For a cell of centre c and side h and a site s, with
     delta the per-coordinate distance from c to s (wrapped on the torus),
     the rootless score of every point of the cell lies in [lo, up] / w^(q/d),
@@ -501,35 +472,20 @@ def knearest(points, sites, k, g):
     min(``_CELLS_PER_SITE`` n / k, R / ``_ROWS_PER_CELL``), R the rows it
     counts, this call included.  So a call of few rows ranks as the scan
     does, a one-shot call stays coarse and a Monte Carlo count deepens
-    after its first block; a warm unweighted call finds at least n / k
-    cells.
+    after its first block.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not 1 <= k <= sites.n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
     if k == sites.n or not (sites.in_unit_cube and _in_unit_cube(pts)):
         return _rank_scan(pts, sites, k, g)
-    table = sites.table(g, k)
-    found = None
-    if sites.unweighted and table.rows < _ROWS_PER_CELL * sites.n / k:
-        found = sites.tree(g, None, k + 1)
-    if found is None:
-        return _rank_table(pts, sites, k, g)
-    table.rows += len(pts)
-    tree, owner, reach = found
-    dist, idx = tree.query(pts, k=k + 1, p=g.p_norm)
-    ranked = owner[idx[:, :k]]
-    unsure = np.flatnonzero(
-        (dist[:, 1:] <= dist[:, :-1] * (1.0 + _TIE_GAP)).any(axis=1)
-        | (dist[:, -1] >= reach))
-    if len(unsure):
-        ranked[unsure] = _rank_scan(pts[unsure], sites, k, g)
-    return ranked
+    return _rank_table(pts, sites, k, g)
 
 
 def k_nearest_sites(p, sites, k, g):
     """``(key, ranked)`` for one point: the RegionKey (sorted tuple of site
-    indices) and its ``knearest`` row, by the scan alone (a tree reference)."""
+    indices) and its ``knearest`` row, by the scan alone (a reference that
+    builds no table)."""
     ranked = _rank_scan(np.atleast_2d(np.asarray(p, dtype=float)), sites, k, g)[0]
     return tuple(sorted(ranked.tolist())), ranked
 

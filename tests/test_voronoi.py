@@ -232,7 +232,8 @@ def _assert_matches_reference(res, sites, k, samples, seed, g, checkpoints=()):
 
 
 def test_region_count_methods_agree():
-    # knearest's trees (counting's ranking) and the dense scan (the reference)
+    # knearest's cell table (counting's ranking) and the dense scan (the
+    # reference)
     s = random_sites(300, G2, 11)
     for g in (G2, GeometrySpec(d=2, p_norm=1), GeometrySpec(d=2, p_norm=INFINITY),
               GeometrySpec(d=3, p_norm=2)):
@@ -254,17 +255,16 @@ def test_region_count_methods_agree():
     assert one.table(G1, 1).side == 2048
 
 
-def test_region_count_tree_keys_equal_scan_keys_at_ties():
-    # coincident grid sites tie at the k-th place: the tree path must keep
-    # the scan's smaller-index rule there, not the tree's internal order;
-    # 40,000 samples span two Monte Carlo blocks, the first on the tree and
-    # the second, warm, on the cell table
+def test_region_count_table_keys_equal_scan_keys_at_ties():
+    # coincident grid sites tie at the k-th place and lie on the edges of
+    # the table's cells: the cell table must keep the scan's smaller-index
+    # rule there
     rng = np.random.default_rng(2)
     s = WeightedSites(rng.integers(0, 8, (40, 2)) / 8, np.ones(40))
     res = count_regions_monte_carlo(s, 3, 40_000, 3, G2)
     _assert_matches_reference(res, s, 3, 40_000, 3, G2)
     assert s.table(G2, 3).rows == 40_000
-    # k = n: the tree has no (k + 1)-th neighbour to compare with
+    # k = n: every site is in every key, and knearest scans
     every = count_regions_monte_carlo(WeightedSites(s.positions[:3], np.ones(3)),
                                       3, 100, 0, G2)
     assert every.keys == {(0, 1, 2)}
@@ -272,14 +272,14 @@ def test_region_count_tree_keys_equal_scan_keys_at_ties():
 
 def test_region_count_scans_sites_outside_the_unit_cube():
     # a site at 1.0 (a loaded site file may hold one) lies outside
-    # [0, 1)^d, where the trees' periodic images are not shown to be exact,
-    # so the count takes knearest's scan
+    # [0, 1)^d, where the cell table has no cell for it, so the count takes
+    # knearest's scan
     pos = random_sites(30, G2, 6).positions.copy()
     pos[0, 0] = 1.0
     s = WeightedSites(pos, np.ones(30))
-    with mock.patch.object(voronoi, "cKDTree") as tree:
+    with mock.patch.object(voronoi, "_rank_table") as table:
         res = count_regions_monte_carlo(s, 2, 3000, 1, G2)
-    tree.assert_not_called()
+    table.assert_not_called()
     _assert_matches_reference(res, s, 2, 3000, 1, G2)
 
 
@@ -454,8 +454,8 @@ def _knearest_cases(draw):
     pos = rng.random((n, d))
     pts = rng.random((draw(st.integers(1, 30)), d))
     if layout == "grid":
-        # exact distance ties, so the tree's candidate lists are cut inside
-        # a tie and rows must fall back to the scan
+        # exact distance ties, at the k-th place and on the edges of the
+        # table's cells
         side = draw(st.sampled_from((2, 4, 8)))
         pos = rng.integers(0, side, (n, d)) / side
         pts = rng.integers(0, side, pts.shape) / side
@@ -470,14 +470,14 @@ def _knearest_cases(draw):
 @given(_knearest_cases())
 def test_knearest_equals_scan_and_brute_force(case):
     g, sites, pts, k = case
-    # 1 to 30 rows: calls of fewer than 8 rows take the tree or the table too
+    # 1 to 30 rows: calls of fewer than 8 rows take the table too
     got = knearest(pts, sites, k, g)
     assert got.dtype == np.int64
     assert np.array_equal(got, rank_k_smallest(weighted_score_matrix(pts, sites, g), k))
     # one point alone, after the table has counted the call above
     assert np.array_equal(knearest(pts[:1], sites, k, g), got[:1])
-    # warm and deep at once: the same site set ranks the rows again through
-    # its cell table, split to _CELLS_PER_SITE n / k cells, exact ties and all
+    # deep at once: the same site set ranks the rows again through its cell
+    # table, split to _CELLS_PER_SITE n / k cells, exact ties and all
     with mock.patch.object(voronoi, "_ROWS_PER_CELL", 0), \
             mock.patch.object(voronoi, "_rank_table",
                               wraps=voronoi._rank_table) as ranked:
@@ -556,103 +556,102 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
 
     pos = rng.random((200, 2))
     plain = WeightedSites(pos, np.ones(200))
-    # a site set's first call takes the tree, and its table, still the one
-    # cell it starts as, counts the rows
-    assert run(plain) == (1, 0)
-    assert (plain.table(G2, 3).side, plain.table(G2, 3).rows) == (1, len(pts))
-    # calls of 1 to 7 points take the tree too
-    assert run(plain, pts=pts[:7]) == (1, 0)
-    assert run(plain, pts=pts[:1]) == (1, 0)
-    # the one-point reference never takes the tree
-    calls["queries"] = 0
-    _, ranked = k_nearest_sites(pts[0], plain, 3, G2)
-    assert calls["queries"] == 0
-    assert np.array_equal(ranked, knearest(pts[:1], plain, 3, G2)[0])
-    # one tree per (site set, K): the knearest calls above and a count over
-    # two Monte Carlo blocks share it; it holds the sites' periodic images
-    # within its reach, each owned by its site; the plain (unwrapped)
-    # distance gets a second one over the sites themselves, also kept
-    calls["queries"] = 0
-    count_regions_monte_carlo(plain, 3, 40_000, 1, G2)
-    assert [len(t) for t in calls["built"]] == [_image_count(pos, 4, G2)]
-    # warm: after 16 n / k = 1067 rows (the count's first block) the site
-    # set ranks through its cell table, with no tree query and no scan
-    assert calls["queries"] == 1
-    assert plain.table(G2, 3).rows == len(pts) + 9 + 40_000
+    # unweighted sites rank through their cell table from the first call,
+    # with no tree query and no scan; one call of 500 rows halves the table
+    # to one cell per 16 of them
     assert run(plain) == (0, 0)
-    tree, owner, reach = plain.tree(G2, None, 4)
-    shift = np.round(tree.data - pos[owner])
-    assert np.array_equal(tree.data, pos[owner] + shift)
-    assert np.abs(shift).max() == 1
-    assert np.array_equal(np.unique(owner), np.arange(200))
-    assert 0 < reach < 0.5
-    assert np.array_equal(knearest(pts, plain, 3, flat), knearest(pts, plain, 3, flat))
-    assert len(calls["built"]) == 2 and np.array_equal(calls["built"][1], pos)
-    # the rows to scan: a near tie among the k + 1 nearest images, or the
-    # (k + 1)-th beyond the reach (a far row)
-    def unsure(sites, k):
-        tree, _, reach = sites.tree(G2, None, k + 1)
-        dist, _ = tree.query(pts, k=k + 1)
-        far = dist[:, -1] >= reach
-        return far, (dist[:, 1:] <= dist[:, :-1] * (1 + 1e-9)).any(axis=1) | far
-
+    table = plain.table(G2, 3)
+    assert (table.side, table.rows) == (8, len(pts))
+    # calls of 7 points and of 1 take the table too
+    assert run(plain, pts=pts[:7]) == (0, 0)
+    assert run(plain, pts=pts[:1]) == (0, 0)
+    # the one-point reference scans, and leaves the table as it is
+    _, ranked = k_nearest_sites(pts[0], plain, 3, G2)
+    assert len(calls["scanned"]) == 1 and table.rows == len(pts) + 8
+    assert np.array_equal(ranked, knearest(pts[:1], plain, 3, G2)[0])
+    # a count over two Monte Carlo blocks deepens the same table
+    count_regions_monte_carlo(plain, 3, 40_000, 1, G2)
+    assert plain.table(G2, 3) is table
+    assert table.rows == len(pts) + 9 + 40_000
+    assert (table.side // 2) ** 2 < 8 * 200 / 3 <= table.side ** 2
+    assert run(plain) == (0, 0)
+    # the plain (unwrapped) distance gets a table of its own
+    assert run(plain, g=flat) == (0, 0)
+    assert set(plain._tables) == {(3, G2), (3, flat)}
     # a site twice or three times: a point whose nearest site is repeated
-    # sees a tie at the k-th place, and exactly those rows and the far rows
-    # are scanned
+    # ties at the k-th place, and the table keeps the smaller index there
     dup = rank_k_smallest(weighted_score_matrix(pts, plain, G2), 1)[:, 0] < 50
     assert 0 < dup.sum() < len(pts)
     for copies in (1, 2):
         twice = WeightedSites(np.vstack([pos] + [pos[:50]] * copies),
                               np.ones(200 + 50 * copies))
-        far, rows = unsure(twice, 1)
-        assert np.array_equal(rows, dup | far) and far.sum() < len(pts) // 20
-        assert run(twice, k=1) == (1, rows.sum())
-        assert np.array_equal(calls["scanned"][0], pts[rows])
-        # the table ranks the tie rows too, from the call after the one
-        # that reaches 16 n / k rows ranked
-        knearest(rng.random((16 * twice.n - 2 * len(pts), 2)), twice, 1, G2)
-        assert run(twice, k=1) == (1, rows.sum())
         assert run(twice, k=1) == (0, 0)
-    # clustered sites: rows far from the cluster have their k + 1 nearest
-    # images beyond the reach; exactly the tie rows and those far rows are
-    # scanned
+        assert np.all(knearest(pts[dup], twice, 1, G2) < 50)
+    # clustered sites: most cells lie far from every site
     clustered = WeightedSites(_clustered(rng, 200, 2), np.ones(200))
-    far, rows = unsure(clustered, 3)
-    assert 0 < far.sum() < len(pts)
-    assert run(clustered) == (1, rows.sum())
-    assert np.array_equal(calls["scanned"][0], pts[rows])
+    assert run(clustered) == (0, 0)
     # a site on the border scans every row, weighted or not
     at_one = pos.copy()
     at_one[0, 0] = 1.0
     assert run(WeightedSites(at_one, np.ones(200))) == (0, len(pts))
     assert run(WeightedSites.from_raw(at_one, rng.uniform(1, 3, 200))) == (0, len(pts))
-    # a site set at the reach cap (n <= 4 (k + 1) 2^d / V sites) builds no
-    # tree on the torus and ranks every row through its table; one site
-    # more takes the tree
-    built = len(calls["built"])
-    cap = math.floor(4 * 4 * 2**2 / math.pi)
-    capped = WeightedSites(pos[:cap], np.ones(cap))
-    assert run(capped) == (0, 0)
-    assert capped.table(G2, 3).rows == len(pts)
-    assert len(calls["built"]) == built
-    assert run(WeightedSites(pos[:cap + 1], np.ones(cap + 1))) == (1, 0)
-    assert len(calls["built"]) == built + 1
-    # in the cube, k = n - 1 still has a (k + 1)-th neighbour to compare
-    # with; k = n scans
+    # k = n scans every row; k = n - 1 takes the table
     four = WeightedSites(pos[:4], np.ones(4))
-    assert run(four, g=flat) == (1, 0)
-    assert run(four, k=4, g=flat) == (0, len(pts))
-    # four sites are warm after 16 n / k = 22 rows like any other set: the
-    # 500 rows above make the next call take the table
-    assert four.table(flat, 3).rows == len(pts)
     assert run(four, g=flat) == (0, 0)
+    assert run(four, k=4, g=flat) == (0, len(pts))
+    assert run(four, k=4) == (0, len(pts))
     # a T = 0 core at the pigeonhole clause count (n 2000, k 2, m 31,969) is
-    # one call on a fresh site set: one tree query, and its table counts the
-    # rows and stays one cell
-    calls["queries"], m = 0, 4 * 2 * 2 * 1998 + 1
+    # one call on a fresh site set: its table counts the rows and halves to
+    # one cell per 16 of them
+    calls["queries"], calls["scanned"], m = 0, [], 4 * 2 * 2 * 1998 + 1
     core = sample_geometric_formula(2000, m, 2, G2, 0.0, None, seed=7)
-    assert calls["queries"] == 1
-    assert (core.sites.table(G2, 2).side, core.sites.table(G2, 2).rows) == (1, m)
+    assert calls["queries"] == 0 and not calls["scanned"]
+    assert (core.sites.table(G2, 2).side, core.sites.table(G2, 2).rows) == (64, m)
+    # knearest built no tree in any of the calls above
+    assert not calls["built"]
+
+
+def test_race_class_trees_hold_periodic_images(monkeypatch):
+    calls = _tree_spy(monkeypatch)
+    rng = np.random.default_rng(2)
+    pts = rng.random((500, 2))
+    pos = rng.random((200, 2))
+    plain = WeightedSites(pos, np.ones(200))
+    K = 4
+    # class 0 of an unweighted set is every site, in index order; on the
+    # torus its tree holds the sites' periodic images within its reach,
+    # each owned by its site and shifted by -1, 0 or 1 on every axis
+    assert len(plain.weight_classes) == 1
+    assert np.array_equal(plain.weight_classes[0], np.arange(200))
+    tree, owner, reach = plain.tree(G2, 0, K)
+    assert [len(t) for t in calls["built"]] == [_image_count(pos, K, G2)]
+    shift = np.round(tree.data - pos[owner])
+    assert np.array_equal(tree.data, pos[owner] + shift)
+    assert np.array_equal(np.unique(shift), [-1, 0, 1])
+    assert np.array_equal(np.unique(owner), np.arange(200))
+    assert 0 < reach < 0.5
+    # a row within the reach has the class's K nearest sites; few rows of
+    # uniform sites fall beyond it
+    dist, i = tree.query(pts, k=K)
+    near = dist[:, -1] < reach
+    assert len(pts) - near.sum() < len(pts) // 20
+    nearest = rank_k_smallest(weighted_score_matrix(pts, plain, G2), K)
+    assert np.array_equal(np.sort(owner[i[near]], axis=1),
+                          np.sort(nearest[near], axis=1))
+    # kept, one per (class, K, p-norm)
+    assert plain.tree(G2, 0, K)[0] is tree and calls["queries"] == 1
+    # in the cube, a plain tree over the sites with an infinite reach
+    flat = GeometrySpec(d=2, p_norm=2, wrap=False)
+    _, owner, reach = plain.tree(flat, 0, K)
+    assert len(calls["built"]) == 2 and np.array_equal(calls["built"][1], pos)
+    assert np.array_equal(owner, np.arange(200)) and reach == math.inf
+    # at the reach cap (n <= 4 K 2^d / V sites) the class has no tree on
+    # the torus, and the race selects it densely; one site more has one
+    cap = math.floor(4 * K * 2**2 / math.pi)
+    assert WeightedSites(pos[:cap], np.ones(cap)).tree(G2, 0, K) is None
+    assert len(calls["built"]) == 2
+    assert WeightedSites(pos[:cap + 1], np.ones(cap + 1)).tree(G2, 0, K) is not None
+    assert len(calls["built"]) == 3
 
 
 def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
@@ -794,9 +793,9 @@ def _clustered_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_clustered_cases())
 def test_knearest_on_clustered_sites_equals_scan_and_brute_force(case):
-    # sites within 0.05 of one point: most rows lie beyond the unweighted
-    # tree's reach (the far rows), and most cells of a weighted table lie
-    # far from every site
+    # sites within 0.05 of one point: most cells of the table lie far from
+    # every site, and points near the cluster's antipode reach its sites
+    # across the wrap of the torus
     g, sites, pts, k = case
     got = knearest(pts, sites, k, g)
     assert np.array_equal(got, voronoi._rank_scan(pts, sites, k, g))
