@@ -16,10 +16,10 @@ smallest keys, in order, have the sequential-draw law.  At T < 1 the race
 is lazy: each clause keys only its nearest members of every weight class
 of the site set (the class trees of ``voronoi``) and the members left
 out whose exponential is small enough to beat its k-th key, found by
-geometric skips.  At T >= 1 and for inputs the trees do not serve, no
-class is cut short and every clause keys all n variables.  Every score a
-key is made from, tail hits included, comes from
-``voronoi.weighted_score_matrix``.  Sign patterns are drawn uniformly
+geometric skips.  At T >= 1 and for calls of fewer than
+``_TREE_MIN_ROWS`` clauses, no class is cut short and every clause keys all
+n variables.  Every score a key is made from, tail hits included, comes
+from ``voronoi.weighted_score_matrix``.  Sign patterns are drawn uniformly
 without repetition per variable set until all 2^k are used.  Draw order is
 preserved in the clause literals for downstream niceness analysis.
 """
@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometrySpec
+from .geometry import GeometrySpec, check_unit_cube
 from .sampling import sequential_weighted_draws
 from .voronoi import (_SCAN_ENTRIES, _TIE_GAP, WeightedSites, _class_candidates,
-                      _trees_serve, knearest, random_sites, rank_k_smallest,
+                      knearest, random_sites, rank_k_smallest,
                       weighted_score_matrix)
 
 # most clauses per race block, which bounds the block's score, key and
@@ -53,6 +53,9 @@ _CANDIDATE_SCALE = 48
 # tail-process exponentials per clause in its block's draw; the 2-8% of the
 # clauses that need more at n = 2000 to 10^4 finish after the last block
 _TAIL_BUDGET = 32
+# the race is lazy only for calls of at least this many clauses; kept so
+# that smaller calls draw the full race's stream
+_TREE_MIN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -306,18 +309,18 @@ def draw_geometric_clause_vars(clause_positions, sites, k, T, g, rng):
     realized as an exponential race (smallest E_v / X(c,v) first), which
     has exactly the sequential-draw distribution (``_race``).
 
-    At T < 1, with the trees serving the call (``_trees_serve``), the
-    race is lazy: each clause keys only its K_j nearest members of each
-    weight class j and the members left out whose exponential falls below
-    the class threshold that lets them beat its k-th key; those are found
-    by geometric skips and keyed with their exponential truncated to the
-    threshold.  Same law, with sum_j K_j + O(1) exponentials per clause.
-    Otherwise no class is cut short and every clause keys all n sites.
+    Clause positions must lie in [0, 1]^d.  At T < 1, for a call of at
+    least ``_TREE_MIN_ROWS`` clauses, the race is lazy: each clause keys
+    only its K_j nearest members of each weight class j and the members
+    left out whose exponential falls below the class threshold that lets
+    them beat its k-th key; those are found by geometric skips and keyed
+    with their exponential truncated to the threshold.  Same law, with
+    sum_j K_j + O(1) exponentials per clause.  Otherwise no class is cut short and every clause keys all n sites.
     """
-    pts = np.atleast_2d(np.asarray(clause_positions, dtype=float))
+    pts = np.atleast_2d(check_unit_cube(clause_positions, "clause positions"))
     if T == 0:
         return knearest(pts, sites, k, g)
-    if T < 1 and _trees_serve(pts, sites):
+    if T < 1 and len(pts) >= _TREE_MIN_ROWS:
         sizes = _candidate_sizes(sites, k, T)
     else:
         sizes = [len(members) for members in sites.weight_classes]

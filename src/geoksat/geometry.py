@@ -3,7 +3,10 @@
 The ground space is the unit torus [0, 1)^d where opposite borders are
 identified; per-coordinate differences are circular.  A hypercube mode
 (plain differences) is available through ``GeometrySpec(wrap=False)`` and
-reuses all code paths.
+reuses all code paths.  Every position, site or point, lies in the closed
+cube [0, 1]^d (on the torus 1 is 0 again), where a difference delta lies
+in [0, 1] and min(delta, 1 - delta) is its circular distance;
+``check_unit_cube`` rejects anything else where positions enter.
 
 ``pnorm_scores`` is the package's one p-norm kernel: the rootless score
 dist^q with q = ``GeometrySpec.score_power``.  Distances are its q-th root,
@@ -64,6 +67,15 @@ def _check_point(x, g, name):
     x = np.asarray(x, dtype=float)
     if x.shape != (g.d,):
         raise ValueError(f"{name} has shape {x.shape}, expected ({g.d},)")
+    return x
+
+
+def check_unit_cube(x, name):
+    """``x`` as a float array; a ValueError unless every entry lies in
+    [0, 1] (NaN and infinities do not)."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError(f"{name} must be finite and lie in [0, 1]")
     return x
 
 
@@ -133,8 +145,8 @@ def cross_distances(points, others, g):
 
     Callers are responsible for chunking ``points`` when Q * n is large.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    others = np.atleast_2d(np.asarray(others, dtype=float))
+    points = np.atleast_2d(check_unit_cube(points, "positions"))
+    others = np.atleast_2d(check_unit_cube(others, "positions"))
     if points.shape[1] != g.d or others.shape[1] != g.d:
         raise ValueError("point arrays must have d columns")
     return pnorm_scores(points, others, g) ** (1.0 / g.score_power)

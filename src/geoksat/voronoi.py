@@ -19,8 +19,9 @@ so a row scores only its cell's list.  Random positions with multiplicative
 weights give O(n) non-empty order-k regions, so these lists stay short.
 A table starts as one cell listing all n sites, where ranking is the
 dense scan, and halves its cells as it ranks more rows; weighted and
-unweighted sites take it alike.  k = n and inputs outside [0, 1)^d go to
-the dense score scan, which returns the same indices.  The sampler's
+unweighted sites, and k = n, take it alike.  Sites and points lie in the
+closed cube [0, 1]^d, checked where they enter (``WeightedSites``,
+``knearest``), so each lies in a cell of the grid.  The sampler's
 exponential race (``generate``) takes its candidates from one plain
 cKDTree per weight class [2^j, 2^(j+1)) (``WeightedSites.tree``), the
 layering of the geometric inhomogeneous random graph samplers (Bringmann,
@@ -29,8 +30,8 @@ all n sites when no class is cut short.  On the torus a class tree holds
 the periodic images of its sites that lie within a reach of the unit cube,
 so its plain distances are torus distances wherever the reach covers the
 query.  Monte Carlo counting ranks through ``knearest`` alone and sorts
-its rows into region keys; ``k_nearest_sites`` is the scan-only reference
-for one point.
+its rows into region keys; ``_rank_scan``, the dense score scan, is the
+reference that ``k_nearest_sites`` ranks one point by.
 """
 
 import bisect
@@ -42,8 +43,8 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import (ball_volume_constant, box_score_bounds, cross_distances,
-                       pnorm_scores)
+from .geometry import (ball_volume_constant, box_score_bounds, check_unit_cube,
+                       cross_distances, pnorm_scores)
 from .weights import check_weights
 
 # Monte Carlo points are drawn from the seeded stream in blocks of this
@@ -56,9 +57,6 @@ _SCAN_ENTRIES = 4_000_000
 # theirs, and its class trees keep their reach this far below the radius
 # within which their rows are exact
 _TIE_GAP = 1e-9
-# the sampler's race is lazy only for calls of at least this many clauses
-# (``_trees_serve``); kept so that smaller calls draw the full race's stream
-_TREE_MIN_ROWS = 8
 # the depth rule of the cell table (``_rank_table``): from one cell, halved
 # while it has fewer cells than _CELLS_PER_SITE n / K and than one per
 # _ROWS_PER_CELL rows ranked
@@ -72,7 +70,7 @@ _RANK_ENTRIES = 1 << 16
 # per-row index arrays stay small
 _RANK_ROWS = 1 << 12
 # a cell's half-side is widened by this much, more than the rounding of any
-# coordinate difference in [0, 1) (a few ulps of 1), so the bounds hold for
+# coordinate difference in [0, 1] (a few ulps of 1), so the bounds hold for
 # the computed scores of every point of the cell
 _CELL_MARGIN = 2.0 ** -40
 # relevance_certificate's search: grid points per axis around s1, and radii
@@ -83,8 +81,8 @@ _CERT_RADIUS_STEPS = 16
 
 @dataclass(frozen=True)
 class WeightedSites:
-    """Finite site positions (n, d) with multiplicative weights, min weight 1;
-    positions outside [0, 1)^d are legal (``knearest`` scans them).
+    """Site positions (n, d) in [0, 1]^d with multiplicative weights, min
+    weight 1.
 
     A site set keeps what ``knearest`` and the sampler's race build for it
     on first use: the cell tables of k-nearest (``table``, one per
@@ -101,8 +99,7 @@ class WeightedSites:
         w = check_weights(self.weights)
         if pos.ndim != 2 or len(pos) != len(w):
             raise ValueError("positions must be (n, d) matching weights")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("site positions must be finite")
+        check_unit_cube(pos, "site positions")
         if abs(w.min() - 1.0) > 1e-12:
             raise ValueError("minimum weight must be exactly 1 (use from_raw)")
         object.__setattr__(self, "positions", pos)
@@ -137,11 +134,6 @@ class WeightedSites:
         return bool(np.all(self.weights == 1.0))
 
     @cached_property
-    def in_unit_cube(self):
-        """Whether every position lies in [0, 1)^d."""
-        return _in_unit_cube(self.positions)
-
-    @cached_property
     def weight_classes(self):
         """Site indices by weight class [2^j, 2^(j+1)), lightest class
         first, each increasing."""
@@ -158,9 +150,9 @@ class WeightedSites:
         return {}
 
     def table(self, g, K):
-        """The ``_CellTable`` for K-nearest queries under ``g``, all sites in
-        [0, 1)^d: one cell listing every site on first use, kept, one per
-        (K, g); ``_rank_table`` deepens it as it ranks more rows."""
+        """The ``_CellTable`` for K-nearest queries under ``g``: one cell
+        listing every site on first use, kept, one per (K, g);
+        ``_rank_table`` deepens it as it ranks more rows."""
         key = (K, g)
         if key not in self._tables:
             self._tables[key] = _CellTable(
@@ -170,9 +162,8 @@ class WeightedSites:
     def tree(self, g, cls, K):
         """``(tree, owner, reach)`` for the sampler's race
         (``_class_candidates``): K-nearest queries under ``g`` among weight
-        class ``cls``'s members, all in [0, 1)^d; built on first use and
-        kept, one per (class, K, p-norm) on the torus and one per class in
-        the cube.
+        class ``cls``'s members; built on first use and kept, one per
+        (class, K, p-norm) on the torus and one per class in the cube.
 
         ``tree`` is a plain cKDTree, ``owner`` maps its points to site
         indices, and a query row whose K-th tree distance is below ``reach``
@@ -182,7 +173,7 @@ class WeightedSites:
         [-r, 1 + r], where r = (4K / (n_c V))^(1/d) for the n_c sites and
         the unit ball volume V of ``g``: a ball that holds 4K sites in
         expectation, so about P(Poisson(4K) < K) of the rows fall beyond it
-        for uniform sites.  Every image within D < r of a point in [0, 1)^d
+        for uniform sites.  Every image within D < r of a point in [0, 1]^d
         is in the tree, and for r < 1/2 no two images of one site lie within
         r of it, so the reach is r less a relative ``_TIE_GAP``.  None when
         r >= 1/2: at most 4K 2^d / V sites, which one dense selection
@@ -214,7 +205,7 @@ class WeightedSites:
 @dataclass
 class _CellTable:
     """The sites that can rank among the K weighted-nearest of some point
-    of each cell of a grid of ``side``^d cells of [0, 1)^d, cells in
+    of each cell of a grid of ``side``^d cells of [0, 1]^d, cells in
     row-major order: row c of ``cand`` (int32) holds ``length[c]``
     increasing site indices, then padding.  ``rows`` counts the rows it
     has ranked (see ``knearest``)."""
@@ -328,10 +319,6 @@ def rank_k_smallest(values, k):
     return sel
 
 
-def _in_unit_cube(x):
-    return bool(np.all((x >= 0.0) & (x < 1.0)))
-
-
 def _rank_scan(points, sites, k, g):
     """``knearest`` by the dense score matrix, in blocks of bounded size."""
     out = np.empty((len(points), k), dtype=np.int64)
@@ -341,14 +328,6 @@ def _rank_scan(points, sites, k, g):
         scores = weighted_score_matrix(block, sites, g)
         out[a:a + len(block)] = rank_k_smallest(scores, k)
     return out
-
-
-def _trees_serve(points, sites):
-    """Whether the sampler's race may be lazy for these clause points: at
-    least ``_TREE_MIN_ROWS`` of them, and sites and points in [0, 1)^d.
-    Smaller calls keep the full race, and so its stream of exponentials."""
-    return (len(points) >= _TREE_MIN_ROWS and sites.in_unit_cube
-            and _in_unit_cube(points))
 
 
 def _nearest_dense(points, sites, members, g, K):
@@ -417,9 +396,10 @@ def _rank_table(points, sites, k, g):
     Each row then scores its cell's list by ``weighted_score_matrix``, with
     +inf past the list's length, and ranks it by ``rank_k_smallest``: the
     lists increase in site index, so that is the scan's (score, index)
-    rule.  In chunks of ``_RANK_ROWS`` rows, rows are grouped by list
-    length into widths 8, 16, 32, ... up to the table's width and scored in
-    blocks of at most ``_RANK_ENTRIES``.
+    rule.  A coordinate of 1 falls in the last cell of its axis.  In chunks
+    of ``_RANK_ROWS`` rows, rows are grouped by list length into widths 8,
+    16, 32, ... up to the table's width and scored in blocks of at most
+    ``_RANK_ENTRIES``.
     """
     table = sites.table(g, k)
     table.rows += len(points)
@@ -430,8 +410,8 @@ def _rank_table(points, sites, k, g):
     out = np.empty((len(points), k), dtype=np.int64)
     for a in range(0, len(points), _RANK_ROWS):
         chunk = points[a:a + _RANK_ROWS]
-        cell = np.ravel_multi_index(
-            np.floor(chunk * side).astype(np.int64).T, (side,) * sites.d)
+        cell = np.ravel_multi_index(np.minimum(chunk * side, side - 1)
+                                    .astype(np.int64).T, (side,) * sites.d)
         length = table.length[cell]
         # the least power of two >= length (frexp(0) gives exponent 0)
         width = np.left_shift(1, np.frexp(length - 1)[1])
@@ -454,9 +434,9 @@ def knearest(points, sites, k, g):
     each point, ranked by increasing distance with ties broken by smaller
     index: ``rank_k_smallest`` on ``weighted_score_matrix``, row for row.
 
-    k = n, and sites or points outside [0, 1)^d, are scanned.  Otherwise
-    the cell table ranks every row, weighted sites or not, from the first
-    call: each row scores the list of its cell in the site set's table for
+    Points must lie in [0, 1]^d, as sites do.  The cell table ranks every
+    row, weighted sites or not and k = n included, from the first call:
+    each row scores the list of its cell in the site set's table for
     k (``WeightedSites.table``) and ranks it by (score, index),
     ``_rank_table``.  For a cell of centre c and side h and a site s, with
     delta the per-coordinate distance from c to s (wrapped on the torus),
@@ -474,11 +454,9 @@ def knearest(points, sites, k, g):
     does, a one-shot call stays coarse and a Monte Carlo count deepens
     after its first block.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(check_unit_cube(points, "points"))
     if not 1 <= k <= sites.n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
-    if k == sites.n or not (sites.in_unit_cube and _in_unit_cube(pts)):
-        return _rank_scan(pts, sites, k, g)
     return _rank_table(pts, sites, k, g)
 
 

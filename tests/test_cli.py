@@ -240,6 +240,28 @@ def test_voronoi_count_on_a_sites_json(tmp_path, capsys):
                      "--seed", "8"] + extra)
 
 
+@pytest.mark.parametrize("positions, space", [
+    ([[1.5], [0.3]], ["--d", "1", "--p-norm", "1"]),
+    ([[0.2, 0.2], [1.3, 0.2]], ["--p-norm", "inf"]),
+    ([[0.1, 0.5], [1.9, 0.5]], []),
+    ([[0.1, 0.5], [-0.2, 0.5]], [])],
+    ids=["p1", "max", "p2", "negative"])
+def test_voronoi_count_rejects_sites_outside_the_unit_cube(tmp_path, positions,
+                                                           space):
+    # such a site file was counted from scores that wrap no difference
+    # beyond 1; the closed cube's border is legal
+    path = tmp_path / "sites.json"
+    path.write_text(json.dumps({"positions": positions, "weights": [1.0, 1.0]}))
+    args = ["voronoi-count", "--sites-json", str(path), "-k", "1",
+            "--samples", "100", "--seed", "1"] + space
+    with pytest.raises(SystemExit, match=r"^error: site positions must be "
+                       r"finite and lie in \[0, 1\]$"):
+        run_cli(args)
+    positions = [[min(max(x, 0.0), 1.0) for x in site] for site in positions]
+    path.write_text(json.dumps({"positions": positions, "weights": [1.0, 1.0]}))
+    assert run_cli(args) == 0
+
+
 def test_experiment_subcommand_with_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "MOMENT_CHECK", "n_values": [100],

@@ -325,9 +325,9 @@ def test_race_keys_at_high_temperature_use_the_drawn_exponentials(monkeypatch, c
     pts = rng.random((300, 2))
     if case == "underflow":  # E**100 below the smallest normal double
         sites, g, T = WeightedSites(rng.random((100, 2)), np.ones(100)), G2, 100.0
-    else:  # three far sites, scores near the largest double: E > 1.8 overflows
-        sites = WeightedSites(7e153 + rng.random((3, 2)), np.ones(3))
-        g, T = GeometrySpec(d=2, p_norm=2, wrap=False), 1.0
+    else:  # three sites and E**500: E above about 4.1 overflows
+        sites = WeightedSites(rng.random((3, 2)), np.ones(3))
+        g, T = GeometrySpec(d=2, p_norm=2, wrap=False), 500.0
     scores = weighted_score_matrix(pts, sites, g)
     e = T * 2 / 2
     got_rng, ref_rng = np.random.default_rng(59), np.random.default_rng(59)
@@ -337,6 +337,7 @@ def test_race_keys_at_high_temperature_use_the_drawn_exponentials(monkeypatch, c
         product = scores * expo**e
     bad = ~np.all(np.isfinite(product) & (product >= np.finfo(float).tiny), axis=1)
     assert 0 < bad.sum() < len(scores)
+    assert np.isinf(product).any() == (case == "overflow")
     assert np.array_equal(got[bad], np.log(scores[bad]) + e * np.log(expo[bad]))
     assert np.array_equal(got[~bad], product[~bad])
     # the stream continues where the block's exponentials end
@@ -466,6 +467,35 @@ def test_tail_bound_is_below_every_member_left_out(g, clustered, monkeypatch):
             out = np.setdiff1d(members, cand[row])
             scores = pnorm_scores(pts[row:row + 1], sites.positions[out], g)[0]
             assert np.all(scores / sites.weights[out] ** (q / 2) >= floor[row])
+
+
+@pytest.mark.parametrize("g", list(_TAIL_METRICS.values()), ids=list(_TAIL_METRICS))
+def test_class_candidates_on_the_border_hold_each_class_nearest(g, monkeypatch):
+    # sites and clause points with a coordinate exactly 1.0 (0.0 again on
+    # the torus) take the lazy race; each row's candidates from a class cut
+    # short are K nearest members of that class by the scan (the scores
+    # agree: under the max norm the sites at x = 1.0 tie)
+    rng = np.random.default_rng(67)
+    pos = rng.random((200, 2))
+    pos[:20, 0], pos[20] = 1.0, 1.0
+    sites = WeightedSites.from_raw(pos, rng.permutation(power_law_weights(200, 2.5)))
+    pts = rng.random((40, 2))
+    pts[:10, 0], pts[10:15, 1], pts[15] = 1.0, 1.0, 1.0
+    sizes = generate._candidate_sizes(sites, 3, 0.5)
+    cand, _, tails = _class_candidates(pts, sites, g, sizes)
+    assert tails
+    for members, K in zip(sites.weight_classes, sizes):
+        if len(members) > K:
+            scores = pnorm_scores(pts, sites.positions[members], g)
+            for row, score in zip(cand, scores):
+                got = np.isin(members, row)
+                assert got.sum() == K
+                assert np.array_equal(np.sort(score[got]), np.sort(score)[:K])
+    race, raced = generate._race, []
+    monkeypatch.setattr(generate, "_race",
+                        lambda *args: raced.append(args[-1]) or race(*args))
+    draw_geometric_clause_vars(pts, sites, 3, 0.5, g, rng)
+    assert raced == [sizes] and sum(sizes) < sites.n
 
 
 @pytest.mark.parametrize("T, weighted, digest, m", [

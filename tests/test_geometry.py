@@ -30,6 +30,27 @@ def test_identical_points():
         assert torus_distance(p, p, g) == 0.0
 
 
+@pytest.mark.parametrize("a, b, g", [
+    ([0.2], [1.3], GeometrySpec(d=1, p_norm=1)),
+    ([0.2, 0.2], [1.3, 0.2], GeometrySpec(d=2, p_norm=INFINITY)),
+    ([0.1, 0.5], [1.9, 0.5], GeometrySpec(d=2, p_norm=2)),
+    ([0.2], [math.nan], GeometrySpec(d=1))],
+    ids=["p1-negative", "max-zero", "p2-unwrapped", "nan"])
+def test_positions_outside_the_unit_cube_are_rejected(a, b, g):
+    # min(delta, 1 - delta) wraps a coordinate difference only for
+    # delta <= 1: these distances came out as -0.1, 0.0 and 0.8 against
+    # torus distances of 0.1, 0.1 and 0.2
+    sites = WeightedSites(np.array([a]), np.ones(1))
+    for call in (lambda: torus_distance(a, b, g),
+                 lambda: cross_distances([a, a], [b], g),
+                 lambda: weighted_distance(0, b, sites, g),
+                 lambda: connection_weight(b, 0, sites, 0.5, g)):
+        with pytest.raises(ValueError, match=r"must be finite and lie in \[0, 1\]"):
+            call()
+    # the closed cube holds: 1.0 is 0.0 on the torus
+    assert torus_distance(np.ones(g.d), np.zeros(g.d), g) == 0.0
+
+
 def test_dimension_mismatch():
     g = GeometrySpec(d=2)
     with pytest.raises(ValueError):

@@ -74,10 +74,28 @@ def test_non_finite_positions_are_rejected(bad):
                  lambda: WeightedSites.from_raw(pos, np.arange(1.0, 6.0))):
         with pytest.raises(ValueError, match="positions must be finite"):
             make()
-    # a position outside [0, 1) stays legal: the scan ranks it
+    # a position outside [0, 1] is rejected too: its circular differences
+    # would go unwrapped and score wrongly
     pos[2, 1] = 1.5
-    assert count_regions_monte_carlo(WeightedSites(pos, np.ones(5)), 1,
-                                     2000, 1, G2).count == 5
+    with pytest.raises(ValueError, match=r"must be finite and lie in \[0, 1\]"):
+        WeightedSites(pos, np.ones(5))
+
+
+def test_knearest_rejects_positions_outside_the_unit_cube():
+    # d = 1, p = 1: with sites at 1.5 and 0.3 knearest returned site 0 for
+    # the point 0.2, though site 1 is nearer on the torus (0.1 against 0.3)
+    g = GeometrySpec(d=1, p_norm=1)
+    with pytest.raises(ValueError, match="site positions must be finite"):
+        WeightedSites([[1.5], [0.3]], np.ones(2))
+    sites = WeightedSites([[0.5], [0.3]], np.ones(2))
+    for bad in (1.5, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^points must be finite"):
+            knearest([[0.2], [bad]], sites, 1, g)
+        # clause points are checked at every temperature
+        for T in (0.0, 0.5, 1.5):
+            with pytest.raises(ValueError, match="^clause positions must be"):
+                draw_geometric_clause_vars([[bad]] * 8, sites, 1, T, g,
+                                           np.random.default_rng(0))
 
 
 def test_k_nearest_basic():
@@ -270,16 +288,18 @@ def test_region_count_table_keys_equal_scan_keys_at_ties():
     assert every.keys == {(0, 1, 2)}
 
 
-def test_region_count_scans_sites_outside_the_unit_cube():
-    # a site at 1.0 (a loaded site file may hold one) lies outside
-    # [0, 1)^d, where the cell table has no cell for it, so the count takes
-    # knearest's scan
+def test_region_count_ranks_border_sites_through_the_table():
+    # a site at 1.0 (a loaded site file may hold one) lies in the last cell
+    # of its axis, and the count ranks it through knearest's cell table,
+    # split to 16 x 16 cells by the 3000 rows
     pos = random_sites(30, G2, 6).positions.copy()
     pos[0, 0] = 1.0
     s = WeightedSites(pos, np.ones(30))
-    with mock.patch.object(voronoi, "_rank_table") as table:
+    with mock.patch.object(voronoi, "_rank_table",
+                           wraps=voronoi._rank_table) as table:
         res = count_regions_monte_carlo(s, 2, 3000, 1, G2)
-    table.assert_not_called()
+    table.assert_called_once()
+    assert s.table(G2, 2).side == 16
     _assert_matches_reference(res, s, 2, 3000, 1, G2)
 
 
@@ -399,9 +419,9 @@ def test_score_matrix_matches_weighted_distance_ranking():
 
 @pytest.mark.parametrize(
     "n,k,backend,samples",
-    [(60, 2, "scan", 40_000), (40, 3, "tree", 40_000), (100, 10, "tree", 40_000),
-     (40, 3, "tree", 32_771)],
-    ids=["60-2-scan", "40-3-tree", "100-10-tree", "40-3-tree-32771"])
+    [(60, 2, "scan", 40_000), (40, 3, "table", 40_000),
+     (100, 10, "table", 40_000), (40, 3, "table", 32_771)],
+    ids=["60-2-scan", "40-3-table", "100-10-table", "40-3-table-32771"])
 def test_region_count_dedup_matches_reference(n, k, backend, samples,
                                               monkeypatch):
     # 100^10 >= 2^63: the third case dedups tuple keys instead of int64 codes;
@@ -462,7 +482,10 @@ def _knearest_cases(draw):
     elif layout == "duplicates":
         pos = pos[rng.integers(0, max(1, n // 3), n)]
     elif layout == "at_one":
+        # a site and a point on the border, where the table's cell index is
+        # clamped to its last cell
         pos[rng.integers(0, n), rng.integers(0, d)] = 1.0
+        pts[rng.integers(0, len(pts)), rng.integers(0, d)] = 1.0
     return g, WeightedSites.from_raw(pos, _case_weights(draw, rng, n)), pts, k
 
 
@@ -477,12 +500,13 @@ def test_knearest_equals_scan_and_brute_force(case):
     # one point alone, after the table has counted the call above
     assert np.array_equal(knearest(pts[:1], sites, k, g), got[:1])
     # deep at once: the same site set ranks the rows again through its cell
-    # table, split to _CELLS_PER_SITE n / k cells, exact ties and all
+    # table, split to _CELLS_PER_SITE n / k cells, exact ties, k = n and
+    # the border all
     with mock.patch.object(voronoi, "_ROWS_PER_CELL", 0), \
             mock.patch.object(voronoi, "_rank_table",
                               wraps=voronoi._rank_table) as ranked:
         assert np.array_equal(knearest(pts, sites, k, g), got)
-    assert ranked.called == (k < sites.n and sites.in_unit_cube)
+    assert ranked.called
     brute, dist = _brute_ranking(pts, sites, k, g)
     if sites.unweighted:
         assert np.array_equal(got, brute[:, :k])
@@ -590,16 +614,18 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
     # clustered sites: most cells lie far from every site
     clustered = WeightedSites(_clustered(rng, 200, 2), np.ones(200))
     assert run(clustered) == (0, 0)
-    # a site on the border scans every row, weighted or not
+    # a site and points on the border take the table, weighted or not
     at_one = pos.copy()
     at_one[0, 0] = 1.0
-    assert run(WeightedSites(at_one, np.ones(200))) == (0, len(pts))
-    assert run(WeightedSites.from_raw(at_one, rng.uniform(1, 3, 200))) == (0, len(pts))
-    # k = n scans every row; k = n - 1 takes the table
+    border = np.vstack((pts, [[1.0, 0.5], [0.5, 1.0], [1.0, 1.0]]))
+    assert run(WeightedSites(at_one, np.ones(200)), pts=border) == (0, 0)
+    assert run(WeightedSites.from_raw(at_one, rng.uniform(1, 3, 200)),
+               pts=border) == (0, 0)
+    # k = n takes the table, as k = n - 1 does
     four = WeightedSites(pos[:4], np.ones(4))
     assert run(four, g=flat) == (0, 0)
-    assert run(four, k=4, g=flat) == (0, len(pts))
-    assert run(four, k=4) == (0, len(pts))
+    assert run(four, k=4, g=flat) == (0, 0)
+    assert run(four, k=4) == (0, 0)
     # a T = 0 core at the pigeonhole clause count (n 2000, k 2, m 31,969) is
     # one call on a fresh site set: its table counts the rows and halves to
     # one cell per 16 of them
