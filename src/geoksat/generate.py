@@ -4,7 +4,8 @@ Non-uniform model: each clause draws k variables sequentially without
 replacement with probability proportional to their weights, then negates
 each literal independently with probability 1/2.  The power-law model is
 the non-uniform model with power-law weights.  All m clauses are drawn at
-once by the cumsum/searchsorted kernel in ``sampling``.
+once by the cumsum kernel in ``sampling``, searched through a Chen-Asau
+guide table.
 
 Geometric model: variables and clauses get uniform positions on the torus;
 for temperature T > 0 the k variables are drawn without repetition with

@@ -62,15 +62,16 @@ def weights_from_file(path):
 
 def prefix_mass(w, i):
     """Sum of the i largest sampling probabilities w_j / W (1 <= i <= n)."""
+    w = check_weights(w)
     if not 1 <= i <= len(w):
         raise ValueError(f"i must be in [1, {len(w)}], got {i}")
-    p = np.sort(w / math.fsum(w))[::-1]
-    return float(np.cumsum(p)[i - 1])
+    return math.fsum(np.sort(w / math.fsum(w))[::-1][:i])
 
 
 def second_moment(w):
     """Sum of squared sampling probabilities, by exact summation."""
-    return math.fsum(x * x for x in w) / math.fsum(w)**2
+    w = check_weights(w)
+    return math.fsum(w * w) / math.fsum(w)**2
 
 
 def power_law_total_asymptotic(n, beta):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from geoksat.generate import sample_nonuniform_formula
-from geoksat.sampling import sequential_weighted_draws
+from geoksat.sampling import _guide_table, _search, sequential_weighted_draws
 from geoksat.weights import power_law_weights
 
 EPS = np.finfo(float).eps
@@ -99,6 +99,48 @@ def test_restore_after_draws():
     assert arr.tolist() == before
 
 
+def _guide_cases():
+    rng = np.random.default_rng(11)
+    zero_runs = rng.random(400)
+    zero_runs[rng.random(400) < 0.6] = 0.0
+    zero_runs[:7] = zero_runs[-5:] = 0.0
+    # 3000 unit weights below one of 2^60: the first bucket holds them all
+    wide = np.append(np.ones(3000), 2.0**60)
+    return {
+        "powerlaw": power_law_weights(5000, 2.1),
+        "uniform": np.ones(257),
+        # an ulp below some bucket boundaries, t / h rounds up to the boundary
+        "thirds": np.full(100, 1 / 3),
+        "span_2_60": 2.0 ** -rng.uniform(0, 60, 2000),
+        "one_wide_bucket": wide,
+        "above_2_53": np.array([1e18, 1.0, 1.0, 1.0, 1e-3]),
+        "zero_runs": zero_runs,
+        "n1": np.array([0.7]),
+        "n2": np.array([3.0, 1e-9]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_guide_cases()))
+def test_guide_search_equals_searchsorted(name):
+    w = _guide_cases()[name]
+    cum = np.cumsum(w)
+    total = cum[-1]
+    table = _guide_table(cum)
+    edges = np.arange(len(cum)) * table[1]  # the bucket boundaries
+    rng = np.random.default_rng(12)
+    t = np.concatenate([
+        cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf),
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [0.0, total, np.nextafter(total, np.inf), 2 * total, 1e300, -1.0],
+        rng.random(5000) * total])
+    got = _search(cum, table, t)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.searchsorted(cum, t, side="right"))
+    assert np.all(got[t >= total] == len(cum))
+    if name == "one_wide_bucket":
+        assert table[0][1] - table[0][0] >= 3000
+
+
 def test_rejects_negative_weights():
     with pytest.raises(ValueError, match="nonnegative"):
         sequential_weighted_draws([1.0, -0.5], np.zeros((1, 1)))
@@ -168,8 +210,28 @@ FENWICK_DIGESTS = [
 ]
 
 
+def _literals_digest(n, m, k, beta, seed):
+    f = sample_nonuniform_formula(n, m, k, power_law_weights(n, beta), seed)
+    return hashlib.sha256(f.literals.astype("<i8").tobytes()).hexdigest()
+
+
 @pytest.mark.parametrize("params,digest", FENWICK_DIGESTS)
 def test_sampler_matches_fenwick_digests(params, digest):
-    n, m, k, beta, seed = params
-    f = sample_nonuniform_formula(n, m, k, power_law_weights(n, beta), seed)
-    assert hashlib.sha256(f.literals.astype("<i8").tobytes()).hexdigest() == digest
+    assert _literals_digest(*params) == digest
+
+
+# the same digests at the benchmark's power-law size and at n = 10^5,
+# beta = 2.1, where buckets are wider, computed with the cumsum kernel's
+# np.searchsorted before the guide table replaced it: the table keeps the
+# RNG stream and the instances
+CUMSUM_DIGESTS = [
+    ((10_000, 42_000, 3, 2.5, 7),
+     "84e48e50058665dba7249e1792283034b3547599956bedbc2311bd43c028338f"),
+    ((100_000, 420_000, 3, 2.1, 1),
+     "89283090958d10b495c29b8421b6fe4fb0aa655c0f8853ac44caa20069dab184"),
+]
+
+
+@pytest.mark.parametrize("params,digest", CUMSUM_DIGESTS)
+def test_sampler_matches_cumsum_digests(params, digest):
+    assert _literals_digest(*params) == digest

@@ -109,3 +109,25 @@ def test_weights_file_round_trip(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("# comment\n1.5\n2.0\n\n0.25\n")
     assert np.array_equal(weights_from_file(path), [1.5, 2.0, 0.25])
+
+
+@pytest.mark.parametrize("bad", [[2.0, -1.0], [1.0, math.nan], [], [1.0, 0.0],
+                                 [1.0, math.inf]])
+def test_moment_helpers_reject_bad_sequences(bad):
+    with pytest.raises(ValueError, match="weights"):
+        second_moment(bad)
+    with pytest.raises(ValueError, match="weights"):
+        prefix_mass(bad, 1)
+
+
+def test_moment_helpers_take_plain_lists():
+    assert prefix_mass([1.0, 2.0], 1) == pytest.approx(2.0 / 3.0)
+    assert second_moment([1.0, 1.0]) == pytest.approx(0.5)
+
+
+def test_prefix_mass_sums_exactly():
+    # each 4e-17 is below half an ulp of the running prefix near 1: a plain
+    # cumsum drops all of them, compensated summation keeps them
+    w = check_weights([1.0] + [4e-17] * 1000)
+    assert prefix_mass(w, 501) > prefix_mass(w, 1)
+    assert prefix_mass(w, 1001) == pytest.approx(1.0, abs=1e-15)
