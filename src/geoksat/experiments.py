@@ -16,9 +16,8 @@ import numpy as np
 
 from ._version import __version__
 from .geometry import GeometrySpec, INFINITY
-from .generate import (_CLAUSE_BLOCK, check_temperature,
-                       draw_geometric_clause_vars, sample_geometric_formula,
-                       sample_nonuniform_formula)
+from .generate import (check_temperature, draw_geometric_clause_vars,
+                       sample_geometric_formula, sample_nonuniform_formula)
 from .structure import (EnumerationBudgetError, check_expansion_exact,
                         check_expansion_sampled, find_unsat_core,
                         incidence_graph)
@@ -187,21 +186,18 @@ def nice_fraction_audit(sites, g, k, T, audit, seed):
 
     Clause draws are i.i.d. given the variable positions, so auditing
     freshly drawn clauses is distribution-identical to auditing a random
-    subset of a full instance.  Each block of ``_CLAUSE_BLOCK`` clause
-    points is drawn from the seeded stream, then drawn from by
-    ``draw_geometric_clause_vars`` and ranked by ``knearest``.  At T = 0 a
-    clause's draw is its k-nearest ranking, so every clause is nice.
+    subset of a full instance.  All clause points are drawn from the
+    seeded stream first, then drawn from by ``draw_geometric_clause_vars``
+    and ranked by ``knearest``.  At T = 0 a clause's draw is its k-nearest
+    ranking, so every clause is nice.
     """
     check_temperature(T)
     if T == 0:
         return audit
     rng = np.random.default_rng(seed)
-    nice = 0
-    for done in range(0, audit, _CLAUSE_BLOCK):
-        pts = rng.random((min(_CLAUSE_BLOCK, audit - done), g.d))
-        drawn = draw_geometric_clause_vars(pts, sites, k, T, g, rng)
-        nice += int(np.all(drawn == knearest(pts, sites, k, g), axis=1).sum())
-    return nice
+    pts = rng.random((audit, g.d))
+    drawn = draw_geometric_clause_vars(pts, sites, k, T, g, rng)
+    return int(np.all(drawn == knearest(pts, sites, k, g), axis=1).sum())
 
 
 def _nice_fraction_point(cfg, n, seed):

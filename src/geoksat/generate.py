@@ -14,13 +14,12 @@ deterministically takes the k variables of smallest weighted distance in
 increasing order (``knearest``).  T > 0 draws are one exponential race:
 each variable gets the key E_v / X(c, v) with E_v ~ Exp(1), and the k
 smallest keys, in order, have the sequential-draw law.  At T < 1 the race
-is lazy: each clause keys only its nearest members of every weight class
-of the site set (the class trees of ``voronoi``) and the members left
-out whose exponential is small enough to beat its k-th key, found by
-geometric skips.  At T >= 1 and for calls of fewer than
-``_TREE_MIN_ROWS`` clauses, no class is cut short and every clause keys all
-n variables.  Every score a key is made from, tail hits included, comes
-from ``voronoi.weighted_score_matrix``.  Sign patterns are drawn uniformly
+is lazy: each clause keys only its K weighted-nearest sites, selected
+from the site set's cell table for K (``voronoi._rank_table``), and the
+sites left out whose exponential is small enough to beat its k-th key,
+found by geometric skips.  At T >= 1 every clause keys all n variables.
+Every score a key is made from, tail hits included, comes from
+``voronoi.weighted_score_matrix``.  Sign patterns are drawn uniformly
 without repetition per variable set until all 2^k are used.  Draw order is
 preserved in the clause literals for downstream niceness analysis.
 """
@@ -30,33 +29,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometrySpec, check_unit_cube
+from .geometry import GeometrySpec
 from .sampling import sequential_weighted_draws
-from .voronoi import (_SCAN_ENTRIES, _TIE_GAP, WeightedSites, _class_candidates,
-                      knearest, random_sites, rank_k_smallest,
+from .voronoi import (_SCAN_ENTRIES, _TIE_GAP, WeightedSites, _rank_table,
+                      check_positions, knearest, random_sites, rank_k_smallest,
                       weighted_score_matrix)
 
 # most clauses per race block, which bounds the block's score, key and
-# exponential arrays; numpy fills exponentials in sequence, so the sampler's
-# race stream does not depend on it, but nice_fraction_audit draws each
-# block's points before its exponentials, so its records do
+# exponential arrays; numpy fills exponentials in sequence, so the race
+# stream does not depend on it
 _CLAUSE_BLOCK = 1024
 
 # smallest normal double: a race key below it has lost its significant digits
 _TINY = np.finfo(float).tiny
 
-# the lazy race keys K_j = k * (n_j / _CANDIDATE_SCALE)^T candidates of a
-# weight class of n_j sites, so that a clause's tail hits do not grow with n:
-# 4 to 11 per clause over all classes at n = 2000 and 10^4, d = 2, T 0.3 to
-# 0.9.  There 48 was about as fast as 64 and faster than 24 (2 vCPU); a
-# constant c in c * n_j^T instead draws hundreds of tail hits at T = 0.3
+# the lazy race keys K = sum_j k * (n_j / _CANDIDATE_SCALE)^T candidates,
+# n_j the sites of weight class [2^j, 2^(j+1)), so that a clause's tail hits
+# do not grow with n: 0.4, 3.0 and 6.8 per clause at n = 2000, d = 2, k = 3,
+# beta 2.5 and T 0.3, 0.5 and 0.9, and 3.9 at n = 10^4, T = 0.5.  A constant
+# c in c * n_j^T instead draws hundreds of tail hits at T = 0.3
 _CANDIDATE_SCALE = 48
-# tail-process exponentials per clause in its block's draw; the 2-8% of the
-# clauses that need more at n = 2000 to 10^4 finish after the last block
+# tail-process exponentials per clause in its block's draw; the clauses
+# that need more (0 to 0.45% of them at those settings) finish after the
+# last block
 _TAIL_BUDGET = 32
-# the race is lazy only for calls of at least this many clauses; kept so
-# that smaller calls draw the full race's stream
-_TREE_MIN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -167,86 +163,81 @@ def _in_range(low, high):
     return (low >= _TINY) & (high < np.inf)
 
 
-def _candidate_sizes(sites, k, T):
-    """K_j = ceil(k * (n_j / _CANDIDATE_SCALE)^T), at least k + 2 and at
-    most n_j, for each weight class j of n_j sites."""
-    return [min(len(m), max(k + 2, math.ceil(k * (len(m) / _CANDIDATE_SCALE)**T)))
-            for m in sites.weight_classes]
+def _candidate_count(sites, k, T):
+    """K = sum_j ceil(k * (n_j / _CANDIDATE_SCALE)^T), each term at least
+    k + 2 and at most n_j, over the weight classes [2^j, 2^(j+1)) of n_j
+    sites: the lazy race's candidates per clause."""
+    sizes = np.bincount(np.frexp(sites.weights)[1])
+    return sum(min(s, max(k + 2, math.ceil(k * (s / _CANDIDATE_SCALE)**T)))
+               for s in sizes[sizes > 0].tolist())
 
 
-def _race_block(points, sites, k, g, e, sizes, expo):
+def _race_block(points, sites, k, g, e, K, expo):
     """The race of ``draw_geometric_clause_vars`` for a block of points,
-    over their class candidates and the members left out that can still win.
+    over their K candidates and the sites left out that can still win.
 
-    Row i's exponentials are ``expo[i]``: the first C key its C candidates,
-    the rest drive its tail process.  Returns the (rows, k) ranking and the
-    rows that ran out of exponentials, whose ranking is not set.
+    Row i's exponentials are ``expo[i]``: the first K key its K
+    candidates, in increasing site index, the rest drive its tail process.
+    Returns the (rows, k) ranking and the rows that ran out of
+    exponentials, whose ranking is not set.
 
     The key of a candidate is score * E^e with e = T * q / d: ranking
     E / X(c, v) is preserved under the monotone map y -> y^(T*q/d), with
     q = ``g.score_power`` and score the rootless weighted-distance score.  A
     row with a key that overflows to inf or underflows to zero or a
     subnormal (large T) is ranked by log(score) + e * log(E) instead, the
-    same order in the log domain (the Gumbel-top-k form of the race).  When
-    no class is cut short the candidates are all n sites and there is no
-    tail process.
+    same order in the log domain (the Gumbel-top-k form of the race).  With
+    K = n the candidates are all n sites and there is no tail process;
+    otherwise they are the row's K weighted-nearest sites, and every site
+    left out scores at least the largest of theirs, the tail's bound.
     """
-    cand, scores, tails = _class_candidates(points, sites, g, sizes)
-    rows, width = cand.shape
+    n = sites.n
+    if K < n:
+        cand, scores = _rank_table(points, sites, K, g, select=True)
+    else:
+        cand = np.broadcast_to(np.arange(n), (len(points), n))
+        scores = weighted_score_matrix(points, sites, g)
+    rows = len(cand)
     # range errors are expected here and handled by the log-domain rows
     with np.errstate(all="ignore"):
-        keys = scores * expo[:, :width] ** e
+        keys = scores * expo[:, :K] ** e
         logs = ~_in_range(keys.min(axis=1), keys.max(axis=1))
-        keys[logs] = np.log(scores[logs]) + e * np.log(expo[logs, :width])
-    if not tails:
+        keys[logs] = np.log(scores[logs]) + e * np.log(expo[logs, :K])
+    if K == n:
         return rank_k_smallest(keys, k), np.empty(0, dtype=np.int64)
-    tail = expo[:, width:]
-    budget = tail.shape[1]
-    # each row's first tail exponential that the next class may use
-    start = np.zeros(rows, dtype=np.int64)
-    hit_rows, hit_sites, hit_expo = [], [], []
+    tail = expo[:, K:]
     with np.errstate(all="ignore"):
         kth = np.partition(keys, k - 1, axis=1)[:, k - 1]
-        # each row's candidates as one sorted array of row * n + site
-        taken = (cand + np.arange(rows)[:, None] * sites.n).ravel()
-        for members, bound in tails:
-            # a member left out has key >= floor * E^e, so it can beat kth
-            # only if its E < tau
-            floor = bound / (1.0 + _TIE_GAP)
-            tau = np.where(logs, np.exp((kth - np.log(floor)) / e),
-                           (kth / floor) ** (1.0 / e))
-            tau[np.isnan(tau)] = np.inf  # zero bound and zero key: all may win
-            # Bernoulli(1 - exp(-tau)) hits over the class's members: an
-            # exponential x skips floor(x / tau) of them and hits the next,
-            # whose own exponential is x mod tau, truncated to [0, tau); the
-            # first x that skips past the last member ends the class
-            skip = np.minimum(tail / tau[:, None], len(members)).astype(np.int64)
-            past = np.zeros((rows, budget + 1), dtype=np.int64)
-            np.cumsum(skip + 1, axis=1, out=past[:, 1:])
-            begin = past[np.arange(rows), np.minimum(start, budget)]
-            at = past[:, 1:] - 1 - begin[:, None]  # the member each x hits
-            inside = (np.arange(budget) >= start[:, None]) & (at < len(members))
-            start += inside.sum(axis=1) + 1
-            r, i = np.nonzero(inside)
-            site = members[at[r, i]]
-            # a hit on one of the row's candidates is skipped: its key is set
-            code = r * sites.n + site
-            near = np.minimum(np.searchsorted(taken, code), len(taken) - 1)
-            fresh = taken[near] != code
-            hit_rows.append(r[fresh])
-            hit_sites.append(site[fresh])
-            hit_expo.append(np.fmod(tail[r[fresh], i[fresh]], tau[r[fresh]]))
-        # rows whose last class did not end within the budget
-        over = start > budget
-        hr, hs, he = (np.concatenate(a) for a in (hit_rows, hit_sites, hit_expo))
-        keep = ~over[hr]
-        hr, hs, he = hr[keep], hs[keep], he[keep]
+        # a site left out has key >= floor * E^e, so it can beat kth only if
+        # its E < tau
+        floor = scores.max(axis=1) / (1.0 + _TIE_GAP)
+        tau = np.where(logs, np.exp((kth - np.log(floor)) / e),
+                       (kth / floor) ** (1.0 / e))
+        tau[np.isnan(tau)] = np.inf  # zero bound and zero key: all may win
+        # Bernoulli(1 - exp(-tau)) hits over the n sites: an exponential x
+        # skips floor(x / tau) of them and hits the next, whose own
+        # exponential is x mod tau, truncated to [0, tau); the first x that
+        # skips past the last site ends the row
+        skip = np.minimum(tail / tau[:, None], n).astype(np.int64)
+        at = np.cumsum(skip + 1, axis=1) - 1  # the site each x hits
+        inside = at < n
+        # rows whose tail did not end within the budget
+        over = inside[:, -1]
+        r, i = np.nonzero(inside & ~over[:, None])
+        site = at[r, i]
+        # a hit on one of the row's candidates is skipped: its key is set
+        taken = (cand + np.arange(rows)[:, None] * n).ravel()
+        code = r * n + site
+        near = np.minimum(np.searchsorted(taken, code), len(taken) - 1)
+        fresh = taken[near] != code
+        hr, hs = r[fresh], site[fresh]
+        he = np.fmod(tail[hr, i[fresh]], tau[hr])
         hit = weighted_score_matrix(points[hr], sites, g, hs[:, None])[:, 0]
         hk = hit * he ** e
         # a tail key out of range moves its row to the log domain
         bad = np.unique(hr[~logs[hr] & ~_in_range(hk, hk)])
         logs[bad] = True
-        keys[bad] = np.log(scores[bad]) + e * np.log(expo[bad, :width])
+        keys[bad] = np.log(scores[bad]) + e * np.log(expo[bad, :K])
         kth[bad] = np.partition(keys[bad], k - 1, axis=1)[:, k - 1]
         lg = logs[hr]
         hk[lg] = np.log(hit[lg]) + e * np.log(he[lg])
@@ -268,36 +259,35 @@ def _race_block(points, sites, k, g, e, sizes, expo):
     return ranked, np.flatnonzero(over)
 
 
-def _race(pts, sites, k, T, g, rng, sizes):
-    """``draw_geometric_clause_vars`` at T > 0 by ``_race_block``, with
-    ``sizes[j]`` candidates from weight class j.
+def _race(pts, sites, k, T, g, rng, K):
+    """``draw_geometric_clause_vars`` at T > 0 by ``_race_block``, with K
+    candidates per clause.
 
-    Each row draws C exponentials, C = sum(sizes), plus ``_TAIL_BUDGET``
-    when a class is cut short (C < n), in row order and in blocks of at
-    most ``_CLAUSE_BLOCK`` rows; rows that spend them all finish after the
-    last block, in row order, with twice as many tail exponentials at each
-    round (the first ones kept), so the stream does not depend on the block
-    size.  With C = n a row draws exactly n exponentials.
+    Each row draws K exponentials, plus ``_TAIL_BUDGET`` when K < n, in row
+    order and in blocks of at most ``_CLAUSE_BLOCK`` rows; rows that spend
+    them all finish after the last block, in row order, with twice as many
+    tail exponentials at each round (the first ones kept), so the stream
+    does not depend on the block size.  With K = n a row draws exactly n
+    exponentials.
     """
     e = T * g.score_power / g.d
-    width = sum(sizes)
-    budget = _TAIL_BUDGET if width < sites.n else 0
-    step = min(_CLAUSE_BLOCK, max(1, _SCAN_ENTRIES // width))
+    budget = _TAIL_BUDGET if K < sites.n else 0
+    step = min(_CLAUSE_BLOCK, max(1, _SCAN_ENTRIES // K))
     out = np.empty((len(pts), k), dtype=np.int64)
     late = [np.empty(0, dtype=np.int64)]
-    late_expo = [np.empty((0, width + budget))]
+    late_expo = [np.empty((0, K + budget))]
     for a in range(0, len(pts), step):
         block = pts[a:a + step]
-        expo = rng.standard_exponential((len(block), width + budget))
-        out[a:a + len(block)], over = _race_block(block, sites, k, g, e,
-                                                  sizes, expo)
+        expo = rng.standard_exponential((len(block), K + budget))
+        out[a:a + len(block)], over = _race_block(block, sites, k, g, e, K,
+                                                  expo)
         late.append(a + over)
         late_expo.append(expo[over])
     late, expo = np.concatenate(late), np.concatenate(late_expo)
     while len(late):
-        more = rng.standard_exponential((len(late), expo.shape[1] - width))
+        more = rng.standard_exponential((len(late), expo.shape[1] - K))
         expo = np.concatenate((expo, more), axis=1)
-        out[late], over = _race_block(pts[late], sites, k, g, e, sizes, expo)
+        out[late], over = _race_block(pts[late], sites, k, g, e, K, expo)
         late, expo = late[over], expo[over]
     return out
 
@@ -310,22 +300,19 @@ def draw_geometric_clause_vars(clause_positions, sites, k, T, g, rng):
     realized as an exponential race (smallest E_v / X(c,v) first), which
     has exactly the sequential-draw distribution (``_race``).
 
-    Clause positions must lie in [0, 1]^d.  At T < 1, for a call of at
-    least ``_TREE_MIN_ROWS`` clauses, the race is lazy: each clause keys
-    only its K_j nearest members of each weight class j and the members
-    left out whose exponential falls below the class threshold that lets
-    them beat its k-th key; those are found by geometric skips and keyed
-    with their exponential truncated to the threshold.  Same law, with
-    sum_j K_j + O(1) exponentials per clause.  Otherwise no class is cut short and every clause keys all n sites.
+    Clause positions must lie in [0, 1]^d, with d = ``g.d``.  At T < 1 the
+    race is lazy: each clause keys only its K weighted-nearest sites
+    (``_candidate_count``) and the sites left out whose exponential falls
+    below the threshold that lets them beat its k-th key; those are found
+    by geometric skips and keyed with their exponential truncated to the
+    threshold.  Same law, with K + O(1) exponentials per clause.  At
+    T >= 1 every clause keys all n sites.
     """
-    pts = np.atleast_2d(check_unit_cube(clause_positions, "clause positions"))
+    pts = check_positions(clause_positions, sites, g, "clause positions")
     if T == 0:
         return knearest(pts, sites, k, g)
-    if T < 1 and len(pts) >= _TREE_MIN_ROWS:
-        sizes = _candidate_sizes(sites, k, T)
-    else:
-        sizes = [len(members) for members in sites.weight_classes]
-    return _race(pts, sites, k, T, g, rng, sizes)
+    K = _candidate_count(sites, k, T) if T < 1 else sites.n
+    return _race(pts, sites, k, T, g, rng, K)
 
 
 def _apply_sign_patterns(drawn, pattern_u):

@@ -11,8 +11,7 @@ in [0, 1] and min(delta, 1 - delta) is its circular distance;
 ``pnorm_scores`` is the package's one p-norm kernel: the rootless score
 dist^q with q = ``GeometrySpec.score_power``.  Distances are its q-th root,
 and the Voronoi scan and the temperature race rank by it, so every distance
-and score the package computes comes from the same arithmetic (the race's
-k-d trees in ``voronoi`` only pick candidates, which this kernel scores).
+and score the package computes comes from the same arithmetic.
 ``box_score_bounds`` bounds the same score over a box of points, for the
 cell table of ``voronoi.knearest``.
 """
@@ -172,12 +171,22 @@ def ball_volume_constant(g):
                     - math.lgamma(g.d / p + 1.0))
 
 
+def _check_torus(g, law):
+    """A ValueError unless ``g`` is the torus: the cube's boundary makes
+    short distances rarer, so the torus laws do not hold there."""
+    if not g.wrap:
+        raise ValueError(f"{law} is the torus law; the unit cube "
+                         "(wrap=False) has no closed form here")
+
+
 def dist_cdf(x, g):
-    """CDF of the distance between two uniformly random points.
+    """CDF of the distance between two uniformly random points of the
+    torus (a ValueError in the cube).
 
     Exact for x <= 0.5; clamped at 1 beyond that (the exact boundary
     correction is intentionally not computed).
     """
+    _check_torus(g, "dist_cdf")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("distance must be nonnegative")
@@ -222,11 +231,12 @@ def connection_weight_threshold(w_v, T, g):
 
 
 def connection_weight_cdf(x, w_v, T, g):
-    """CDF of the connection weight: 1 - Pi_{d,p} w_v x^(-T).
+    """CDF of the connection weight on the torus: 1 - Pi_{d,p} w_v x^(-T).
 
-    Valid only for x >= (2^d w_v)^(1/T); below that the closed form does
-    not hold and a ValueError is raised.
+    Valid only for x >= (2^d w_v)^(1/T) and on the torus; below that, or
+    in the cube, the closed form does not hold and a ValueError is raised.
     """
+    _check_torus(g, "connection_weight_cdf")
     if T <= 0:
         raise ValueError("connection weight CDF requires T > 0")
     x = np.asarray(x, dtype=float)

@@ -22,29 +22,23 @@ dense scan, and halves its cells as it ranks more rows; weighted and
 unweighted sites, and k = n, take it alike.  Sites and points lie in the
 closed cube [0, 1]^d, checked where they enter (``WeightedSites``,
 ``knearest``), so each lies in a cell of the grid.  The sampler's
-exponential race (``generate``) takes its candidates from one plain
-cKDTree per weight class [2^j, 2^(j+1)) (``WeightedSites.tree``), the
-layering of the geometric inhomogeneous random graph samplers (Bringmann,
-Keusch and Lengler, arXiv 1511.00576), through ``_class_candidates``, or
-all n sites when no class is cut short.  On the torus a class tree holds
-the periodic images of its sites that lie within a reach of the unit cube,
-so its plain distances are torus distances wherever the reach covers the
-query.  Monte Carlo counting ranks through ``knearest`` alone and sorts
-its rows into region keys; ``_rank_scan``, the dense score scan, is the
-reference that ``k_nearest_sites`` ranks one point by.
+exponential race (``generate``) takes its candidates from the same walk
+in its selection mode (``_rank_table`` with ``select``): each clause's K
+weighted-nearest sites, unordered, with their scores.  Monte Carlo
+counting ranks through ``knearest`` alone and sorts its rows into region
+keys; ``_rank_scan``, the dense score scan, is the reference that
+``k_nearest_sites`` ranks one point by.
 """
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geometry import (ball_volume_constant, box_score_bounds, check_unit_cube,
-                       cross_distances, pnorm_scores)
+from .geometry import (box_score_bounds, check_unit_cube, cross_distances,
+                       pnorm_scores)
 from .weights import check_weights
 
 # Monte Carlo points are drawn from the seeded stream in blocks of this
@@ -53,9 +47,8 @@ _MC_BLOCK = 1 << 15
 # cap on distance-matrix entries processed at once
 _SCAN_ENTRIES = 4_000_000
 # a relative slack far larger than the float error of a score: the cell
-# table's lists keep it over their bound, the race's tail bounds under
-# theirs, and its class trees keep their reach this far below the radius
-# within which their rows are exact
+# table's lists keep it over their bound, and the race's tail bounds under
+# theirs
 _TIE_GAP = 1e-9
 # the depth rule of the cell table (``_rank_table``): from one cell, halved
 # while it has fewer cells than _CELLS_PER_SITE n / K and than one per
@@ -84,10 +77,9 @@ class WeightedSites:
     """Site positions (n, d) in [0, 1]^d with multiplicative weights, min
     weight 1.
 
-    A site set keeps what ``knearest`` and the sampler's race build for it
-    on first use: the cell tables of k-nearest (``table``, one per
-    (k, metric), deepened as they rank more rows) and the plain cKDTrees of
-    the race's weight classes (``tree``)."""
+    A site set keeps the cell tables that ``knearest`` and the sampler's
+    race build for it on first use (``table``, one per (k, metric),
+    deepened as they rank more rows)."""
 
     positions: np.ndarray
     weights: np.ndarray
@@ -134,18 +126,6 @@ class WeightedSites:
         return bool(np.all(self.weights == 1.0))
 
     @cached_property
-    def weight_classes(self):
-        """Site indices by weight class [2^j, 2^(j+1)), lightest class
-        first, each increasing."""
-        _, exponent = np.frexp(self.weights)
-        order = np.argsort(exponent, kind="stable")
-        return np.split(order, np.flatnonzero(np.diff(exponent[order])) + 1)
-
-    @cached_property
-    def _trees(self):
-        return {}
-
-    @cached_property
     def _tables(self):
         return {}
 
@@ -158,48 +138,6 @@ class WeightedSites:
             self._tables[key] = _CellTable(
                 1, np.arange(self.n, dtype=np.int32)[None, :], np.array([self.n]))
         return self._tables[key]
-
-    def tree(self, g, cls, K):
-        """``(tree, owner, reach)`` for the sampler's race
-        (``_class_candidates``): K-nearest queries under ``g`` among weight
-        class ``cls``'s members; built on first use and kept, one per
-        (class, K, p-norm) on the torus and one per class in the cube.
-
-        ``tree`` is a plain cKDTree, ``owner`` maps its points to site
-        indices, and a query row whose K-th tree distance is below ``reach``
-        has the K nearest sites under ``g``.  In the cube the tree holds the
-        sites and the reach is infinite.  On the torus it holds the periodic
-        images s + t, t in {-1, 0, 1}^d, with every coordinate in
-        [-r, 1 + r], where r = (4K / (n_c V))^(1/d) for the n_c sites and
-        the unit ball volume V of ``g``: a ball that holds 4K sites in
-        expectation, so about P(Poisson(4K) < K) of the rows fall beyond it
-        for uniform sites.  Every image within D < r of a point in [0, 1]^d
-        is in the tree, and for r < 1/2 no two images of one site lie within
-        r of it, so the reach is r less a relative ``_TIE_GAP``.  None when
-        r >= 1/2: at most 4K 2^d / V sites, which one dense selection
-        (``_nearest_dense``) ranks faster than a tree.
-        """
-        key = (cls, K, g.p_norm) if g.wrap else (cls,)
-        if key not in self._trees:
-            self._trees[key] = self._image_tree(g, self.weight_classes[cls], K)
-        return self._trees[key]
-
-    def _image_tree(self, g, members, K):
-        """``tree``'s result for these member sites, built."""
-        pos = self.positions[members]
-        if not g.wrap:
-            return cKDTree(pos), members, math.inf
-        r = (4 * K / (len(members) * ball_volume_constant(g)))**(1 / self.d)
-        if r >= 0.5:
-            return None
-        images, owner = [], []
-        for t in itertools.product((0.0, -1.0, 1.0), repeat=self.d):
-            img = pos + t
-            near = np.all((img >= -r) & (img <= 1.0 + r), axis=1)
-            images.append(img[near])
-            owner.append(members[near])
-        return (cKDTree(np.concatenate(images)), np.concatenate(owner),
-                r * (1.0 - _TIE_GAP))
 
 
 @dataclass
@@ -267,7 +205,8 @@ class _CellTable:
             child = np.ravel_multi_index(child.T, (side,) * d)
             cand[child[rows], at] = c[rows >> d, flat - rows * c.shape[1]]
             length[child] = counts
-        self.cand, self.length = cand[:, :length.max()], length
+        # a copy, so that the parent-wide array behind the slice is freed
+        self.cand, self.length = cand[:, :length.max()].copy(), length
         self.side = side
 
 
@@ -282,8 +221,8 @@ def weighted_score_matrix(points, sites, g, cand=None):
     """(rows, n) scores of every site, or (rows, C) scores of the site
     indices ``cand``: dist^q / w^(q/d) with q = ``g.score_power``.
 
-    The package's one weighted score: the scan, the class candidates and
-    the race's tail hits all take it.  Avoids q-th roots; rankings and
+    The package's one weighted score: the scan, the cell table and the
+    race's tail hits all take it.  Avoids q-th roots; rankings and
     region keys are unchanged under the strictly increasing map x -> x^q.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -330,75 +269,21 @@ def _rank_scan(points, sites, k, g):
     return out
 
 
-def _nearest_dense(points, sites, members, g, K):
-    """The K nearest ``members`` of each point by ``pnorm_scores``, in
-    blocks of bounded size: (rows, K) site indices in no order, and each
-    row's K-th score."""
-    idx = np.empty((len(points), K), dtype=np.int64)
-    kth = np.empty(len(points))
-    pos = sites.positions[members]
-    step = max(1, _SCAN_ENTRIES // len(members))
-    for a in range(0, len(points), step):
-        scores = pnorm_scores(points[a:a + step], pos, g)
-        part = np.argpartition(scores, K - 1, axis=1)[:, :K]
-        idx[a:a + step] = members[part]
-        kth[a:a + step] = np.take_along_axis(scores, part[:, -1:], axis=1)[:, 0]
-    return idx, kth
-
-
-def _class_candidates(points, sites, g, sizes):
-    """Each point's nearest members of every weight class, scored.
-
-    Class c gives its ``sizes[c]`` nearest members by plain distance, or all
-    of them when it has no more: from its tree (``WeightedSites.tree``)
-    for the rows within the tree's reach, and by ``_nearest_dense`` for the
-    other rows, or for every row when the class has no tree.  Returns
-    ``(cand, scores, tails)``: the (rows, C) candidate site indices,
-    increasing along each row, and their ``weighted_score_matrix`` scores;
-    ``tails`` holds ``(members, bound)`` for each class with members left
-    out, ``bound`` being a lower bound on the score of every member left
-    out: the last candidate's plain score (the tree's distance^q) over the
-    class's largest weight^(q/d).  When no class has more members than its
-    size, the candidates are all n sites.
-    """
-    if all(len(m) <= s for m, s in zip(sites.weight_classes, sizes)):
-        cand = np.broadcast_to(np.arange(sites.n), (len(points), sites.n))
-        return cand, weighted_score_matrix(points, sites, g), []
-    q = g.score_power
-    wq = sites.weights ** (q / sites.d)  # the score's divisor, bit for bit
-    parts, tails = [], []
-    for c, members in enumerate(sites.weight_classes):
-        K = sizes[c]
-        if len(members) <= K:
-            parts.append(np.broadcast_to(members, (len(points), len(members))))
-            continue
-        found = sites.tree(g, c, K)
-        if found is None:
-            idx, kth = _nearest_dense(points, sites, members, g, K)
-        else:
-            tree, owner, reach = found
-            dist, i = tree.query(points, k=K, p=g.p_norm)
-            idx, kth = owner[i], dist[:, -1] ** q
-            far = np.flatnonzero(dist[:, -1] >= reach)
-            if len(far):
-                idx[far], kth[far] = _nearest_dense(points[far], sites, members,
-                                                    g, K)
-        parts.append(idx)
-        tails.append((members, kth / wq[members].max()))
-    cand = np.sort(np.concatenate(parts, axis=1), axis=1)
-    return cand, weighted_score_matrix(points, sites, g, cand), tails
-
-
-def _rank_table(points, sites, k, g):
-    """``knearest`` by the site set's cell table for k.
+def _rank_table(points, sites, k, g, select=False):
+    """``knearest`` by the site set's cell table for k, or with ``select``
+    the race's candidates: ``(cand, scores)``, each row's k weighted-nearest
+    sites in increasing index, unordered by score, and their scores.
 
     The table first deepens by the depth rule (see ``_ROWS_PER_CELL``).
     Each row then scores its cell's list by ``weighted_score_matrix``, with
     +inf past the list's length, and ranks it by ``rank_k_smallest``: the
     lists increase in site index, so that is the scan's (score, index)
-    rule.  A coordinate of 1 falls in the last cell of its axis.  In chunks
-    of ``_RANK_ROWS`` rows, rows are grouped by list length into widths 8,
-    16, 32, ... up to the table's width and scored in blocks of at most
+    rule.  A selection takes the k smallest by one partition instead; a
+    site it leaves out scores at least the row's k-th score, the largest it
+    keeps (the list holds every site that can rank, see ``knearest``).  A
+    coordinate of 1 falls in the last cell of its axis.  In chunks of
+    ``_RANK_ROWS`` rows, rows are grouped by list length into widths 8, 16,
+    32, ... up to the table's width and scored in blocks of at most
     ``_RANK_ENTRIES``.
     """
     table = sites.table(g, k)
@@ -408,6 +293,7 @@ def _rank_table(points, sites, k, g):
         table.split(sites, g, k)
     side = table.side
     out = np.empty((len(points), k), dtype=np.int64)
+    kept = np.empty((len(points), k)) if select else None
     for a in range(0, len(points), _RANK_ROWS):
         chunk = points[a:a + _RANK_ROWS]
         cell = np.ravel_multi_index(np.minimum(chunk * side, side - 1)
@@ -424,9 +310,25 @@ def _rank_table(points, sites, k, g):
                 cand = table.cand[cell[rows], :w]
                 scores = weighted_score_matrix(chunk[rows], sites, g, cand)
                 scores[np.arange(w) >= length[rows, None]] = np.inf
-                out[a + rows] = np.take_along_axis(
-                    cand, rank_k_smallest(scores, k), axis=1)
-    return out
+                if select:
+                    # list positions increase with the site index
+                    pick = np.argpartition(scores, k - 1, axis=1)[:, :k]
+                    pick.sort(axis=1)
+                    kept[a + rows] = np.take_along_axis(scores, pick, axis=1)
+                else:
+                    pick = rank_k_smallest(scores, k)
+                out[a + rows] = np.take_along_axis(cand, pick, axis=1)
+    return (out, kept) if select else out
+
+
+def check_positions(points, sites, g, name):
+    """``points`` as a 2-d float array; a ValueError unless they lie in
+    [0, 1]^d and their columns, the sites' dimension and ``g.d`` agree."""
+    pts = np.atleast_2d(check_unit_cube(points, name))
+    if not pts.shape[1] == sites.d == g.d:
+        raise ValueError(f"{name}: {pts.shape[1]} coordinates, but the sites "
+                         f"have {sites.d} and the geometry d = {g.d}")
+    return pts
 
 
 def knearest(points, sites, k, g):
@@ -434,10 +336,10 @@ def knearest(points, sites, k, g):
     each point, ranked by increasing distance with ties broken by smaller
     index: ``rank_k_smallest`` on ``weighted_score_matrix``, row for row.
 
-    Points must lie in [0, 1]^d, as sites do.  The cell table ranks every
-    row, weighted sites or not and k = n included, from the first call:
-    each row scores the list of its cell in the site set's table for
-    k (``WeightedSites.table``) and ranks it by (score, index),
+    Points must lie in [0, 1]^d, as sites do, with d = ``g.d``.  The cell
+    table ranks every row, weighted sites or not and k = n included, from
+    the first call: each row scores the list of its cell in the site set's
+    table for k (``WeightedSites.table``) and ranks it by (score, index),
     ``_rank_table``.  For a cell of centre c and side h and a site s, with
     delta the per-coordinate distance from c to s (wrapped on the torus),
     the rootless score of every point of the cell lies in [lo, up] / w^(q/d),
@@ -454,7 +356,7 @@ def knearest(points, sites, k, g):
     does, a one-shot call stays coarse and a Monte Carlo count deepens
     after its first block.
     """
-    pts = np.atleast_2d(check_unit_cube(points, "points"))
+    pts = check_positions(points, sites, g, "points")
     if not 1 <= k <= sites.n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
     return _rank_table(pts, sites, k, g)
@@ -464,7 +366,7 @@ def k_nearest_sites(p, sites, k, g):
     """``(key, ranked)`` for one point: the RegionKey (sorted tuple of site
     indices) and its ``knearest`` row, by the scan alone (a reference that
     builds no table)."""
-    ranked = _rank_scan(np.atleast_2d(np.asarray(p, dtype=float)), sites, k, g)[0]
+    ranked = _rank_scan(check_positions(p, sites, g, "point"), sites, k, g)[0]
     return tuple(sorted(ranked.tolist())), ranked
 
 
@@ -502,6 +404,7 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, checkpoints=()):
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    check_positions(np.empty((0, g.d)), sites, g, "sample points")
     if not 1 <= k <= sites.n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
     # a sorted key row is one int64 in mixed radix n when n^k fits

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import geoksat
 from geoksat.cli import main
 from geoksat.dimacs import parse_dimacs
 from geoksat.experiments import ReportRecord
@@ -9,6 +14,18 @@ from geoksat.experiments import ReportRecord
 
 def run_cli(args):
     return main(args)
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: the library's one numeric dependency is numpy
+    src = str(Path(geoksat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "import sys, geoksat.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_generate_writes_dimacs(tmp_path):

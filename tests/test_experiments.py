@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from geoksat import weights as weights_mod
 from geoksat.experiments import (ExperimentConfig, ReportRecord,
                                  balls_into_bins, nice_fraction_audit,
                                  rerun_record, run_experiment, write_records)
+from geoksat.generate import draw_geometric_clause_vars
 from geoksat.geometry import INFINITY, GeometrySpec
-from geoksat.voronoi import random_sites
+from geoksat.voronoi import knearest, random_sites
 
 
 def test_config_validation():
@@ -176,6 +178,19 @@ def test_records_stream_to_filelike():
     buf = io.StringIO()
     assert write_records(run_experiment(cfg), buf) == 2
     assert len(buf.getvalue().splitlines()) == 2
+
+
+def test_nice_fraction_draws_every_point_before_the_race():
+    # the stream holds all clause points, then the race's exponentials, so
+    # the record does not depend on the race's clause block
+    g = GeometrySpec(d=2, p_norm=2)
+    sites = random_sites(300, g, 3, weights_mod.power_law_weights(300, 2.5))
+    rng = np.random.default_rng(9)
+    pts = rng.random((1100, 2))
+    drawn = draw_geometric_clause_vars(pts, sites, 3, 0.5, g, rng)
+    nice = np.all(drawn == knearest(pts, sites, 3, g), axis=1).sum()
+    assert 0 < nice < 1100
+    assert nice_fraction_audit(sites, g, 3, 0.5, 1100, 9) == nice
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])

@@ -14,7 +14,7 @@ from geoksat.generate import (SignLedger, _apply_sign_patterns,
                               formula_from_clauses, sample_geometric_formula,
                               sample_nonuniform_formula)
 from geoksat.structure import is_nice
-from geoksat.voronoi import (_TIE_GAP, WeightedSites, _class_candidates,
+from geoksat.voronoi import (_TIE_GAP, WeightedSites, _rank_table,
                              k_nearest_sites, rank_k_smallest,
                              weighted_score_matrix)
 from geoksat.weights import power_law_weights, uniform_weights
@@ -149,7 +149,7 @@ def test_weighted_threshold_clauses_match_k_nearest():
     inst = sample_geometric_formula(500, 1000, 3, G2, 0.0,
                                     power_law_weights(500, 2.5), seed=13)
     f = inst.formula
-    assert len(inst.sites.weight_classes) > 1
+    assert len(np.unique(np.frexp(inst.sites.weights)[1])) > 1
     for i in range(0, 1000, 7):
         key, ranked = k_nearest_sites(inst.clause_positions[i], inst.sites, 3, G2)
         drawn = np.abs(f.literals[i]) - 1
@@ -291,7 +291,7 @@ def test_race_at_high_temperature_is_not_index_biased(T):
 
 
 def _full_race_keys(monkeypatch, pts, sites, T, g, rng):
-    """The keys the race ranks when no class is cut short, one row per point."""
+    """The keys the race ranks when it keys all n sites, one row per point."""
     keys = []
 
     def spy(values, k):
@@ -299,8 +299,7 @@ def _full_race_keys(monkeypatch, pts, sites, T, g, rng):
         return rank_k_smallest(values, k)
 
     monkeypatch.setattr(generate, "rank_k_smallest", spy)
-    sizes = [len(members) for members in sites.weight_classes]
-    generate._race(pts, sites, 1, T, g, rng, sizes)
+    generate._race(pts, sites, 1, T, g, rng, sites.n)
     return np.concatenate(keys)
 
 
@@ -365,8 +364,8 @@ def _sequential_probabilities(x, k):
     (0.8, 3, False, GeometrySpec(d=3, p_norm=INFINITY, wrap=False))],
     ids=lambda v: repr(v) if isinstance(v, GeometrySpec) else None)
 def test_lazy_race_matches_sequential_distribution(monkeypatch, T, k, weighted, g):
-    # a huge candidate scale leaves all but k + 2 members of each class to
-    # the tail process, and the sites sit on a sphere around the clause
+    # a huge candidate scale leaves all but k + 2 candidates per weight class
+    # to the tail process, and the sites sit on a sphere around the clause
     # points, so that tail members win many draws even at low T
     monkeypatch.setattr(generate, "_CANDIDATE_SCALE", 1e6)
     n, reps = 14, 20_000
@@ -376,12 +375,12 @@ def test_lazy_race_matches_sequential_distribution(monkeypatch, T, k, weighted, 
         way, axis=1, keepdims=True)
     w = power_law_weights(n, 3.5) if weighted else np.ones(n)
     sites = WeightedSites.from_raw(ring, w)
-    sizes = generate._candidate_sizes(sites, k, T)
-    assert sum(sizes) < n
+    K = generate._candidate_count(sites, k, T)
+    assert K < n
     centers = 0.5 + rng.uniform(-0.02, 0.02, (3, g.d))
     drawn = draw_geometric_clause_vars(np.tile(centers, (reps, 1)), sites, k, T,
                                        g, np.random.default_rng(k))
-    cand = _class_candidates(centers, sites, g, sizes)[0]
+    cand = _rank_table(centers, sites, K, g, select=True)[0]
     tail_wins = 0
     for j, center in enumerate(centers):
         rows = drawn[j::3]
@@ -409,9 +408,9 @@ def test_lazy_race_stream_does_not_depend_on_blocks_or_budget_rounds(monkeypatch
     widths = []
     race_block = generate._race_block
 
-    def spy(points, sites, k, g, e, sizes, expo):
-        widths.append(expo.shape[1] - sum(sizes))
-        return race_block(points, sites, k, g, e, sizes, expo)
+    def spy(points, sites, k, g, e, K, expo):
+        widths.append(expo.shape[1] - K)
+        return race_block(points, sites, k, g, e, K, expo)
 
     monkeypatch.setattr(generate, "_race_block", spy)
 
@@ -436,11 +435,13 @@ _TAIL_METRICS = {"p2": G2, "p1": GeometrySpec(d=2, p_norm=1),
     [(g, False) for g in _TAIL_METRICS.values()]
     + [(g, True) for g in _TAIL_METRICS.values()],
     ids=list(_TAIL_METRICS) + [f"{name}-clustered" for name in _TAIL_METRICS])
-def test_tail_bound_is_below_every_member_left_out(g, clustered, monkeypatch):
+def test_tail_bound_is_below_every_member_left_out(g, clustered):
     # grid: duplicated sites, and query points on the grid lines where the
-    # trees split their cells and where sites sit; clustered: sites within
-    # 0.05 of one point, so most rows lie beyond the trees' reach and take
-    # the dense selection, as do the small classes
+    # table splits its cells and where sites sit; clustered: sites within
+    # 0.05 of one point, so most cells lie far from every site.  The race's
+    # candidates are each row's K weighted-nearest sites, in increasing
+    # index, with their scores; every site left out scores at least the
+    # tail's bound, the largest of them, on a table deepened to short lists
     rng = np.random.default_rng(61)
     pos = np.round(rng.random((150, 2)) * 8) / 8 % 1.0
     if clustered:
@@ -450,52 +451,45 @@ def test_tail_bound_is_below_every_member_left_out(g, clustered, monkeypatch):
     grid = np.arange(8) / 8
     pts = np.vstack((np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2),
                      pos[:20], rng.random((30, 2))))
-    sizes = generate._candidate_sizes(sites, 3, 0.5)
-    dense_rows = []
-    real_dense = voronoi._nearest_dense
-    monkeypatch.setattr(voronoi, "_nearest_dense", lambda points, *args: (
-        dense_rows.append(len(points)) or real_dense(points, *args)))
-    cand, _, tails = _class_candidates(pts, sites, g, sizes)
-    assert tails
-    if clustered and g.wrap:
-        # a small class selected densely, and the far rows of a tree class
-        assert len(pts) in dense_rows and min(dense_rows) < len(pts)
+    K = generate._candidate_count(sites, 3, 0.5)
+    assert 3 < K < sites.n
+    _rank_table(rng.random((4000, 2)), sites, K, g, select=True)
+    table = sites.table(g, K)
+    assert table.side > 1 and table.length.min() < sites.n
+    cand, scores = _rank_table(pts, sites, K, g, select=True)
+    assert np.all(np.diff(cand, axis=1) > 0)
+    assert np.array_equal(scores, weighted_score_matrix(pts, sites, g, cand))
+    floor = scores.max(axis=1) / (1.0 + _TIE_GAP)
     q = g.score_power
-    for members, bound in tails:
-        floor = bound / (1.0 + _TIE_GAP)
-        for row in range(len(pts)):
-            out = np.setdiff1d(members, cand[row])
-            scores = pnorm_scores(pts[row:row + 1], sites.positions[out], g)[0]
-            assert np.all(scores / sites.weights[out] ** (q / 2) >= floor[row])
+    for row in range(len(pts)):
+        out = np.setdiff1d(np.arange(sites.n), cand[row])
+        left = pnorm_scores(pts[row:row + 1], sites.positions[out], g)[0]
+        assert np.all(left / sites.weights[out] ** (q / 2) >= floor[row])
 
 
 @pytest.mark.parametrize("g", list(_TAIL_METRICS.values()), ids=list(_TAIL_METRICS))
 def test_class_candidates_on_the_border_hold_each_class_nearest(g, monkeypatch):
     # sites and clause points with a coordinate exactly 1.0 (0.0 again on
-    # the torus) take the lazy race; each row's candidates from a class cut
-    # short are K nearest members of that class by the scan (the scores
-    # agree: under the max norm the sites at x = 1.0 tie)
+    # the torus) take the lazy race; each row's one candidate list holds K
+    # weighted-nearest sites by the scan (the scores agree: under the max
+    # norm the sites at x = 1.0 tie)
     rng = np.random.default_rng(67)
     pos = rng.random((200, 2))
     pos[:20, 0], pos[20] = 1.0, 1.0
     sites = WeightedSites.from_raw(pos, rng.permutation(power_law_weights(200, 2.5)))
     pts = rng.random((40, 2))
     pts[:10, 0], pts[10:15, 1], pts[15] = 1.0, 1.0, 1.0
-    sizes = generate._candidate_sizes(sites, 3, 0.5)
-    cand, _, tails = _class_candidates(pts, sites, g, sizes)
-    assert tails
-    for members, K in zip(sites.weight_classes, sizes):
-        if len(members) > K:
-            scores = pnorm_scores(pts, sites.positions[members], g)
-            for row, score in zip(cand, scores):
-                got = np.isin(members, row)
-                assert got.sum() == K
-                assert np.array_equal(np.sort(score[got]), np.sort(score)[:K])
+    K = generate._candidate_count(sites, 3, 0.5)
+    cand, _ = _rank_table(pts, sites, K, g, select=True)
+    scores = weighted_score_matrix(pts, sites, g)
+    for row, score in zip(cand, scores):
+        assert len(np.unique(row)) == K
+        assert np.array_equal(np.sort(score[row]), np.sort(score)[:K])
     race, raced = generate._race, []
     monkeypatch.setattr(generate, "_race",
                         lambda *args: raced.append(args[-1]) or race(*args))
     draw_geometric_clause_vars(pts, sites, 3, 0.5, g, rng)
-    assert raced == [sizes] and sum(sizes) < sites.n
+    assert raced == [K] and K < sites.n
 
 
 @pytest.mark.parametrize("T, weighted, digest, m", [
@@ -506,13 +500,13 @@ def test_class_candidates_on_the_border_hold_each_class_nearest(g, monkeypatch):
     # log-domain rows
     (300.0, False, "660d4caa16b9c7c441c308e53f7cb1bd0a1e362f14e9fa6f29ffdb5b0621cfb2", 1500),
     (300.0, True, "0ff81d52ba5215c0852bf4f192769b4a2dd417d3343d711898bb215cab033f09", 1500),
-    # fewer points than the trees take: every site keyed at T < 1
-    (0.5, False, "406912890b0977ab9cdb920c9ad68984ef9140315d670bad1c95df1a4f5cc221", 5),
-    (0.5, True, "4427cea3f63078b443e6e67f555e737b703dc061c1972f9b80d799e58267306a", 5),
+    # a call of a few clauses takes the lazy race too (0.3.0)
+    (0.5, False, "9fba4dbf0297ba88139230a3882eedb7d2c84a717ee912acca69eee4343995ea", 5),
+    (0.5, True, "32b5461dde92874eba633d420f470268b4b1919091d6ab46e2d17d5343531ff7", 5),
 ])
 def test_streams_at_zero_and_high_temperature_are_unchanged(T, weighted, digest, m):
-    # only T in (0, 1) with the trees serving has a new stream since 0.1.0;
-    # these cases keep its digests
+    # T = 0 and T >= 1 keep the digests of 0.1.0; the T < 1 pins are those
+    # of 0.3.0, which keys each clause's K weighted-nearest sites
     ws = power_law_weights(300, 2.5) if weighted else None
     lits = sample_geometric_formula(300, m, 3, G2, T, ws, seed=61).formula.literals
     assert hashlib.sha256(lits.astype("<i8").tobytes()).hexdigest() == digest

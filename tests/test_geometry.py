@@ -143,6 +143,17 @@ def test_dist_cdf_values():
         dist_cdf(-0.1, GeometrySpec(d=1))
 
 
+def test_torus_laws_are_rejected_in_the_cube():
+    # the cube's boundary makes short distances rarer: at x = 0.3 in d = 2
+    # the cube law is 0.2148, against the torus law's 0.2827
+    cube = GeometrySpec(d=2, p_norm=2, wrap=False)
+    with pytest.raises(ValueError, match="torus law"):
+        dist_cdf(0.3, cube)
+    thr = connection_weight_threshold(1.0, 0.5, cube)
+    with pytest.raises(ValueError, match="torus law"):
+        connection_weight_cdf(2 * thr, 1.0, 0.5, cube)
+
+
 def test_empirical_distance_cdf_matches():
     rng = np.random.default_rng(123)
     for g in (GeometrySpec(d=1, p_norm=2), GeometrySpec(d=2, p_norm=2),

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 from unittest import mock
@@ -7,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoksat import voronoi
+from geoksat import generate, voronoi
 from geoksat.dimacs import load_sites
 from geoksat.generate import (draw_geometric_clause_vars,
                               sample_geometric_formula)
-from geoksat.geometry import (GeometrySpec, INFINITY, ball_volume_constant,
-                              box_score_bounds, weighted_distance)
+from geoksat.geometry import (GeometrySpec, INFINITY, box_score_bounds,
+                              weighted_distance)
 from geoksat.voronoi import (WeightedSites, compute_R_A,
                              count_regions_monte_carlo,
                              generate_worst_case_sites, k_nearest_sites,
@@ -522,38 +521,16 @@ def test_knearest_equals_scan_and_brute_force(case):
     assert np.array_equal(got[clear], brute[clear, :k])
 
 
-def _tree_spy(monkeypatch):
-    """Record every cKDTree that voronoi builds, each query, and the rows
-    sent to the scan."""
-    calls = {"built": [], "queries": 0, "scanned": []}
-    real_tree, real_scan = voronoi.cKDTree, voronoi._rank_scan
-
-    class Tree(real_tree):
-        def __init__(self, data, *args, **kwargs):
-            assert not args and not kwargs  # plain trees only, no periodic box
-            calls["built"].append(np.array(data))
-            super().__init__(data)
-
-        def query(self, *args, **kwargs):
-            calls["queries"] += 1
-            return super().query(*args, **kwargs)
+def _scan_spy(monkeypatch):
+    """Record the rows that voronoi sends to the scan."""
+    scanned, real_scan = [], voronoi._rank_scan
 
     def scan(points, *args):
-        calls["scanned"].append(points.copy())
+        scanned.append(points.copy())
         return real_scan(points, *args)
 
-    monkeypatch.setattr(voronoi, "cKDTree", Tree)
     monkeypatch.setattr(voronoi, "_rank_scan", scan)
-    return calls
-
-
-def _image_count(pos, K, g):
-    """The periodic images within the reach of [0, 1)^d that a torus tree
-    over ``pos`` holds for K neighbours, counted over all 3^d shifts."""
-    r = (4 * K / (len(pos) * ball_volume_constant(g))) ** (1 / g.d)
-    shifts = np.array(list(itertools.product((-1, 0, 1), repeat=g.d)))
-    images = pos[None, :, :] + shifts[:, None, :]
-    return int(np.all((images >= -r) & (images <= 1 + r), axis=2).sum())
+    return scanned
 
 
 def _clustered(rng, n, d):
@@ -566,41 +543,41 @@ def _clustered(rng, n, d):
 
 
 def test_knearest_backend_and_fallback_rows(monkeypatch):
-    calls = _tree_spy(monkeypatch)
+    scanned = _scan_spy(monkeypatch)
     rng = np.random.default_rng(2)
     pts = rng.random((500, 2))
     flat = GeometrySpec(d=2, p_norm=2, wrap=False)
 
     def run(sites, k=3, pts=pts, g=G2):
-        calls["queries"], calls["scanned"] = 0, []
+        scanned.clear()
         got = knearest(pts, sites, k, g)
         assert np.array_equal(got, rank_k_smallest(
             weighted_score_matrix(pts, sites, g), k))
-        return calls["queries"], sum(len(p) for p in calls["scanned"])
+        return sum(len(p) for p in scanned)
 
     pos = rng.random((200, 2))
     plain = WeightedSites(pos, np.ones(200))
     # unweighted sites rank through their cell table from the first call,
-    # with no tree query and no scan; one call of 500 rows halves the table
+    # with no scan; one call of 500 rows halves the table
     # to one cell per 16 of them
-    assert run(plain) == (0, 0)
+    assert run(plain) == 0
     table = plain.table(G2, 3)
     assert (table.side, table.rows) == (8, len(pts))
     # calls of 7 points and of 1 take the table too
-    assert run(plain, pts=pts[:7]) == (0, 0)
-    assert run(plain, pts=pts[:1]) == (0, 0)
+    assert run(plain, pts=pts[:7]) == 0
+    assert run(plain, pts=pts[:1]) == 0
     # the one-point reference scans, and leaves the table as it is
     _, ranked = k_nearest_sites(pts[0], plain, 3, G2)
-    assert len(calls["scanned"]) == 1 and table.rows == len(pts) + 8
+    assert len(scanned) == 1 and table.rows == len(pts) + 8
     assert np.array_equal(ranked, knearest(pts[:1], plain, 3, G2)[0])
     # a count over two Monte Carlo blocks deepens the same table
     count_regions_monte_carlo(plain, 3, 40_000, 1, G2)
     assert plain.table(G2, 3) is table
     assert table.rows == len(pts) + 9 + 40_000
     assert (table.side // 2) ** 2 < 8 * 200 / 3 <= table.side ** 2
-    assert run(plain) == (0, 0)
+    assert run(plain) == 0
     # the plain (unwrapped) distance gets a table of its own
-    assert run(plain, g=flat) == (0, 0)
+    assert run(plain, g=flat) == 0
     assert set(plain._tables) == {(3, G2), (3, flat)}
     # a site twice or three times: a point whose nearest site is repeated
     # ties at the k-th place, and the table keeps the smaller index there
@@ -609,89 +586,72 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
     for copies in (1, 2):
         twice = WeightedSites(np.vstack([pos] + [pos[:50]] * copies),
                               np.ones(200 + 50 * copies))
-        assert run(twice, k=1) == (0, 0)
+        assert run(twice, k=1) == 0
         assert np.all(knearest(pts[dup], twice, 1, G2) < 50)
     # clustered sites: most cells lie far from every site
     clustered = WeightedSites(_clustered(rng, 200, 2), np.ones(200))
-    assert run(clustered) == (0, 0)
+    assert run(clustered) == 0
     # a site and points on the border take the table, weighted or not
     at_one = pos.copy()
     at_one[0, 0] = 1.0
     border = np.vstack((pts, [[1.0, 0.5], [0.5, 1.0], [1.0, 1.0]]))
-    assert run(WeightedSites(at_one, np.ones(200)), pts=border) == (0, 0)
+    assert run(WeightedSites(at_one, np.ones(200)), pts=border) == 0
     assert run(WeightedSites.from_raw(at_one, rng.uniform(1, 3, 200)),
-               pts=border) == (0, 0)
+               pts=border) == 0
     # k = n takes the table, as k = n - 1 does
     four = WeightedSites(pos[:4], np.ones(4))
-    assert run(four, g=flat) == (0, 0)
-    assert run(four, k=4, g=flat) == (0, 0)
-    assert run(four, k=4) == (0, 0)
+    assert run(four, g=flat) == 0
+    assert run(four, k=4, g=flat) == 0
+    assert run(four, k=4) == 0
     # a T = 0 core at the pigeonhole clause count (n 2000, k 2, m 31,969) is
     # one call on a fresh site set: its table counts the rows and halves to
     # one cell per 16 of them
-    calls["queries"], calls["scanned"], m = 0, [], 4 * 2 * 2 * 1998 + 1
+    scanned.clear()
+    m = 4 * 2 * 2 * 1998 + 1
     core = sample_geometric_formula(2000, m, 2, G2, 0.0, None, seed=7)
-    assert calls["queries"] == 0 and not calls["scanned"]
+    assert not scanned
     assert (core.sites.table(G2, 2).side, core.sites.table(G2, 2).rows) == (64, m)
-    # knearest built no tree in any of the calls above
-    assert not calls["built"]
 
 
-def test_race_class_trees_hold_periodic_images(monkeypatch):
-    calls = _tree_spy(monkeypatch)
+def test_race_candidates_wrap_around_the_torus(monkeypatch):
+    # the T < 1 race keys each clause's K weighted-nearest sites, selected
+    # from the site set's kept cell table for (K, g): on the torus they
+    # include the sites across the border, and in the cube they do not
+    scanned = _scan_spy(monkeypatch)
     rng = np.random.default_rng(2)
-    pts = rng.random((500, 2))
     pos = rng.random((200, 2))
     plain = WeightedSites(pos, np.ones(200))
-    K = 4
-    # class 0 of an unweighted set is every site, in index order; on the
-    # torus its tree holds the sites' periodic images within its reach,
-    # each owned by its site and shifted by -1, 0 or 1 on every axis
-    assert len(plain.weight_classes) == 1
-    assert np.array_equal(plain.weight_classes[0], np.arange(200))
-    tree, owner, reach = plain.tree(G2, 0, K)
-    assert [len(t) for t in calls["built"]] == [_image_count(pos, K, G2)]
-    shift = np.round(tree.data - pos[owner])
-    assert np.array_equal(tree.data, pos[owner] + shift)
-    assert np.array_equal(np.unique(shift), [-1, 0, 1])
-    assert np.array_equal(np.unique(owner), np.arange(200))
-    assert 0 < reach < 0.5
-    # a row within the reach has the class's K nearest sites; few rows of
-    # uniform sites fall beyond it
-    dist, i = tree.query(pts, k=K)
-    near = dist[:, -1] < reach
-    assert len(pts) - near.sum() < len(pts) // 20
-    nearest = rank_k_smallest(weighted_score_matrix(pts, plain, G2), K)
-    assert np.array_equal(np.sort(owner[i[near]], axis=1),
-                          np.sort(nearest[near], axis=1))
-    # kept, one per (class, K, p-norm)
-    assert plain.tree(G2, 0, K)[0] is tree and calls["queries"] == 1
-    # in the cube, a plain tree over the sites with an infinite reach
+    K = generate._candidate_count(plain, 3, 0.5)
+    assert 3 < K < 200
     flat = GeometrySpec(d=2, p_norm=2, wrap=False)
-    _, owner, reach = plain.tree(flat, 0, K)
-    assert len(calls["built"]) == 2 and np.array_equal(calls["built"][1], pos)
-    assert np.array_equal(owner, np.arange(200)) and reach == math.inf
-    # at the reach cap (n <= 4 K 2^d / V sites) the class has no tree on
-    # the torus, and the race selects it densely; one site more has one
-    cap = math.floor(4 * K * 2**2 / math.pi)
-    assert WeightedSites(pos[:cap], np.ones(cap)).tree(G2, 0, K) is None
-    assert len(calls["built"]) == 2
-    assert WeightedSites(pos[:cap + 1], np.ones(cap + 1)).tree(G2, 0, K) is not None
-    assert len(calls["built"]) == 3
+    # points near a corner of the unit square
+    pts = np.vstack((rng.random((400, 2)) * 0.02, rng.random((100, 2))))
+    for g in (G2, flat):
+        draw_geometric_clause_vars(pts, plain, 3, 0.5, g, rng)
+        # each clause once, and again for the rows finished late
+        table, rows = plain.table(g, K), plain.table(g, K).rows
+        assert rows >= len(pts) and table.side > 1
+        cand, scores = voronoi._rank_table(pts, plain, K, g, select=True)
+        assert table.rows == rows + len(pts)
+        full = weighted_score_matrix(pts, plain, g)
+        assert np.array_equal(scores, np.take_along_axis(full, cand, axis=1))
+        assert np.array_equal(np.sort(scores, axis=1),
+                              np.sort(full, axis=1)[:, :K])
+        # sites beyond the far edges, within 0.3 of the corner on the torus
+        across = np.any(pos[cand[:400]] > 0.7, axis=2)
+        assert across.any() if g.wrap else not across.any()
+    assert set(plain._tables) == {(K, G2), (K, flat)}
+    assert not scanned
 
 
 def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
-    calls = _tree_spy(monkeypatch)
-    built, scanned = calls["built"], calls["scanned"]
+    scanned = _scan_spy(monkeypatch)
     rng = np.random.default_rng(5)
     pts = rng.random((4000, 2))
     k = 2
     sites = random_sites(500, G2, 3, power_law_weights(500, 2.5))
-    classes = sites.weight_classes
-    assert len(classes) >= 4
-    assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(500))
-    for j, members in enumerate(classes):
-        assert np.all(np.floor(np.log2(sites.weights[members])) == j)
+    # weights in at least four classes [2^j, 2^(j+1))
+    assert len(np.unique(np.floor(np.log2(sites.weights)))) >= 4
     flat = GeometrySpec(d=2, p_norm=2, wrap=False)
 
     # a fresh table is one cell listing every site in index order
@@ -700,11 +660,11 @@ def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
     assert table.cand.dtype == np.int32
     assert np.array_equal(table.cand, np.arange(500)[None, :])
     assert np.array_equal(table.length, [500])
-    # weighted sites rank through their cell table: no cKDTree, no scan
+    # weighted sites rank through their cell table, with no scan
     reference = rank_k_smallest(weighted_score_matrix(pts, sites, G2), k)
     got = knearest(pts, sites, k, G2)
     assert np.array_equal(got, reference)
-    assert not built and not scanned
+    assert not scanned
     # one 4000-row call stays coarse: halved until 4000 / 16 = 250 cells
     assert sites.table(G2, k) is table
     assert (table.side, table.rows) == (16, 4000)
@@ -728,7 +688,7 @@ def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
     knearest(pts, sites, k + 1, G2)
     assert set(sites._tables) == {(k, G2), (k, flat), (k + 1, G2)}
     assert sites.table(G2, k) is table
-    assert not built and not scanned
+    assert not scanned
 
     # calls of 1 to 7 points and sets of fewer than 12 sites take the table
     # too; one that has not split is the scan of every site
@@ -742,12 +702,40 @@ def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
         if rows < 16:
             assert small.table(G2, k).side == 1
     assert small.table(G2, k).rows == 8 + len(pts)
-    assert not scanned and not built
+    assert not scanned
 
-    # the T < 1 race still takes its candidates from the weight-class trees
+    # the T < 1 race selects its candidates from the table for K, with no
+    # scan
+    K = generate._candidate_count(sites, k, 0.5)
     draw_geometric_clause_vars(pts[:100], sites, k, 0.5, G2,
                                np.random.default_rng(0))
-    assert built
+    assert sites.table(G2, K).rows == 100 and not scanned
+
+
+_WRONG_D = {
+    "knearest": lambda pts, sites, g: knearest(pts, sites, 2, g),
+    "draw_geometric_clause_vars": lambda pts, sites, g: (
+        draw_geometric_clause_vars(pts, sites, 2, 0.5, g,
+                                   np.random.default_rng(0))),
+    "count_regions_monte_carlo": lambda pts, sites, g: (
+        count_regions_monte_carlo(sites, 2, 100, 0, g)),
+    "k_nearest_sites": lambda pts, sites, g: k_nearest_sites(pts[0], sites, 2, g),
+}
+
+
+@pytest.mark.parametrize("entry", list(_WRONG_D))
+def test_positions_must_match_the_geometry_dimension(entry):
+    # d = 2 sites and points under a geometry of d = 1 or 3, and d = 3
+    # points with d = 2 sites: each entry point rejects them before work
+    rng = np.random.default_rng(4)
+    sites = random_sites(30, G2, 1, power_law_weights(30, 2.5))
+    pts = rng.random((40, 2))
+    for g, p in ((G1, pts), (GeometrySpec(d=3, p_norm=2), pts),
+                 (G2, rng.random((40, 3)))):
+        if entry == "count_regions_monte_carlo" and g.d == 2:
+            continue  # it draws its own points, with g.d columns
+        with pytest.raises(ValueError, match="coordinates, but the sites have .* geometry d ="):
+            _WRONG_D[entry](p, sites, g)
 
 
 def test_cell_table_lists_hold_every_site_that_can_rank():
