@@ -33,7 +33,7 @@ from .geometry import GeometrySpec
 from .sampling import sequential_weighted_draws
 from .voronoi import (_SCAN_ENTRIES, _TIE_GAP, WeightedSites, _rank_table,
                       check_positions, knearest, random_sites, rank_k_smallest,
-                      weighted_score_matrix)
+                      set_codes, weighted_score_matrix)
 
 # most clauses per race block, which bounds the block's score, key and
 # exponential arrays; numpy fills exponentials in sequence, so the race
@@ -319,19 +319,17 @@ def _apply_sign_patterns(drawn, pattern_u):
     """Map the drawn variable matrix (0-based) to signed literals, with a
     fresh ledger applied in clause-index order (``SignLedger``).
 
-    Clauses are grouped by variable set (a stable lexsort of the sorted
-    rows).  Occurrence t < 2^k of a set, in clause order, takes the
+    Clauses are grouped by variable set (a stable sort of their
+    ``set_codes``).  Occurrence t < 2^k of a set, in clause order, takes the
     floor(u * (2^k - t))-th of the set's unused patterns in increasing
     order; a set's first occurrence and every occurrence from 2^k on take
     floor(u * 2^k).  Round t serves every set's occurrence t at once.
     """
     m, k = drawn.shape
     total = 1 << k
-    sets = np.sort(drawn, axis=1)
-    order = np.lexsort(sets.T[::-1])
-    sorted_sets = sets[order]
-    starts = np.ones(m, dtype=bool)
-    starts[1:] = np.any(sorted_sets[1:] != sorted_sets[:-1], axis=1)
+    codes = set_codes(np.sort(drawn, axis=1), drawn.max(initial=-1) + 1)
+    order = np.argsort(codes, kind="stable")
+    starts = np.diff(codes[order], prepend=-1) != 0
     group = np.cumsum(starts) - 1
     occurrence = np.arange(m) - np.flatnonzero(starts)[group]
 

@@ -16,8 +16,9 @@ table, in O(m k + n) memory.
 
 The cumsum carries a rounding error of up to about n * eps times the total.
 A row whose undrawn mass is not far above that error (weights spanning
-more than about 2^53) is drawn against a cumsum of its own remaining
-weights instead, one row at a time.
+more than about 2^53), or whose search lands on a float edge (past the
+end, on a zero weight or on an earlier pick), is drawn against a cumsum
+of its own remaining weights instead, one row at a time.
 """
 
 import numpy as np
@@ -88,10 +89,10 @@ def sequential_weighted_draws(weights, uniforms):
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     m, k = u.shape
-    positive = np.flatnonzero(w > 0)
-    if len(positive) < max(k, 1):
+    positive = np.count_nonzero(w > 0)
+    if positive < max(k, 1):
         raise ValueError(f"need at least {max(k, 1)} positive-weight items, "
-                         f"got {len(positive)}")
+                         f"got {positive}")
     n = len(w)
     cum = np.cumsum(w)
     table = _guide_table(cum)
@@ -111,11 +112,7 @@ def sequential_weighted_draws(weights, uniforms):
             x[below] = _search(cum, table, target[below] + shift[below])
         xc = np.minimum(x, n - 1)
         edge = (x >= n) | (w[xc] == 0) | np.any(out[:, :j] == xc[:, None], axis=1)
-        lost = rest <= lost_below
-        for i in np.flatnonzero(edge & ~lost):
-            # float edge: the last positive-weight index not yet drawn
-            x[i] = next(p for p in positive[::-1] if p not in out[i, :j])
-        for i in np.flatnonzero(lost):
+        for i in np.flatnonzero(edge | (rest <= lost_below)):
             x[i] = _draw_own(w, out[i, :j], u[i, j])
         out[:, j] = x
         rest -= w[x]

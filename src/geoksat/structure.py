@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .voronoi import knearest
+from .voronoi import knearest, set_codes
 
 DEFAULT_ENUM_CAP = 10_000_000
 _CHUNK = 1 << 13  # subsets per enumeration chunk; bounds the working arrays
@@ -355,11 +355,11 @@ class UnsatCore:
 def find_unsat_core(f):
     """Find a pigeonhole core by sorting clauses by variable set.
 
-    Clauses are sorted lexicographically by their sorted variable sets,
-    then by sign pattern (O(m log m)); the first set carrying all 2^k sign
-    patterns yields the core, the lowest-index clause of each pattern,
-    which is confirmed UNSAT by brute force.  Returns None when no set
-    saturates.
+    Clauses are sorted by the codes of their sorted variable sets
+    (``voronoi.set_codes``), then by sign pattern (O(m log m)); the first
+    set carrying all 2^k sign patterns yields the core, the lowest-index
+    clause of each pattern, which is confirmed UNSAT by brute force.
+    Returns None when no set saturates.
     """
     if f.m == 0:
         return None
@@ -369,16 +369,17 @@ def find_unsat_core(f):
     # literal's i counts the clause's variables below it (none repeats)
     rank = sum(v > v[:, [j]] for j in range(f.k))
     patterns = ((f.literals < 0) << rank).sum(axis=1)
-    order = np.lexsort((patterns, *var_sets.T[::-1]))  # stable: index breaks ties
-    sets, pats = var_sets[order], patterns[order]
-    new_set = np.concatenate(([True], np.any(sets[1:] != sets[:-1], axis=1)))
-    first = new_set | np.concatenate(([True], pats[1:] != pats[:-1]))  # of its pattern
+    codes = set_codes(var_sets, f.n + 1)
+    order = np.lexsort((patterns, codes))  # stable: index breaks ties
+    pats = patterns[order]
+    new_set = np.diff(codes[order], prepend=-1) != 0
+    first = new_set | (np.diff(pats, prepend=-1) != 0)  # of its pattern
     group = np.cumsum(new_set) - 1
     full = np.flatnonzero(np.bincount(group[first]) == 1 << f.k)
     if not len(full):
         return None
     pick = first & (group == full[0])
-    core = UnsatCore(variables=tuple(sets[pick][0].tolist()),
+    core = UnsatCore(variables=tuple(var_sets[order[pick][0]].tolist()),
                      clause_indices=tuple(order[pick].tolist()),
                      patterns=tuple(pats[pick].tolist()))
     if brute_force_sat(f.literals[order[pick]]).satisfiable:

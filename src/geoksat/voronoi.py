@@ -25,8 +25,8 @@ closed cube [0, 1]^d, checked where they enter (``WeightedSites``,
 exponential race (``generate``) takes its candidates from the same walk
 in its selection mode (``_rank_table`` with ``select``): each clause's K
 weighted-nearest sites, unordered, with their scores.  Monte Carlo
-counting ranks through ``knearest`` alone and sorts its rows into region
-keys; ``_rank_scan``, the dense score scan, is the reference that
+counting ranks through ``knearest`` alone and groups its sorted rows by
+``set_codes``; ``_rank_scan``, the dense score scan, is the reference that
 ``k_nearest_sites`` ranks one point by.
 """
 
@@ -331,6 +331,22 @@ def check_positions(points, sites, g, name):
     return pts
 
 
+def set_codes(rows, n):
+    """One int64 per row of ``rows``, an (m, k) array of sorted entries in
+    [0, n): equal for equal rows, increasing in lexicographic row order.
+    The package's one grouping of sorted k-sets: a row's digits in radix n
+    when n^k fits in an int64, else its rank among the distinct rows."""
+    rows = np.asarray(rows, dtype=np.int64)
+    k = rows.shape[1]
+    if int(n) ** k < 1 << 63:  # Python ints: a numpy n ** k wraps silently
+        return rows @ (int(n) ** np.arange(k - 1, -1, -1, dtype=np.int64))
+    order = np.lexsort(rows.T[::-1])
+    new = np.diff(rows[order], axis=0, prepend=-1).any(axis=1)
+    codes = np.empty(len(rows), dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    return codes
+
+
 def knearest(points, sites, k, g):
     """(rows, k) indices of the k sites of smallest weighted distance to
     each point, ranked by increasing distance with ties broken by smaller
@@ -407,40 +423,28 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, checkpoints=()):
     check_positions(np.empty((0, g.d)), sites, g, "sample points")
     if not 1 <= k <= sites.n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
-    # a sorted key row is one int64 in mixed radix n when n^k fits
-    radix = None
-    if sites.n ** k < 1 << 63:
-        radix = sites.n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    seen = np.empty(0, dtype=np.int64)  # sorted codes of the keys found
+    seen = np.empty((0, k), dtype=np.int64)  # the keys found, in order
     rng = np.random.default_rng(seed)
-    keys = set()
     witnesses = {}
     found = []  # sample index at which each key was first seen, increasing
     done = 0
     while done < samples:
         block = min(_MC_BLOCK, samples - done)
         pts = rng.random((block, g.d))
-        rows = knearest(pts, sites, k, g)
-        rows.sort(axis=1)
-        if radix is not None:
-            uniq, first = np.unique(rows @ radix, return_index=True)
-            new = ~np.isin(uniq, seen, assume_unique=True)
-            seen = np.sort(np.concatenate((seen, uniq[new])))
-            fresh = np.sort(first[new])
-        else:
-            first = np.sort(np.unique(rows, axis=0, return_index=True)[1])
-            fresh = first[np.array([tuple(r) not in keys
-                                    for r in rows[first].tolist()], dtype=bool)]
+        rows = np.sort(knearest(pts, sites, k, g), axis=1)
+        codes = set_codes(np.concatenate((seen, rows)), sites.n)
+        uniq, first = np.unique(codes[len(seen):], return_index=True)
+        new = ~np.isin(uniq, codes[:len(seen)], assume_unique=True)
         # in discovery order, so witnesses are the earliest points
-        new_keys = list(map(tuple, rows[fresh].tolist()))
-        keys.update(new_keys)
-        witnesses.update(zip(new_keys, pts[fresh]))
+        fresh = np.sort(first[new])
+        seen = np.concatenate((seen, rows[fresh]))
+        witnesses.update(zip(map(tuple, rows[fresh].tolist()), pts[fresh]))
         found.extend((done + fresh).tolist())
         done += block
     counts_at = {int(c): bisect.bisect_left(found, c)
                  for c in checkpoints if 0 < c <= samples}
     return RegionCountResult(
-        count=len(keys), keys=keys, witnesses=witnesses,
+        count=len(witnesses), keys=set(witnesses), witnesses=witnesses,
         samples=samples, seed=seed, n=sites.n, k=k,
         counts_at=counts_at)
 

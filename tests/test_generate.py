@@ -270,6 +270,14 @@ def test_grouped_signs_match_sequential_ledger(k, spare, m, seed):
     u[::7] = 0.0
     u[3::7] = 1.0 - np.finfo(float).eps
     assert np.array_equal(_apply_sign_patterns(drawn, u), _signs_one_by_one(drawn, u))
+    if k >= 2:
+        # variable ids mapped up to 2^62, so (max + 1)^k >= 2^63 and the
+        # sets are grouped by their lexsort rank, not radix codes (at k = 1
+        # that would need an id of 2^63 - 1, whose literal overflows)
+        ids = np.sort(rng.choice(2**62, k + spare, replace=False))
+        ids[-1] = 2**62
+        big = ids[drawn]
+        assert np.array_equal(_apply_sign_patterns(big, u), _signs_one_by_one(big, u))
 
 
 @pytest.mark.parametrize("T", [0.0, 0.5, 1.5])

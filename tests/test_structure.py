@@ -452,6 +452,30 @@ def test_core_finder_matches_loop_reference():
     assert 50 <= cores <= 250
 
 
+def test_core_finder_matches_loop_reference_when_codes_overflow():
+    # 61^12 >= 2^63: the variable sets are grouped by their lexsort rank;
+    # two planted saturated sets, shuffled among repeats of a few sets drawn
+    # from 14 variables; the core is the lexicographically smaller one
+    n, k = 60, 12
+    rng = np.random.default_rng(53)
+    pool = [np.sort(rng.choice(14, k, replace=False)) + 1 for _ in range(6)]
+    pool += [np.arange(1, k + 1), np.arange(n - k + 1, n + 1)]
+    clauses = []
+    for key in (pool[-1], pool[-2]):
+        for pat in rng.permutation(1 << k):
+            clauses.append([-v if (pat >> i) & 1 else v for i, v in enumerate(key)])
+    for _ in range(3000):
+        key = pool[rng.integers(len(pool))]
+        clauses.append([-v if rng.random() < 0.5 else v for v in rng.permutation(key)])
+    order = rng.permutation(len(clauses))
+    f = formula_from_clauses(n, k, [clauses[i] for i in order])
+    core = find_unsat_core(f)
+    assert core.variables == tuple(range(1, k + 1))
+    assert (core.variables, core.clause_indices, core.patterns) == _loop_core(f)
+    # without the two planted sets, no set saturates
+    assert find_unsat_core(formula_from_clauses(n, k, clauses[2 << k:])) is None
+
+
 def test_core_from_threshold_geometric_instance():
     n, k = 200, 2
     m = (1 << k) * 2 * k * (n - k) + 1

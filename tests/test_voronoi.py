@@ -16,7 +16,8 @@ from geoksat.voronoi import (WeightedSites, compute_R_A,
                              count_regions_monte_carlo,
                              generate_worst_case_sites, k_nearest_sites,
                              knearest, random_sites, rank_k_smallest,
-                             relevance_certificate, weighted_score_matrix)
+                             relevance_certificate, set_codes,
+                             weighted_score_matrix)
 from geoksat.weights import power_law_weights
 
 G1 = GeometrySpec(d=1, p_norm=2)
@@ -423,7 +424,8 @@ def test_score_matrix_matches_weighted_distance_ranking():
     ids=["60-2-scan", "40-3-table", "100-10-table", "40-3-table-32771"])
 def test_region_count_dedup_matches_reference(n, k, backend, samples,
                                               monkeypatch):
-    # 100^10 >= 2^63: the third case dedups tuple keys instead of int64 codes;
+    # 100^10 >= 2^63: the third case's set_codes rank the rows by one
+    # lexsort instead of taking their radix-100 digits;
     # 40k samples span two Monte Carlo blocks, with marks on both sides; the
     # last block of 32771 samples is 3 rows, which the warm cell table ranks
     # inside the count; the scan case ranks every block by the dense scan
@@ -433,6 +435,47 @@ def test_region_count_dedup_matches_reference(n, k, backend, samples,
     marks = (1, 700, 2500, 6000, 32_768, 32_769, 32_771, 40_000)
     res = count_regions_monte_carlo(s, k, samples, 12, G2, checkpoints=marks)
     _assert_matches_reference(res, s, k, samples, 12, G2, marks)
+
+
+def _assert_codes_group_and_order(rows, codes):
+    """Equal codes exactly for equal rows, and codes in the rows'
+    lexicographic order."""
+    assert codes.dtype == np.int64 and codes.shape == (len(rows),)
+    same_rows = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
+    assert np.array_equal(codes[:, None] == codes[None, :], same_rows)
+    assert np.array_equal(np.argsort(codes, kind="stable"),
+                          np.lexsort(rows.T[::-1]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 6), m=st.integers(1, 80), spread=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_set_codes_radix_and_rank_branches_agree(k, m, spread, seed):
+    # few distinct entries, so rows repeat; 2^63 forces the rank branch
+    rng = np.random.default_rng(seed)
+    rows = np.sort(rng.integers(0, k + spread, (m, k)), axis=1)
+    n = int(rows.max()) + 1
+    radix, rank = set_codes(rows, n), set_codes(rows, 2**63)
+    assert np.array_equal(radix, rows @ (n ** np.arange(k - 1, -1, -1)))
+    for codes in (radix, rank):
+        _assert_codes_group_and_order(rows, codes)
+    assert rank.min() == 0 and rank.max() == len(np.unique(rows, axis=0)) - 1
+
+
+def test_set_codes_empty_and_numpy_n():
+    for n in (10, 2**63):
+        assert set_codes(np.empty((0, 3), dtype=np.int64), n).shape == (0,)
+    # numpy wraps 300^8 to a negative int64; the kernel must see that it
+    # overflows and rank the rows instead of colliding radix codes
+    assert np.int64(300) ** 8 < 0
+    rng = np.random.default_rng(5)
+    rows = np.sort(rng.choice(300, (400, 8)), axis=1)
+    rows[200:] = rows[:200]
+    rows[::3, -1] = 299
+    codes = set_codes(rows, np.int64(300))
+    assert np.array_equal(codes, set_codes(rows, 300))
+    assert codes.max() < len(rows)
+    _assert_codes_group_and_order(rows, codes)
 
 
 def _brute_ranking(points, sites, k, g):
