@@ -13,15 +13,18 @@ probabilities proportional to the connection weight X(c, v), while T = 0
 deterministically takes the k variables of smallest weighted distance in
 increasing order (``knearest``).  T > 0 draws are one exponential race:
 each variable gets the key E_v / X(c, v) with E_v ~ Exp(1), and the k
-smallest keys, in order, have the sequential-draw law.  At T < 1 the race
-is lazy: each clause keys only its K weighted-nearest sites, selected
-from the site set's cell table for K (``voronoi._rank_table``), and the
-sites left out whose exponential is small enough to beat its k-th key,
-found by geometric skips.  At T >= 1 every clause keys all n variables.
-Every score a key is made from, tail hits included, comes from
-``voronoi.weighted_score_matrix``.  Sign patterns are drawn uniformly
-without repetition per variable set until all 2^k are used.  Draw order is
-preserved in the clause literals for downstream niceness analysis.
+smallest keys, in order, have the sequential-draw law.  Every key is
+ranked in one form, as a log: log(score) + e * log(E_v), with score the
+rootless weighted-distance score and e = T * q / d (``_race_block``).  At
+T < 1 the race is lazy: each clause keys only its K weighted-nearest
+sites, selected from the site set's cell table for K
+(``voronoi._rank_table``), and the sites left out whose exponential is
+small enough to beat its k-th key, found by geometric skips.  At T >= 1
+every clause keys all n variables.  Every score a key is made from, tail
+hits included, comes from ``voronoi.weighted_score_matrix``.  Sign
+patterns are drawn uniformly without repetition per variable set until
+all 2^k are used.  Draw order is preserved in the clause literals for
+downstream niceness analysis.
 """
 
 import math
@@ -39,9 +42,6 @@ from .voronoi import (_SCAN_ENTRIES, _TIE_GAP, WeightedSites, _rank_table,
 # exponential arrays; numpy fills exponentials in sequence, so the race
 # stream does not depend on it
 _CLAUSE_BLOCK = 1024
-
-# smallest normal double: a race key below it has lost its significant digits
-_TINY = np.finfo(float).tiny
 
 # the lazy race keys K = sum_j k * (n_j / _CANDIDATE_SCALE)^T candidates,
 # n_j the sites of weight class [2^j, 2^(j+1)), so that a clause's tail hits
@@ -157,12 +157,6 @@ def sample_nonuniform_formula(n, m, k, ws, seed):
     return Formula(n=n, k=k, literals=np.where(negate, -var, var))
 
 
-def _in_range(low, high):
-    """Whether race keys from ``low`` to ``high`` rank as products: no
-    overflow to inf, no underflow to zero or a subnormal."""
-    return (low >= _TINY) & (high < np.inf)
-
-
 def _candidate_count(sites, k, T):
     """K = sum_j ceil(k * (n_j / _CANDIDATE_SCALE)^T), each term at least
     k + 2 and at most n_j, over the weight classes [2^j, 2^(j+1)) of n_j
@@ -181,15 +175,15 @@ def _race_block(points, sites, k, g, e, K, expo):
     Returns the (rows, k) ranking and the rows that ran out of
     exponentials, whose ranking is not set.
 
-    The key of a candidate is score * E^e with e = T * q / d: ranking
-    E / X(c, v) is preserved under the monotone map y -> y^(T*q/d), with
-    q = ``g.score_power`` and score the rootless weighted-distance score.  A
-    row with a key that overflows to inf or underflows to zero or a
-    subnormal (large T) is ranked by log(score) + e * log(E) instead, the
-    same order in the log domain (the Gumbel-top-k form of the race).  With
-    K = n the candidates are all n sites and there is no tail process;
-    otherwise they are the row's K weighted-nearest sites, and every site
-    left out scores at least the largest of theirs, the tail's bound.
+    The key of a site is log(score) + e * log(E) with e = T * q / d, q =
+    ``g.score_power`` and score the rootless weighted-distance score: the
+    log of (E / X(c, v))^(T*q/d) up to a constant, the same order (the
+    Gumbel-top-k form of the race), and finite at every T, where the power
+    itself leaves the float range.  A zero score or exponential keys as
+    -inf.  With K = n the candidates are all n sites and there is no tail
+    process; otherwise they are the row's K weighted-nearest sites, and
+    every site left out scores at least the largest of theirs, the tail's
+    bound.
     """
     n = sites.n
     if K < n:
@@ -198,21 +192,17 @@ def _race_block(points, sites, k, g, e, K, expo):
         cand = np.broadcast_to(np.arange(n), (len(points), n))
         scores = weighted_score_matrix(points, sites, g)
     rows = len(cand)
-    # range errors are expected here and handled by the log-domain rows
-    with np.errstate(all="ignore"):
-        keys = scores * expo[:, :K] ** e
-        logs = ~_in_range(keys.min(axis=1), keys.max(axis=1))
-        keys[logs] = np.log(scores[logs]) + e * np.log(expo[logs, :K])
+    with np.errstate(divide="ignore"):  # a zero score or exponential: -inf
+        keys = np.log(scores) + e * np.log(expo[:, :K])
     if K == n:
         return rank_k_smallest(keys, k), np.empty(0, dtype=np.int64)
     tail = expo[:, K:]
     with np.errstate(all="ignore"):
         kth = np.partition(keys, k - 1, axis=1)[:, k - 1]
-        # a site left out has key >= floor * E^e, so it can beat kth only if
-        # its E < tau
+        # a site left out has key >= log(floor) + e * log(E), so it can beat
+        # kth only if its E < tau
         floor = scores.max(axis=1) / (1.0 + _TIE_GAP)
-        tau = np.where(logs, np.exp((kth - np.log(floor)) / e),
-                       (kth / floor) ** (1.0 / e))
+        tau = np.exp((kth - np.log(floor)) / e)
         tau[np.isnan(tau)] = np.inf  # zero bound and zero key: all may win
         # Bernoulli(1 - exp(-tau)) hits over the n sites: an exponential x
         # skips floor(x / tau) of them and hits the next, whose own
@@ -233,14 +223,7 @@ def _race_block(points, sites, k, g, e, K, expo):
         hr, hs = r[fresh], site[fresh]
         he = np.fmod(tail[hr, i[fresh]], tau[hr])
         hit = weighted_score_matrix(points[hr], sites, g, hs[:, None])[:, 0]
-        hk = hit * he ** e
-        # a tail key out of range moves its row to the log domain
-        bad = np.unique(hr[~logs[hr] & ~_in_range(hk, hk)])
-        logs[bad] = True
-        keys[bad] = np.log(scores[bad]) + e * np.log(expo[bad, :K])
-        kth[bad] = np.partition(keys[bad], k - 1, axis=1)[:, k - 1]
-        lg = logs[hr]
-        hk[lg] = np.log(hit[lg]) + e * np.log(he[lg])
+        hk = np.log(hit) + e * np.log(he)
     # only hits up to the k-th key can rank
     beat = hk <= kth[hr]
     hr, hs, hk = hr[beat], hs[beat], hk[beat]

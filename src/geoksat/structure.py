@@ -22,6 +22,7 @@ the last level.  It also owns the ``cap`` check, which raises
 EnumerationBudgetError before any subset is built.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,47 +39,16 @@ class EnumerationBudgetError(RuntimeError):
     """Raised when exhaustive subset enumeration would exceed the cap."""
 
 
-class _Rows:
-    """Read-only sequence view: item c is row c of a 2-D array, a tuple."""
-
-    def __init__(self, rows):
-        self._rows = rows
-
-    def __len__(self):
-        return len(self._rows)
-
-    def __getitem__(self, c):
-        return tuple(self._rows[c].tolist())
-
-
-class _Csr:
-    """Read-only mapping view: key v is ``indices[indptr[v]:indptr[v + 1]]``,
-    a tuple; keys with an empty slice are absent."""
-
-    def __init__(self, indptr, indices):
-        self._indptr, self._indices = indptr, indices
-
-    def __iter__(self):
-        return iter(np.flatnonzero(np.diff(self._indptr)).tolist())
-
-    def __len__(self):
-        return np.count_nonzero(np.diff(self._indptr))
-
-    def __getitem__(self, v):
-        a, b = self._indptr[v:v + 2] if 0 <= v < len(self._indptr) - 1 else (0, 0)
-        if a == b:
-            raise KeyError(v)
-        return tuple(self._indices[a:b].tolist())
-
-
 @dataclass(frozen=True, eq=False)
 class IncidenceGraph:
     """Bipartite clause-variable adjacency; signs are discarded.
 
     ``variables`` is the (m, k) matrix of sorted clause variable sets
     (1-based); the clauses of variable v, ascending, are
-    ``indices[indptr[v]:indptr[v + 1]]``.  ``clause_vars`` and
-    ``var_clauses`` view them as tuples.
+    ``indices[indptr[v]:indptr[v + 1]]``.  ``clause_vars`` holds each
+    clause's variables as a tuple, and ``var_clauses`` maps each variable
+    of some clause, ascending, to the tuple of its clauses; both are built
+    on first use.
     """
 
     variables: np.ndarray
@@ -89,13 +59,15 @@ class IncidenceGraph:
     def m(self):
         return len(self.variables)
 
-    @property
+    @functools.cached_property
     def clause_vars(self):
-        return _Rows(self.variables)
+        return tuple(map(tuple, self.variables.tolist()))
 
-    @property
+    @functools.cached_property
     def var_clauses(self):
-        return _Csr(self.indptr, self.indices)
+        at, clauses = self.indptr.tolist(), self.indices.tolist()
+        return {v: tuple(clauses[a:b])
+                for v, (a, b) in enumerate(zip(at, at[1:])) if a < b}
 
     def neighborhood(self, clause_subset):
         return set(self.variables[list(clause_subset)].ravel().tolist())
@@ -224,7 +196,7 @@ def check_expansion_sampled(gph, r, c, trials, seed):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if gph.m == 0:
+    if gph.m == 0 or r < 1:
         return None  # no clause subset to violate expansion, as in the exact check
     rng = np.random.default_rng(seed)
     k, bound = gph.variables.shape[1], 1.0 + c

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -311,44 +312,45 @@ def _full_race_keys(monkeypatch, pts, sites, T, g, rng):
     return np.concatenate(keys)
 
 
-def test_race_keys_are_the_product_without_overflow(monkeypatch):
-    rng = np.random.default_rng(47)
-    sites = WeightedSites.from_raw(rng.random((300, 2)), rng.uniform(1, 5, 300))
-    pts = rng.random((500, 2))
-    scores = weighted_score_matrix(pts, sites, G2)
-    for seed, T in enumerate((0.3, 0.5, 1.0, 2.0)):
-        e = T * 2 / 2
-        expo = np.random.default_rng(seed).standard_exponential(scores.shape)
-        want = scores * expo**e
-        assert np.all(np.isfinite(want)) and want.min() > np.finfo(float).tiny
-        got = _full_race_keys(monkeypatch, pts, sites, T, G2,
-                              np.random.default_rng(seed))
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("case", ["underflow", "overflow"])
-def test_race_keys_at_high_temperature_use_the_drawn_exponentials(monkeypatch, case):
+@pytest.mark.parametrize("T, case", [
+    (0.3, "weighted"), (0.5, "weighted"), (1.0, "weighted"), (2.0, "weighted"),
+    (100.0, "underflow"), (500.0, "overflow")])
+def test_race_keys_are_logs_of_the_drawn_exponentials(monkeypatch, T, case):
     rng = np.random.default_rng(53)
-    pts = rng.random((300, 2))
-    if case == "underflow":  # E**100 below the smallest normal double
-        sites, g, T = WeightedSites(rng.random((100, 2)), np.ones(100)), G2, 100.0
-    else:  # three sites and E**500: E above about 4.1 overflows
+    pts, g = rng.random((300, 2)), G2
+    if case == "weighted":
+        sites = WeightedSites.from_raw(rng.random((300, 2)), rng.uniform(1, 5, 300))
+    elif case == "underflow":  # E**100 would fall below the smallest normal
+        sites = WeightedSites(rng.random((100, 2)), np.ones(100))
+    else:  # three sites and E**500: E above about 4.1 would overflow
         sites = WeightedSites(rng.random((3, 2)), np.ones(3))
-        g, T = GeometrySpec(d=2, p_norm=2, wrap=False), 500.0
+        g = GeometrySpec(d=2, p_norm=2, wrap=False)
     scores = weighted_score_matrix(pts, sites, g)
     e = T * 2 / 2
     got_rng, ref_rng = np.random.default_rng(59), np.random.default_rng(59)
     got = _full_race_keys(monkeypatch, pts, sites, T, g, got_rng)
     expo = ref_rng.standard_exponential(scores.shape)
     with np.errstate(over="ignore", under="ignore"):
-        product = scores * expo**e
-    bad = ~np.all(np.isfinite(product) & (product >= np.finfo(float).tiny), axis=1)
-    assert 0 < bad.sum() < len(scores)
-    assert np.isinf(product).any() == (case == "overflow")
-    assert np.array_equal(got[bad], np.log(scores[bad]) + e * np.log(expo[bad]))
-    assert np.array_equal(got[~bad], product[~bad])
+        power = expo**e
+    in_range = np.isfinite(power) & (power >= np.finfo(float).tiny)
+    assert in_range.all() == (case == "weighted")
+    assert np.array_equal(got, np.log(scores) + e * np.log(expo))
     # the stream continues where the block's exponentials end
     assert got_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("T", [0.5, 1.5, 300.0])
+def test_clause_on_a_site_draws_it_first(T):
+    # a zero score keys as -inf, ahead of every other site, with no warning
+    rng = np.random.default_rng(67)
+    sites = WeightedSites.from_raw(rng.random((400, 2)), rng.uniform(1, 5, 400))
+    on = [7, 123, 399]
+    pts = np.concatenate((sites.positions[on], rng.random((50, 2))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        drawn = draw_geometric_clause_vars(pts, sites, 3, T, G2, rng)
+    assert drawn[:3, 0].tolist() == on
+    assert all(len(set(r)) == 3 for r in drawn.tolist())
 
 
 def _sequential_probabilities(x, k):

@@ -183,6 +183,16 @@ def test_checkers_pass_on_empty_and_single_clause_formulas():
         assert resolution_width_conditions(f, 3, 0.5) is None
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_checkers_pass_with_no_subset_size(r):
+    # c = 5: every clause subset violates, but none has size <= r
+    gph = incidence_graph(_random_formula(20, 10, 3, 4.0, seed=5))
+    assert check_expansion_exact(gph, 1, 5.0) is not None
+    assert check_expansion_sampled(gph, 2, 5.0, 10, seed=1) is not None
+    assert check_expansion_exact(gph, r, 5.0) is None
+    assert check_expansion_sampled(gph, r, 5.0, 10, seed=1) is None
+
+
 def test_budget_counts_every_subset_up_to_the_size():
     f = _random_formula(30, 12, 3, 4.0, seed=3)
     gph = incidence_graph(f)
