@@ -18,6 +18,7 @@ variable GEOKSAT_OUTDIR supplies the default output directory.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -110,7 +111,7 @@ def _validate_model_args(args):
     _check(args.n >= 1, "n must be >= 1")
     if args.m is None:
         _check(args.delta is not None, "give -m or --delta")
-        _check(args.delta > 0, "delta must be > 0")
+        _check(0 < args.delta < math.inf, "delta must be > 0 and finite")
         args.m = max(1, round(args.delta * args.n))
     if args.beta is not None:
         weights_mod.check_beta(args.beta)

@@ -116,8 +116,10 @@ def validate_config(cfg):
         value = getattr(cfg, name)
         if value is not None and value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    if cfg.delta is not None and not cfg.delta > 0:
-        raise ValueError(f"delta must be > 0, got {cfg.delta}")
+    if cfg.delta is not None and not 0 < cfg.delta < math.inf:
+        raise ValueError(f"delta must be > 0 and finite, got {cfg.delta}")
+    if cfg.c is not None and not math.isfinite(cfg.c):
+        raise ValueError(f"c must be finite, got {cfg.c}")
     if cfg.kind == "BALLS_BINS" and any(n < 3 for n in cfg.n_values):
         raise ValueError("BALLS_BINS needs every n >= 3: its threshold "
                          "divides by log log n")

@@ -187,18 +187,21 @@ def _race_block(points, sites, k, g, e, K, expo):
     """
     n = sites.n
     if K < n:
-        cand, scores = _rank_table(points, sites, K, g, select=True)
+        cand, scores = _rank_table(points, sites, K, g)
     else:
         cand = np.broadcast_to(np.arange(n), (len(points), n))
         scores = weighted_score_matrix(points, sites, g)
     rows = len(cand)
     with np.errstate(divide="ignore"):  # a zero score or exponential: -inf
         keys = np.log(scores) + e * np.log(expo[:, :K])
+    sel = rank_k_smallest(keys, k)
+    ranked = np.take_along_axis(cand, sel, axis=1)
     if K == n:
-        return rank_k_smallest(keys, k), np.empty(0, dtype=np.int64)
+        return ranked, np.empty(0, dtype=np.int64)
+    best = np.take_along_axis(keys, sel, axis=1)
+    kth = best[:, -1]
     tail = expo[:, K:]
     with np.errstate(all="ignore"):
-        kth = np.partition(keys, k - 1, axis=1)[:, k - 1]
         # a site left out has key >= log(floor) + e * log(E), so it can beat
         # kth only if its E < tau
         floor = scores.max(axis=1) / (1.0 + _TIE_GAP)
@@ -227,13 +230,10 @@ def _race_block(points, sites, k, g, e, K, expo):
     # only hits up to the k-th key can rank
     beat = hk <= kth[hr]
     hr, hs, hk = hr[beat], hs[beat], hk[beat]
-    sel = rank_k_smallest(keys, k)
-    ranked = np.take_along_axis(cand, sel, axis=1)
     if len(hr):
         # merge each row's tail hits with its k best candidates, by (key, index)
         won = np.unique(hr)
         row = np.concatenate((np.repeat(won, k), hr))
-        best = np.take_along_axis(keys, sel, axis=1)
         key = np.concatenate((best[won].ravel(), hk))
         site = np.concatenate((ranked[won].ravel(), hs))
         order = np.lexsort((site, key, row))

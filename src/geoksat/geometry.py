@@ -10,8 +10,8 @@ in [0, 1] and min(delta, 1 - delta) is its circular distance;
 
 ``pnorm_scores`` is the package's one p-norm kernel: the rootless score
 dist^q with q = ``GeometrySpec.score_power``.  Distances are its q-th root,
-and the Voronoi scan and the temperature race rank by it, so every distance
-and score the package computes comes from the same arithmetic.
+and the Voronoi cell table and the temperature race rank by it, so every
+distance and score the package computes comes from the same arithmetic.
 ``box_score_bounds`` bounds the same score over a box of points, for the
 cell table of ``voronoi.knearest``.
 """

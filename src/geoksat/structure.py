@@ -189,10 +189,10 @@ def check_expansion_sampled(gph, r, c, trials, seed):
     the walk biases toward overlapping clauses).  A trial draws a size in
     1..r and a start clause, then makes at most 4 * size attempts: a chosen
     clause, a variable of it, a clause of that variable (all uniform), kept
-    if new.  ``_TRIAL_BLOCK`` trials at a time walk in lockstep, one array
-    row each; the first violation of the lowest-index violating trial is
-    the witness.  Any witness is sound; ``None`` (PASS_PROBABLE) carries no
-    guarantee.
+    if new; its start clause alone violates when k < 1 + c.  ``_TRIAL_BLOCK``
+    trials at a time walk in lockstep, one array row each; the first
+    violation of the lowest-index violating trial is the witness.  Any
+    witness is sound; ``None`` (PASS_PROBABLE) carries no guarantee.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -208,7 +208,7 @@ def check_expansion_sampled(gph, r, c, trials, seed):
         members = np.zeros((rows, r * k), dtype=np.int64)  # their variables
         members[:, :k] = gph.variables[chosen[:, 0]]
         count, width = np.ones(rows, dtype=np.int64), np.full(rows, k)
-        hit = np.zeros(rows, dtype=bool)
+        hit = np.full(rows, k < bound)  # the start clause alone may violate
         for step in range(4 * r):
             live = np.flatnonzero((count < size) & (4 * size > step) & ~hit)
             if not len(live):
@@ -368,8 +368,8 @@ def is_nice(clause_index, inst):
     coincide under the strictly monotone map between them); rank ties
     break by smaller index, matching the generator.  For T = 0 instances
     this holds by construction: the ranking is ``knearest``'s, the
-    generator's own (the site set's cell table, whose one cell scores all
-    n sites until it counts more than 16 rows).
+    generator's own (the k nearest that the site set's cell table selects,
+    ordered by (score, index)).
     """
     f = inst.formula
     if not 0 <= clause_index < f.m:

@@ -6,10 +6,13 @@ size-k set A is the set of points whose k weighted-nearest sites are
 exactly A.  Regions are never constructed explicitly; non-empty regions
 are discovered by Monte Carlo sampling of k-nearest queries.  Every
 distance here comes from ``geometry.pnorm_scores``, and every weighted
-score from ``weighted_score_matrix``: of all n sites for the scan, of
-chosen candidate indices for the cell table and the sampler's race.
+score from ``weighted_score_matrix``: of all n sites for the one-point
+reference, of chosen candidate indices for the cell table and the
+sampler's race.  Every "k smallest" is ``select_k_smallest``: each row's
+k smallest entries by (value, index), in increasing index, with their
+values; ``rank_k_smallest`` orders that selection.
 
-``knearest`` is the one exact k-nearest kernel.  It reads its candidates
+``_rank_table`` is the one k-nearest walk.  It reads its candidates
 from a cell table that the site set builds and keeps
 (``WeightedSites.table``), the uniform-grid bucketing of Bentley, Weide and
 Yao (ACM TOMS 1980): each cell of a grid lists, in increasing index, the
@@ -21,13 +24,13 @@ A table starts as one cell listing all n sites, where ranking is the
 dense scan, and halves its cells as it ranks more rows; weighted and
 unweighted sites, and k = n, take it alike.  Sites and points lie in the
 closed cube [0, 1]^d, checked where they enter (``WeightedSites``,
-``knearest``), so each lies in a cell of the grid.  The sampler's
-exponential race (``generate``) takes its candidates from the same walk
-in its selection mode (``_rank_table`` with ``select``): each clause's K
-weighted-nearest sites, unordered, with their scores.  Monte Carlo
-counting ranks through ``knearest`` alone and groups its sorted rows by
-``set_codes``; ``_rank_scan``, the dense score scan, is the reference that
-``k_nearest_sites`` ranks one point by.
+``knearest``), so each lies in a cell of the grid.  The walk returns each
+row's k weighted-nearest sites as a set, in increasing index, with their
+scores: ``knearest`` orders them by (score, index), Monte Carlo counting
+keys them as they are and groups them by ``set_codes``, and the
+sampler's exponential race (``generate``) keys them as its candidates.
+``k_nearest_sites`` ranks one point by the dense score row alone, a
+reference that builds no table.
 """
 
 import bisect
@@ -74,8 +77,8 @@ _CERT_RADIUS_STEPS = 16
 
 @dataclass(frozen=True)
 class WeightedSites:
-    """Site positions (n, d) in [0, 1]^d with multiplicative weights, min
-    weight 1.
+    """Site positions (n, d) in [0, 1]^d with multiplicative weights,
+    divided by their minimum so that it is exactly 1.
 
     A site set keeps the cell tables that ``knearest`` and the sampler's
     race build for it on first use (``table``, one per (k, metric),
@@ -92,16 +95,8 @@ class WeightedSites:
         if pos.ndim != 2 or len(pos) != len(w):
             raise ValueError("positions must be (n, d) matching weights")
         check_unit_cube(pos, "site positions")
-        if abs(w.min() - 1.0) > 1e-12:
-            raise ValueError("minimum weight must be exactly 1 (use from_raw)")
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def from_raw(cls, positions, raw_weights):
-        """Normalize raw positive weights so the minimum is exactly 1."""
-        w = np.asarray(raw_weights, dtype=float)
-        return cls(positions, check_weights(w) / w.min() if len(w) else w)
+        object.__setattr__(self, "weights", w / w.min())
 
     @property
     def n(self):
@@ -213,17 +208,17 @@ class _CellTable:
 def random_sites(n, g, seed_or_rng, weights=None):
     """Sites with uniform positions on the torus; weights default to 1."""
     pos = np.random.default_rng(seed_or_rng).random((n, g.d))
-    return WeightedSites.from_raw(pos,
-                                  np.ones(n) if weights is None else weights)
+    return WeightedSites(pos, np.ones(n) if weights is None else weights)
 
 
 def weighted_score_matrix(points, sites, g, cand=None):
     """(rows, n) scores of every site, or (rows, C) scores of the site
     indices ``cand``: dist^q / w^(q/d) with q = ``g.score_power``.
 
-    The package's one weighted score: the scan, the cell table and the
-    race's tail hits all take it.  Avoids q-th roots; rankings and
-    region keys are unchanged under the strictly increasing map x -> x^q.
+    The package's one weighted score: the one-point reference, the cell
+    table and the race's tail hits all take it.  Avoids q-th roots;
+    rankings and region keys are unchanged under the strictly increasing
+    map x -> x^q.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if cand is None:
@@ -239,52 +234,53 @@ def weighted_score_matrix(points, sites, g, cand=None):
     return scores
 
 
-def rank_k_smallest(values, k):
-    """Row-wise indices of the k smallest entries, ordered ascending with
-    ties broken by smaller index.  ``values`` is (rows, n)."""
-    rows, n = values.shape
+def select_k_smallest(values, k):
+    """``(sel, kept)``: the indices of each row's k smallest entries of
+    ``values`` (rows, n) by (value, index), in increasing index, and their
+    values.  A tie at the k-th place goes to the smaller index.  One
+    partition at k: a row whose (k+1)-th value equals its k-th has such a
+    tie, and only those rows are sorted whole."""
+    n = values.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= {n} items")
-    part = np.argpartition(values, k - 1, axis=1)[:, :k]
-    part.sort(axis=1)
-    pv = np.take_along_axis(values, part, axis=1)
-    order = np.argsort(pv, axis=1, kind="stable")
-    sel = np.take_along_axis(part, order, axis=1)
-    # rows with a tie across the selection boundary need the exact rule
-    kth = np.take_along_axis(values, sel[:, -1:], axis=1)
-    ambiguous = np.flatnonzero((values <= kth).sum(axis=1) > k)
-    for r in ambiguous:
-        sel[r] = np.argsort(values[r], kind="stable")[:k]
-    return sel
+    part = np.argpartition(values, min(k, n - 1), axis=1)
+    sel = np.sort(part[:, :k], axis=1)
+    kept = np.take_along_axis(values, sel, axis=1)
+    if k < n:
+        after = np.take_along_axis(values, part[:, k:k + 1], axis=1)[:, 0]
+        for r in np.flatnonzero(after <= kept.max(axis=1)):
+            sel[r] = np.sort(np.argsort(values[r], kind="stable")[:k])
+            kept[r] = values[r, sel[r]]
+    return sel, kept
 
 
-def _rank_scan(points, sites, k, g):
-    """``knearest`` by the dense score matrix, in blocks of bounded size."""
-    out = np.empty((len(points), k), dtype=np.int64)
-    step = max(1, _SCAN_ENTRIES // max(1, sites.n))
-    for a in range(0, len(points), step):
-        block = points[a:a + step]
-        scores = weighted_score_matrix(block, sites, g)
-        out[a:a + len(block)] = rank_k_smallest(scores, k)
-    return out
+def _by_value(sel, kept):
+    """``sel`` ordered by a stable sort of ``kept``: by (value, index) when
+    each row of ``sel`` increases."""
+    return np.take_along_axis(sel, np.argsort(kept, axis=1, kind="stable"),
+                              axis=1)
 
 
-def _rank_table(points, sites, k, g, select=False):
-    """``knearest`` by the site set's cell table for k, or with ``select``
-    the race's candidates: ``(cand, scores)``, each row's k weighted-nearest
-    sites in increasing index, unordered by score, and their scores.
+def rank_k_smallest(values, k):
+    """Row-wise indices of the k smallest entries, ordered ascending with
+    ties broken by smaller index: ``select_k_smallest``, ordered."""
+    return _by_value(*select_k_smallest(values, k))
+
+
+def _rank_table(points, sites, k, g):
+    """``(cand, scores)``: each row's k weighted-nearest sites in
+    increasing index, by the site set's cell table for k, and their scores.
 
     The table first deepens by the depth rule (see ``_ROWS_PER_CELL``).
     Each row then scores its cell's list by ``weighted_score_matrix``, with
-    +inf past the list's length, and ranks it by ``rank_k_smallest``: the
-    lists increase in site index, so that is the scan's (score, index)
-    rule.  A selection takes the k smallest by one partition instead; a
-    site it leaves out scores at least the row's k-th score, the largest it
-    keeps (the list holds every site that can rank, see ``knearest``).  A
-    coordinate of 1 falls in the last cell of its axis.  In chunks of
-    ``_RANK_ROWS`` rows, rows are grouped by list length into widths 8, 16,
-    32, ... up to the table's width and scored in blocks of at most
-    ``_RANK_ENTRIES``.
+    +inf past the list's length, and takes its k smallest by
+    ``select_k_smallest``: the lists increase in site index, so that is the
+    scan's (score, index) rule, and a site left out scores at least the
+    row's k-th score, the largest kept (the list holds every site that can
+    rank, see ``knearest``).  A coordinate of 1 falls in the last cell of
+    its axis.  In chunks of ``_RANK_ROWS`` rows, rows are grouped by list
+    length into widths 8, 16, 32, ... up to the table's width and scored in
+    blocks of at most ``_RANK_ENTRIES``.
     """
     table = sites.table(g, k)
     table.rows += len(points)
@@ -293,7 +289,7 @@ def _rank_table(points, sites, k, g, select=False):
         table.split(sites, g, k)
     side = table.side
     out = np.empty((len(points), k), dtype=np.int64)
-    kept = np.empty((len(points), k)) if select else None
+    kept = np.empty((len(points), k))
     for a in range(0, len(points), _RANK_ROWS):
         chunk = points[a:a + _RANK_ROWS]
         cell = np.ravel_multi_index(np.minimum(chunk * side, side - 1)
@@ -310,15 +306,9 @@ def _rank_table(points, sites, k, g, select=False):
                 cand = table.cand[cell[rows], :w]
                 scores = weighted_score_matrix(chunk[rows], sites, g, cand)
                 scores[np.arange(w) >= length[rows, None]] = np.inf
-                if select:
-                    # list positions increase with the site index
-                    pick = np.argpartition(scores, k - 1, axis=1)[:, :k]
-                    pick.sort(axis=1)
-                    kept[a + rows] = np.take_along_axis(scores, pick, axis=1)
-                else:
-                    pick = rank_k_smallest(scores, k)
+                pick, kept[a + rows] = select_k_smallest(scores, k)
                 out[a + rows] = np.take_along_axis(cand, pick, axis=1)
-    return (out, kept) if select else out
+    return out, kept
 
 
 def check_positions(points, sites, g, name):
@@ -353,36 +343,37 @@ def knearest(points, sites, k, g):
     index: ``rank_k_smallest`` on ``weighted_score_matrix``, row for row.
 
     Points must lie in [0, 1]^d, as sites do, with d = ``g.d``.  The cell
-    table ranks every row, weighted sites or not and k = n included, from
-    the first call: each row scores the list of its cell in the site set's
-    table for k (``WeightedSites.table``) and ranks it by (score, index),
-    ``_rank_table``.  For a cell of centre c and side h and a site s, with
-    delta the per-coordinate distance from c to s (wrapped on the torus),
-    the rootless score of every point of the cell lies in [lo, up] / w^(q/d),
-    lo = sum max(delta - h/2, 0)^q and up = sum (delta + h/2)^q (max for
-    p = inf).  With U the k-th smallest up, every point of the cell has k
-    sites of score at most U, so a site with lo > U (1 + ``_TIE_GAP``) never
-    ranks there and the list holds every other site: the rows are exact by
-    construction, with no fallback.  The slack, and a half-side widened by
-    ``_CELL_MARGIN``, cover the rounding of the scores.  The table starts
-    as one cell listing every site, the dense scan, and halves its side,
-    each child filtering its parent's list, while it has fewer cells than
-    min(``_CELLS_PER_SITE`` n / k, R / ``_ROWS_PER_CELL``), R the rows it
-    counts, this call included.  So a call of few rows ranks as the scan
-    does, a one-shot call stays coarse and a Monte Carlo count deepens
-    after its first block.
+    table serves every row, weighted sites or not and k = n included, from
+    the first call: ``_rank_table`` selects each row's k nearest from the
+    list of its cell in the site set's table for k (``WeightedSites.table``)
+    and ``knearest`` orders them by (score, index).  For a cell of centre c
+    and side h and a site s, with delta the per-coordinate distance from c
+    to s (wrapped on the torus), the rootless score of every point of the
+    cell lies in [lo, up] / w^(q/d), lo = sum max(delta - h/2, 0)^q and up =
+    sum (delta + h/2)^q (max for p = inf).  With U the k-th smallest up,
+    every point of the cell has k sites of score at most U, so a site with
+    lo > U (1 + ``_TIE_GAP``) never ranks there and the list holds every
+    other site: the rows are exact by construction, with no fallback.  The
+    slack, and a half-side widened by ``_CELL_MARGIN``, cover the rounding
+    of the scores.  The table starts as one cell listing every site, the
+    dense scan, and halves its side, each child filtering its parent's list,
+    while it has fewer cells than min(``_CELLS_PER_SITE`` n / k, R /
+    ``_ROWS_PER_CELL``), R the rows it counts, this call included.  So a
+    call of few rows ranks as the scan does, a one-shot call stays coarse
+    and a Monte Carlo count deepens after its first block.
     """
     pts = check_positions(points, sites, g, "points")
     if not 1 <= k <= sites.n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
-    return _rank_table(pts, sites, k, g)
+    return _by_value(*_rank_table(pts, sites, k, g))
 
 
 def k_nearest_sites(p, sites, k, g):
     """``(key, ranked)`` for one point: the RegionKey (sorted tuple of site
-    indices) and its ``knearest`` row, by the scan alone (a reference that
-    builds no table)."""
-    ranked = _rank_scan(check_positions(p, sites, g, "point"), sites, k, g)[0]
+    indices) and its ``knearest`` row, by ``rank_k_smallest`` on the
+    point's dense score row (a reference that builds no table)."""
+    pts = check_positions(p, sites, g, "point")
+    ranked = rank_k_smallest(weighted_score_matrix(pts, sites, g), k)[0]
     return tuple(sorted(ranked.tolist())), ranked
 
 
@@ -416,7 +407,7 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, checkpoints=()):
     is a lower bound on the true number of non-empty regions.
     ``checkpoints`` are sample prefixes at which the running count is
     recorded (see RegionCountResult.counts_at).  Each block of sample
-    points is ranked by ``knearest``.
+    points takes its keys from ``_rank_table``, already sorted.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -431,7 +422,7 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, checkpoints=()):
     while done < samples:
         block = min(_MC_BLOCK, samples - done)
         pts = rng.random((block, g.d))
-        rows = np.sort(knearest(pts, sites, k, g), axis=1)
+        rows = _rank_table(pts, sites, k, g)[0]
         codes = set_codes(np.concatenate((seen, rows)), sites.n)
         uniq, first = np.unique(codes[len(seen):], return_index=True)
         new = ~np.isin(uniq, codes[:len(seen)], assume_unique=True)

@@ -25,10 +25,10 @@ def check_weights(values):
 
 
 def check_beta(beta):
-    """Reject a power-law exponent of 2 or less (or nan)."""
-    if not beta > 2:
-        raise ValueError("beta must be > 2 (power-law weights require "
-                         f"exponent above 2), got {beta}")
+    """Reject a power-law exponent of 2 or less, infinite or nan."""
+    if not 2 < beta < math.inf:
+        raise ValueError("beta must be > 2 and finite (power-law weights "
+                         f"require exponent above 2), got {beta}")
 
 
 def power_law_weights(n, beta):

@@ -104,16 +104,30 @@ def test_non_positive_sizes_are_rejected(argv, message, tmp_path):
         run_cli(argv + ["-o", str(tmp_path / "out")])
 
 
-@pytest.mark.parametrize("argv", [
-    ["generate", "--model", "geometric", "-n", "10", "-m", "5", "-k", "2",
-     "-T", "inf", "--seed", "1"],
-    ["generate", "--model", "powerlaw", "-n", "10", "-m", "5", "-k", "2",
-     "--beta", "2.5", "-T", "nan", "--seed", "1"],
-    ["experiment", "--kind", "NICE_FRACTION", "--n-values", "50", "--seeds", "1",
-     "-k", "3", "--d", "2", "--p-norm", "2", "-T", "nan", "--delta", "1"],
-], ids=["generate_inf", "powerlaw_nan", "experiment_nan"])
-def test_non_finite_temperature_is_rejected(argv, tmp_path):
-    with pytest.raises(SystemExit, match="error: temperature must be >= 0 and finite"):
+_TEMPERATURE = "temperature must be >= 0 and finite"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--model", "geometric", "-n", "10", "-m", "5", "-k", "2",
+      "-T", "inf", "--seed", "1"], _TEMPERATURE),
+    (["generate", "--model", "powerlaw", "-n", "10", "-m", "5", "-k", "2",
+      "--beta", "2.5", "-T", "nan", "--seed", "1"], _TEMPERATURE),
+    (["experiment", "--kind", "NICE_FRACTION", "--n-values", "50", "--seeds", "1",
+      "-k", "3", "--d", "2", "--p-norm", "2", "-T", "nan", "--delta", "1"],
+     _TEMPERATURE),
+    # unchecked, an infinite delta overflows round(delta * n) into a traceback
+    (["generate", "--model", "powerlaw", "-n", "10", "-k", "3", "--delta",
+      "inf", "--beta", "2.5", "--seed", "1"], "delta must be > 0 and finite"),
+    (["generate", "--model", "powerlaw", "-n", "10", "-m", "5", "-k", "3",
+      "--beta", "inf", "--seed", "1"], "beta must be > 2"),
+    (["moments", "--beta", "inf", "--n-values", "100"], "beta must be > 2"),
+    (["experiment", "--kind", "NICE_FRACTION", "--n-values", "50", "--seeds", "1",
+      "-k", "3", "--d", "2", "--p-norm", "2", "-T", "0.5", "--delta", "inf"],
+     "delta must be > 0 and finite"),
+], ids=["generate_inf", "powerlaw_nan", "experiment_nan", "delta_inf",
+        "beta_inf", "moments_beta_inf", "experiment_delta_inf"])
+def test_non_finite_temperature_is_rejected(argv, message, tmp_path):
+    with pytest.raises(SystemExit, match="^error: " + message):
         run_cli(argv + ["-o", str(tmp_path / "out")])
 
 
@@ -255,6 +269,19 @@ def test_voronoi_count_on_a_sites_json(tmp_path, capsys):
         with pytest.raises(SystemExit, match="error: --sites-json"):
             run_cli(["voronoi-count", "--sites-json", str(sites), "-k", "2",
                      "--seed", "8"] + extra)
+
+
+def test_voronoi_count_divides_site_weights_by_their_minimum(tmp_path, capsys):
+    # a site file's raw weights [2, 4, 3] are the site set [1, 2, 1.5]
+    positions = [[0.1, 0.2], [0.6, 0.3], [0.4, 0.8]]
+    records = []
+    for weights in ([2.0, 4.0, 3.0], [1.0, 2.0, 1.5]):
+        path = tmp_path / "sites.json"
+        path.write_text(json.dumps({"positions": positions, "weights": weights}))
+        assert run_cli(["voronoi-count", "--sites-json", str(path), "-k", "2",
+                        "--samples", "2000", "--seed", "4"]) == 0
+        records.append(json.loads(capsys.readouterr().out.strip().splitlines()[-1]))
+    assert records[0] == records[1] and records[0]["W"] == 4.5
 
 
 @pytest.mark.parametrize("positions, space", [

@@ -193,11 +193,29 @@ def test_nice_fraction_draws_every_point_before_the_race():
     assert nice_fraction_audit(sites, g, 3, 0.5, 1100, 9) == nice
 
 
-@pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
-def test_temperature_must_be_finite_and_non_negative(T):
-    with pytest.raises(ValueError, match="temperature must be >= 0 and finite"):
-        ExperimentConfig(kind="NICE_FRACTION", n_values=(50,), k=3, d=2,
-                         p_norm=2, temperature=T, delta=1.0)
-    sites = random_sites(50, GeometrySpec(d=2, p_norm=2), 1)
-    with pytest.raises(ValueError, match="temperature must be >= 0 and finite"):
-        nice_fraction_audit(sites, GeometrySpec(d=2, p_norm=2), 3, T, 20, 0)
+_NON_FINITE = {"temperature": "temperature must be >= 0 and finite",
+               "delta": "delta must be > 0 and finite",
+               "beta": "beta must be > 2", "c": "c must be finite"}
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param("temperature", math.nan, id="nan"),
+    pytest.param("temperature", math.inf, id="inf"),
+    pytest.param("temperature", -1.0, id="-1.0"),
+    # unchecked, an infinite beta or c is written as "inf", which
+    # rerun_record reads back as a string, and a nan c passes every
+    # expansion check
+    pytest.param("delta", math.inf, id="delta-inf"),
+    pytest.param("beta", math.inf, id="beta-inf"),
+    pytest.param("c", math.nan, id="c-nan"),
+    pytest.param("c", -math.inf, id="c-minus-inf")])
+def test_temperature_must_be_finite_and_non_negative(field, value):
+    config = dict(kind="NICE_FRACTION", n_values=(50,), k=3, d=2, p_norm=2,
+                  temperature=0.5, delta=1.0)
+    with pytest.raises(ValueError, match=_NON_FINITE[field]):
+        ExperimentConfig(**{**config, field: value})
+    if field == "temperature":
+        sites = random_sites(50, GeometrySpec(d=2, p_norm=2), 1)
+        with pytest.raises(ValueError, match=_NON_FINITE[field]):
+            nice_fraction_audit(sites, GeometrySpec(d=2, p_norm=2), 3, value,
+                                20, 0)

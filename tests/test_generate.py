@@ -16,7 +16,7 @@ from geoksat.generate import (SignLedger, _apply_sign_patterns,
                               sample_nonuniform_formula)
 from geoksat.structure import is_nice
 from geoksat.voronoi import (_TIE_GAP, WeightedSites, _rank_table,
-                             k_nearest_sites, rank_k_smallest,
+                             k_nearest_sites, knearest, rank_k_smallest,
                              weighted_score_matrix)
 from geoksat.weights import power_law_weights, uniform_weights
 
@@ -319,7 +319,7 @@ def test_race_keys_are_logs_of_the_drawn_exponentials(monkeypatch, T, case):
     rng = np.random.default_rng(53)
     pts, g = rng.random((300, 2)), G2
     if case == "weighted":
-        sites = WeightedSites.from_raw(rng.random((300, 2)), rng.uniform(1, 5, 300))
+        sites = WeightedSites(rng.random((300, 2)), rng.uniform(1, 5, 300))
     elif case == "underflow":  # E**100 would fall below the smallest normal
         sites = WeightedSites(rng.random((100, 2)), np.ones(100))
     else:  # three sites and E**500: E above about 4.1 would overflow
@@ -343,7 +343,7 @@ def test_race_keys_are_logs_of_the_drawn_exponentials(monkeypatch, T, case):
 def test_clause_on_a_site_draws_it_first(T):
     # a zero score keys as -inf, ahead of every other site, with no warning
     rng = np.random.default_rng(67)
-    sites = WeightedSites.from_raw(rng.random((400, 2)), rng.uniform(1, 5, 400))
+    sites = WeightedSites(rng.random((400, 2)), rng.uniform(1, 5, 400))
     on = [7, 123, 399]
     pts = np.concatenate((sites.positions[on], rng.random((50, 2))))
     with warnings.catch_warnings():
@@ -384,13 +384,13 @@ def test_lazy_race_matches_sequential_distribution(monkeypatch, T, k, weighted, 
     ring = 0.5 + rng.uniform(0.15, 0.2, n)[:, None] * way / np.linalg.norm(
         way, axis=1, keepdims=True)
     w = power_law_weights(n, 3.5) if weighted else np.ones(n)
-    sites = WeightedSites.from_raw(ring, w)
+    sites = WeightedSites(ring, w)
     K = generate._candidate_count(sites, k, T)
     assert K < n
     centers = 0.5 + rng.uniform(-0.02, 0.02, (3, g.d))
     drawn = draw_geometric_clause_vars(np.tile(centers, (reps, 1)), sites, k, T,
                                        g, np.random.default_rng(k))
-    cand = _rank_table(centers, sites, K, g, select=True)[0]
+    cand = _rank_table(centers, sites, K, g)[0]
     tail_wins = 0
     for j, center in enumerate(centers):
         rows = drawn[j::3]
@@ -409,6 +409,32 @@ def test_lazy_race_matches_sequential_distribution(monkeypatch, T, k, weighted, 
         res = stats.chisquare(counts, expected)
         assert res.pvalue > 0.001
     assert tail_wins > 0.2 * len(drawn)
+
+
+def test_race_candidates_at_a_tie_take_the_smaller_index(monkeypatch):
+    # every site twice, its copy at index + 100: with K = 7 each clause's
+    # 7th and 8th nearest are a site and its copy, and the race keys the
+    # site, the smaller index, as knearest ranks it
+    rng = np.random.default_rng(71)
+    pos = rng.random((100, 2))
+    sites = WeightedSites(np.vstack((pos, pos)),
+                          np.tile(rng.uniform(1, 5, 100), 2))
+    pts = rng.random((300, 2))
+    full = weighted_score_matrix(pts, sites, G2)
+    head = np.sort(full, axis=1)
+    assert np.array_equal(head[:, 6], head[:, 7])
+    calls = []
+
+    def spy(*args):
+        calls.append(_rank_table(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(generate, "_candidate_count", lambda *args: 7)
+    monkeypatch.setattr(generate, "_rank_table", spy)
+    draw_geometric_clause_vars(pts, sites, 3, 0.5, G2, rng)
+    ties = np.sort(np.argsort(full, axis=1, kind="stable")[:, :7], axis=1)
+    assert np.array_equal(calls[0][0], ties)
+    assert np.array_equal(np.sort(knearest(pts, sites, 7, G2), axis=1), ties)
 
 
 def test_lazy_race_stream_does_not_depend_on_blocks_or_budget_rounds(monkeypatch):
@@ -457,16 +483,16 @@ def test_tail_bound_is_below_every_member_left_out(g, clustered):
     if clustered:
         pos = (0.7 + rng.uniform(-0.05, 0.05, (150, 2))) % 1.0
     pos = np.vstack((pos, pos[:50]))
-    sites = WeightedSites.from_raw(pos, power_law_weights(200, 2.5))
+    sites = WeightedSites(pos, power_law_weights(200, 2.5))
     grid = np.arange(8) / 8
     pts = np.vstack((np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2),
                      pos[:20], rng.random((30, 2))))
     K = generate._candidate_count(sites, 3, 0.5)
     assert 3 < K < sites.n
-    _rank_table(rng.random((4000, 2)), sites, K, g, select=True)
+    _rank_table(rng.random((4000, 2)), sites, K, g)
     table = sites.table(g, K)
     assert table.side > 1 and table.length.min() < sites.n
-    cand, scores = _rank_table(pts, sites, K, g, select=True)
+    cand, scores = _rank_table(pts, sites, K, g)
     assert np.all(np.diff(cand, axis=1) > 0)
     assert np.array_equal(scores, weighted_score_matrix(pts, sites, g, cand))
     floor = scores.max(axis=1) / (1.0 + _TIE_GAP)
@@ -486,11 +512,11 @@ def test_class_candidates_on_the_border_hold_each_class_nearest(g, monkeypatch):
     rng = np.random.default_rng(67)
     pos = rng.random((200, 2))
     pos[:20, 0], pos[20] = 1.0, 1.0
-    sites = WeightedSites.from_raw(pos, rng.permutation(power_law_weights(200, 2.5)))
+    sites = WeightedSites(pos, rng.permutation(power_law_weights(200, 2.5)))
     pts = rng.random((40, 2))
     pts[:10, 0], pts[10:15, 1], pts[15] = 1.0, 1.0, 1.0
     K = generate._candidate_count(sites, 3, 0.5)
-    cand, _ = _rank_table(pts, sites, K, g, select=True)
+    cand, _ = _rank_table(pts, sites, K, g)
     scores = weighted_score_matrix(pts, sites, g)
     for row, score in zip(cand, scores):
         assert len(np.unique(row)) == K

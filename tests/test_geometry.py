@@ -168,8 +168,8 @@ def test_empirical_distance_cdf_matches():
 
 
 def _sites(positions, weights):
-    return WeightedSites.from_raw(np.asarray(positions, dtype=float),
-                                  np.asarray(weights, dtype=float))
+    return WeightedSites(np.asarray(positions, dtype=float),
+                         np.asarray(weights, dtype=float))
 
 
 def test_weighted_distance():
@@ -280,7 +280,7 @@ def test_kernel_matches_a_plain_reference(p, wrap):
         a = rng.random((6, d))
         b = rng.random((8, d))
         dist = cross_distances(a, b, g)
-        sites = WeightedSites.from_raw(b, rng.uniform(1.0, 5.0, 8))
+        sites = WeightedSites(b, rng.uniform(1.0, 5.0, 8))
         for i in range(6):
             for j in range(8):
                 ref = _reference_distance(a[i], b[j], g)

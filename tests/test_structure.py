@@ -193,6 +193,23 @@ def test_checkers_pass_with_no_subset_size(r):
     assert check_expansion_sampled(gph, r, 5.0, 10, seed=1) is None
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_sampled_walk_tests_one_clause_subsets(k):
+    # a clause alone violates expansion iff k < 1 + c; the walk's start
+    # clause is such a subset, so at r = 1 both checks agree, and at any r
+    # a start clause is the witness
+    gph = incidence_graph(_random_formula(20, 10, k, 4.0, seed=5))
+    for c in (k - 1.5, k - 1.0, k - 0.5, 5.0):
+        exact = check_expansion_exact(gph, 1, c)
+        assert (exact is None) == (k >= 1 + c)
+        w = check_expansion_sampled(gph, 1, c, 10, seed=1)
+        assert (w is None) == (exact is None)
+        if exact is not None:
+            for w in (w, check_expansion_sampled(gph, 3, c, 10, seed=1)):
+                assert len(w.clause_indices) == 1
+                assert w.neighborhood_size == k and w.threshold == 1 + c
+
+
 def test_budget_counts_every_subset_up_to_the_size():
     f = _random_formula(30, 12, 3, 4.0, seed=3)
     gph = incidence_graph(f)

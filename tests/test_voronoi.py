@@ -16,8 +16,8 @@ from geoksat.voronoi import (WeightedSites, compute_R_A,
                              count_regions_monte_carlo,
                              generate_worst_case_sites, k_nearest_sites,
                              knearest, random_sites, rank_k_smallest,
-                             relevance_certificate, set_codes,
-                             weighted_score_matrix)
+                             relevance_certificate, select_k_smallest,
+                             set_codes, weighted_score_matrix)
 from geoksat.weights import power_law_weights
 
 G1 = GeometrySpec(d=1, p_norm=2)
@@ -30,21 +30,21 @@ def _sites1d(xs, ws=None):
 
 
 def test_weighted_sites_invariants():
-    s = WeightedSites.from_raw(np.random.default_rng(0).random((10, 2)),
-                               np.linspace(2.0, 5.0, 10))
+    s = WeightedSites(np.random.default_rng(0).random((10, 2)),
+                      np.linspace(2.0, 5.0, 10))
     assert s.weights.min() == 1.0
     assert np.allclose(s.normalized_weights**s.d, s.weights, rtol=1e-9)
     assert s.total == pytest.approx(s.weights.sum())
+    # raw weights are divided by their minimum
+    assert np.array_equal(WeightedSites(np.zeros((2, 1)), [2.0, 3.0]).weights,
+                          [1.0, 1.5])
     with pytest.raises(ValueError):
-        WeightedSites(np.zeros((2, 1)), np.array([2.0, 3.0]))
-    with pytest.raises(ValueError):
-        WeightedSites.from_raw(np.zeros((2, 1)), np.array([1.0, -1.0]))
+        WeightedSites(np.zeros((2, 1)), np.array([1.0, -1.0]))
 
 
 def test_empty_site_set_is_rejected():
     for make in (lambda: random_sites(0, G2, 1),
-                 lambda: WeightedSites(np.empty((0, 2)), np.empty(0)),
-                 lambda: WeightedSites.from_raw(np.empty((0, 2)), [])):
+                 lambda: WeightedSites(np.empty((0, 2)), np.empty(0))):
         with pytest.raises(ValueError, match="at least one site"):
             make()
 
@@ -57,8 +57,7 @@ def test_non_finite_weights_are_rejected(bad, tmp_path):
     raw = [1.0, 2.0, bad, 3.0, 4.0]
     path = tmp_path / "sites.json"
     path.write_text(json.dumps({"positions": pos.tolist(), "weights": raw}))
-    for make in (lambda: WeightedSites(pos, [1.0, 2.0, bad, 3.0, 4.0]),
-                 lambda: WeightedSites.from_raw(pos, raw),
+    for make in (lambda: WeightedSites(pos, raw),
                  lambda: random_sites(5, G2, 1, weights=raw),
                  lambda: load_sites(path)):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -71,7 +70,7 @@ def test_non_finite_positions_are_rejected(bad):
     pos = np.random.default_rng(0).random((5, 2))
     pos[2, 1] = bad
     for make in (lambda: WeightedSites(pos, np.ones(5)),
-                 lambda: WeightedSites.from_raw(pos, np.arange(1.0, 6.0))):
+                 lambda: WeightedSites(pos, np.arange(1.0, 6.0))):
         with pytest.raises(ValueError, match="positions must be finite"):
             make()
     # a position outside [0, 1] is rejected too: its circular differences
@@ -133,6 +132,30 @@ def test_rank_k_smallest_exact_tie_handling():
     assert list(full[1]) == [0, 1, 2, 3]
 
 
+def test_select_k_smallest_matches_a_lexsort_reference():
+    # few distinct values, -inf and +inf among them: most rows tie at the
+    # k-th place, and the smaller index wins there
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 5, 17):
+        values = rng.choice([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf], (300, n))
+        values[:50] = rng.random((50, n))  # rows with no tie
+        order = np.lexsort((np.broadcast_to(np.arange(n), values.shape),
+                            values))
+        ties = 0
+        for k in range(1, n + 1):
+            sel, kept = select_k_smallest(values, k)
+            assert np.array_equal(sel, np.sort(order[:, :k], axis=1))
+            assert np.array_equal(kept, np.take_along_axis(values, sel, axis=1))
+            assert np.array_equal(rank_k_smallest(values, k), order[:, :k])
+            if k < n:
+                head = np.take_along_axis(values, order[:, k - 1:k + 1], axis=1)
+                ties += np.count_nonzero(head[:, 0] == head[:, 1])
+        assert ties > 0 or n == 1
+        for k in (0, n + 1):
+            with pytest.raises(ValueError, match="1 <= k"):
+                select_k_smallest(values, k)
+
+
 def test_region_count_trivial_cases():
     s = _sites1d([0.0, 0.5])
     res = count_regions_monte_carlo(s, 2, 100, 0, G1)
@@ -178,7 +201,8 @@ def _exact_1d_regions(sites, k):
     cuts = np.unique(cuts)
     ends = np.append(cuts[1:], cuts[0] + 1.0)
     mids = ((cuts + ends) / 2 % 1.0)[:, None]
-    keys = np.sort(voronoi._rank_scan(mids, sites, k, G1), axis=1)
+    keys = np.sort(rank_k_smallest(weighted_score_matrix(mids, sites, G1), k),
+                   axis=1)
     regions = {}
     for key, length in zip(map(tuple, keys.tolist()), ends - cuts):
         regions[key] = regions.get(key, 0.0) + length
@@ -191,8 +215,8 @@ def _exact_1d_regions(sites, k):
 def test_weighted_1d_region_counts_against_the_exact_oracle(n, k, beta, seed):
     k = min(k, n)
     rng = np.random.default_rng(seed)
-    sites = WeightedSites.from_raw(rng.random((n, 1)),
-                                   rng.permutation(power_law_weights(n, beta)))
+    sites = WeightedSites(rng.random((n, 1)),
+                          rng.permutation(power_law_weights(n, beta)))
     regions = _exact_1d_regions(sites, k)
     samples = 20_000
     res = count_regions_monte_carlo(sites, k, samples, seed, G1)
@@ -206,8 +230,8 @@ def test_weighted_1d_region_counts_against_the_exact_oracle(n, k, beta, seed):
 def test_weighted_1d_region_count_reaches_the_exact_count():
     # a small site set and a large budget find every region
     rng = np.random.default_rng(4)
-    sites = WeightedSites.from_raw(rng.random((12, 1)),
-                                   rng.permutation(power_law_weights(12, 2.5)))
+    sites = WeightedSites(rng.random((12, 1)),
+                          rng.permutation(power_law_weights(12, 2.5)))
     for k in (1, 2, 3):
         regions = _exact_1d_regions(sites, k)
         assert min(regions.values()) > 1e-4
@@ -259,12 +283,12 @@ def test_region_count_methods_agree():
         res = count_regions_monte_carlo(sg, 2, 20_000, 7, g)
         _assert_matches_reference(res, sg, 2, 20_000, 7, g)
     # weighted sites rank through knearest's cell table
-    weighted = WeightedSites.from_raw(s.positions, power_law_weights(300, 2.5))
+    weighted = WeightedSites(s.positions, power_law_weights(300, 2.5))
     res = count_regions_monte_carlo(weighted, 2, 20_000, 7, G2)
     _assert_matches_reference(res, weighted, 2, 20_000, 7, G2)
     # in d = 1 one block of 32,768 rows deepens the table to 2048 cells and
     # the second block to 4096 (8 n / K = 2400 cells)
-    line = WeightedSites.from_raw(s.positions[:, :1], power_law_weights(300, 2.5))
+    line = WeightedSites(s.positions[:, :1], power_law_weights(300, 2.5))
     res = count_regions_monte_carlo(line, 1, 40_000, 7, G1)
     _assert_matches_reference(res, line, 1, 40_000, 7, G1)
     assert line.table(G1, 1).side == 4096
@@ -399,7 +423,7 @@ def test_worst_case_order1_fragmentation():
 def test_score_matrix_matches_weighted_distance_ranking():
     rng = np.random.default_rng(17)
     for g in (G1, G2, GeometrySpec(d=2, p_norm=INFINITY), GeometrySpec(d=3, p_norm=1)):
-        s = WeightedSites.from_raw(rng.random((12, g.d)), rng.uniform(1, 5, 12))
+        s = WeightedSites(rng.random((12, g.d)), rng.uniform(1, 5, 12))
         pts = rng.random((20, g.d))
         scores = weighted_score_matrix(pts, s, g)
         for row, p in zip(scores, pts):
@@ -428,9 +452,12 @@ def test_region_count_dedup_matches_reference(n, k, backend, samples,
     # lexsort instead of taking their radix-100 digits;
     # 40k samples span two Monte Carlo blocks, with marks on both sides; the
     # last block of 32771 samples is 3 rows, which the warm cell table ranks
-    # inside the count; the scan case ranks every block by the dense scan
+    # inside the count; the scan case selects every block's keys from the
+    # dense score matrix
     if backend == "scan":
-        monkeypatch.setattr(voronoi, "knearest", voronoi._rank_scan)
+        monkeypatch.setattr(voronoi, "_rank_table", lambda pts, sites, k, g:
+                            voronoi.select_k_smallest(
+                                weighted_score_matrix(pts, sites, g), k))
     s = random_sites(n, G2, 4)
     marks = (1, 700, 2500, 6000, 32_768, 32_769, 32_771, 40_000)
     res = count_regions_monte_carlo(s, k, samples, 12, G2, checkpoints=marks)
@@ -528,7 +555,7 @@ def _knearest_cases(draw):
         # clamped to its last cell
         pos[rng.integers(0, n), rng.integers(0, d)] = 1.0
         pts[rng.integers(0, len(pts)), rng.integers(0, d)] = 1.0
-    return g, WeightedSites.from_raw(pos, _case_weights(draw, rng, n)), pts, k
+    return g, WeightedSites(pos, _case_weights(draw, rng, n)), pts, k
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -564,18 +591,6 @@ def test_knearest_equals_scan_and_brute_force(case):
     assert np.array_equal(got[clear], brute[clear, :k])
 
 
-def _scan_spy(monkeypatch):
-    """Record the rows that voronoi sends to the scan."""
-    scanned, real_scan = [], voronoi._rank_scan
-
-    def scan(points, *args):
-        scanned.append(points.copy())
-        return real_scan(points, *args)
-
-    monkeypatch.setattr(voronoi, "_rank_scan", scan)
-    return scanned
-
-
 def _clustered(rng, n, d):
     """n sites within 0.05 of one point of the torus, with one site at the
     origin and one at 1 - 2^-53 in every coordinate."""
@@ -585,42 +600,38 @@ def _clustered(rng, n, d):
     return pos
 
 
-def test_knearest_backend_and_fallback_rows(monkeypatch):
-    scanned = _scan_spy(monkeypatch)
+def test_knearest_backend_and_fallback_rows():
     rng = np.random.default_rng(2)
     pts = rng.random((500, 2))
     flat = GeometrySpec(d=2, p_norm=2, wrap=False)
 
     def run(sites, k=3, pts=pts, g=G2):
-        scanned.clear()
         got = knearest(pts, sites, k, g)
         assert np.array_equal(got, rank_k_smallest(
             weighted_score_matrix(pts, sites, g), k))
-        return sum(len(p) for p in scanned)
 
     pos = rng.random((200, 2))
     plain = WeightedSites(pos, np.ones(200))
-    # unweighted sites rank through their cell table from the first call,
-    # with no scan; one call of 500 rows halves the table
-    # to one cell per 16 of them
-    assert run(plain) == 0
+    # unweighted sites rank through their cell table from the first call;
+    # one call of 500 rows halves the table to one cell per 16 of them
+    run(plain)
     table = plain.table(G2, 3)
     assert (table.side, table.rows) == (8, len(pts))
     # calls of 7 points and of 1 take the table too
-    assert run(plain, pts=pts[:7]) == 0
-    assert run(plain, pts=pts[:1]) == 0
-    # the one-point reference scans, and leaves the table as it is
+    run(plain, pts=pts[:7])
+    run(plain, pts=pts[:1])
+    # the one-point reference leaves the table as it is
     _, ranked = k_nearest_sites(pts[0], plain, 3, G2)
-    assert len(scanned) == 1 and table.rows == len(pts) + 8
+    assert table.rows == len(pts) + 8
     assert np.array_equal(ranked, knearest(pts[:1], plain, 3, G2)[0])
     # a count over two Monte Carlo blocks deepens the same table
     count_regions_monte_carlo(plain, 3, 40_000, 1, G2)
     assert plain.table(G2, 3) is table
     assert table.rows == len(pts) + 9 + 40_000
     assert (table.side // 2) ** 2 < 8 * 200 / 3 <= table.side ** 2
-    assert run(plain) == 0
+    run(plain)
     # the plain (unwrapped) distance gets a table of its own
-    assert run(plain, g=flat) == 0
+    run(plain, g=flat)
     assert set(plain._tables) == {(3, G2), (3, flat)}
     # a site twice or three times: a point whose nearest site is repeated
     # ties at the k-th place, and the table keeps the smaller index there
@@ -629,38 +640,34 @@ def test_knearest_backend_and_fallback_rows(monkeypatch):
     for copies in (1, 2):
         twice = WeightedSites(np.vstack([pos] + [pos[:50]] * copies),
                               np.ones(200 + 50 * copies))
-        assert run(twice, k=1) == 0
+        run(twice, k=1)
         assert np.all(knearest(pts[dup], twice, 1, G2) < 50)
     # clustered sites: most cells lie far from every site
     clustered = WeightedSites(_clustered(rng, 200, 2), np.ones(200))
-    assert run(clustered) == 0
+    run(clustered)
     # a site and points on the border take the table, weighted or not
     at_one = pos.copy()
     at_one[0, 0] = 1.0
     border = np.vstack((pts, [[1.0, 0.5], [0.5, 1.0], [1.0, 1.0]]))
-    assert run(WeightedSites(at_one, np.ones(200)), pts=border) == 0
-    assert run(WeightedSites.from_raw(at_one, rng.uniform(1, 3, 200)),
-               pts=border) == 0
+    run(WeightedSites(at_one, np.ones(200)), pts=border)
+    run(WeightedSites(at_one, rng.uniform(1, 3, 200)), pts=border)
     # k = n takes the table, as k = n - 1 does
     four = WeightedSites(pos[:4], np.ones(4))
-    assert run(four, g=flat) == 0
-    assert run(four, k=4, g=flat) == 0
-    assert run(four, k=4) == 0
+    run(four, g=flat)
+    run(four, k=4, g=flat)
+    run(four, k=4)
     # a T = 0 core at the pigeonhole clause count (n 2000, k 2, m 31,969) is
     # one call on a fresh site set: its table counts the rows and halves to
     # one cell per 16 of them
-    scanned.clear()
     m = 4 * 2 * 2 * 1998 + 1
     core = sample_geometric_formula(2000, m, 2, G2, 0.0, None, seed=7)
-    assert not scanned
     assert (core.sites.table(G2, 2).side, core.sites.table(G2, 2).rows) == (64, m)
 
 
-def test_race_candidates_wrap_around_the_torus(monkeypatch):
+def test_race_candidates_wrap_around_the_torus():
     # the T < 1 race keys each clause's K weighted-nearest sites, selected
     # from the site set's kept cell table for (K, g): on the torus they
     # include the sites across the border, and in the cube they do not
-    scanned = _scan_spy(monkeypatch)
     rng = np.random.default_rng(2)
     pos = rng.random((200, 2))
     plain = WeightedSites(pos, np.ones(200))
@@ -674,7 +681,7 @@ def test_race_candidates_wrap_around_the_torus(monkeypatch):
         # each clause once, and again for the rows finished late
         table, rows = plain.table(g, K), plain.table(g, K).rows
         assert rows >= len(pts) and table.side > 1
-        cand, scores = voronoi._rank_table(pts, plain, K, g, select=True)
+        cand, scores = voronoi._rank_table(pts, plain, K, g)
         assert table.rows == rows + len(pts)
         full = weighted_score_matrix(pts, plain, g)
         assert np.array_equal(scores, np.take_along_axis(full, cand, axis=1))
@@ -684,11 +691,9 @@ def test_race_candidates_wrap_around_the_torus(monkeypatch):
         across = np.any(pos[cand[:400]] > 0.7, axis=2)
         assert across.any() if g.wrap else not across.any()
     assert set(plain._tables) == {(K, G2), (K, flat)}
-    assert not scanned
 
 
-def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
-    scanned = _scan_spy(monkeypatch)
+def test_knearest_weighted_backend_and_fallback_rows():
     rng = np.random.default_rng(5)
     pts = rng.random((4000, 2))
     k = 2
@@ -703,11 +708,10 @@ def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
     assert table.cand.dtype == np.int32
     assert np.array_equal(table.cand, np.arange(500)[None, :])
     assert np.array_equal(table.length, [500])
-    # weighted sites rank through their cell table, with no scan
+    # weighted sites rank through their cell table
     reference = rank_k_smallest(weighted_score_matrix(pts, sites, G2), k)
     got = knearest(pts, sites, k, G2)
     assert np.array_equal(got, reference)
-    assert not scanned
     # one 4000-row call stays coarse: halved until 4000 / 16 = 250 cells
     assert sites.table(G2, k) is table
     assert (table.side, table.rows) == (16, 4000)
@@ -731,7 +735,6 @@ def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
     knearest(pts, sites, k + 1, G2)
     assert set(sites._tables) == {(k, G2), (k, flat), (k + 1, G2)}
     assert sites.table(G2, k) is table
-    assert not scanned
 
     # calls of 1 to 7 points and sets of fewer than 12 sites take the table
     # too; one that has not split is the scan of every site
@@ -745,14 +748,12 @@ def test_knearest_weighted_backend_and_fallback_rows(monkeypatch):
         if rows < 16:
             assert small.table(G2, k).side == 1
     assert small.table(G2, k).rows == 8 + len(pts)
-    assert not scanned
 
-    # the T < 1 race selects its candidates from the table for K, with no
-    # scan
+    # the T < 1 race selects its candidates from the table for K
     K = generate._candidate_count(sites, k, 0.5)
     draw_geometric_clause_vars(pts[:100], sites, k, 0.5, G2,
                                np.random.default_rng(0))
-    assert sites.table(G2, K).rows == 100 and not scanned
+    assert sites.table(G2, K).rows == 100
 
 
 _WRONG_D = {
@@ -788,8 +789,8 @@ def test_cell_table_lists_hold_every_site_that_can_rank():
     # all sites; and the brute-force K nearest at the cell's corners, and
     # one ulp inside or outside each edge, are in its list
     rng = np.random.default_rng(8)
-    sites = WeightedSites.from_raw(rng.random((40, 2)),
-                                   rng.permutation(power_law_weights(40, 2.1)))
+    sites = WeightedSites(rng.random((40, 2)),
+                          rng.permutation(power_law_weights(40, 2.1)))
     for g in (G2, GeometrySpec(d=2, p_norm=INFINITY),
               GeometrySpec(d=2, p_norm=1, wrap=False)):
         for K in (1, 3):
@@ -844,7 +845,7 @@ def _clustered_cases(draw):
     near = pos[rng.integers(0, n, 8)] * (1 - 1e-3) + 5e-4
     pts = np.vstack((rng.random((draw(st.integers(8, 40)), d)), near[:4],
                      (near[4:] + 0.5 + rng.uniform(-0.1, 0.1, (4, d))) % 1.0))
-    return g, WeightedSites.from_raw(pos, _case_weights(draw, rng, n)), pts, k
+    return g, WeightedSites(pos, _case_weights(draw, rng, n)), pts, k
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -855,7 +856,8 @@ def test_knearest_on_clustered_sites_equals_scan_and_brute_force(case):
     # across the wrap of the torus
     g, sites, pts, k = case
     got = knearest(pts, sites, k, g)
-    assert np.array_equal(got, voronoi._rank_scan(pts, sites, k, g))
+    assert np.array_equal(got, rank_k_smallest(
+        weighted_score_matrix(pts, sites, g), k))
     brute, dist = _brute_plain(pts, sites, k, g)
     got_dist = np.take_along_axis(dist, np.argsort(brute, axis=1), axis=1)
     assert np.allclose(np.take_along_axis(got_dist, got, axis=1), dist[:, :k],
