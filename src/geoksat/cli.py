@@ -12,8 +12,8 @@ is the ``ExperimentConfig`` field or sampler argument it sets (``-k`` ->
 Every command that samples requires an explicit --seed, so there is no
 wall-clock seeding.  Parameter checks that the library makes itself
 (beta > 2, 1 <= k <= n, experiment configs) are not repeated here: their
-``ValueError`` becomes an ``error:`` exit in ``main``.  The environment
-variable GEOKSAT_OUTDIR supplies the default output directory.
+``ValueError``, and the ``OSError`` of a file, become an ``error:`` exit in
+``main``.  GEOKSAT_OUTDIR supplies the default output directory.
 """
 
 import argparse
@@ -292,7 +292,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args) or 0
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise SystemExit(f"error: {exc}")
 
 

@@ -162,5 +162,8 @@ def save_sites(sites, path):
 def load_sites(path):
     with open(path) as fh:
         data = json.load(fh)
+    for key in ("positions", "weights"):
+        if not isinstance(data, dict) or key not in data:
+            raise ValueError(f"{path}: the site file has no key {key!r}")
     return WeightedSites(np.asarray(data["positions"], dtype=float),
                          np.asarray(data["weights"], dtype=float))

@@ -34,14 +34,15 @@ import numpy as np
 
 from .geometry import GeometrySpec
 from .sampling import sequential_weighted_draws
-from .voronoi import (_SCAN_ENTRIES, _TIE_GAP, WeightedSites, _rank_table,
-                      check_positions, knearest, random_sites, rank_k_smallest,
-                      set_codes, weighted_score_matrix)
+from .voronoi import (_TIE_GAP, WeightedSites, _rank_table, check_positions,
+                      knearest, random_sites, rank_k_smallest, set_codes,
+                      weighted_score_matrix)
 
-# most clauses per race block, which bounds the block's score, key and
-# exponential arrays; numpy fills exponentials in sequence, so the race
-# stream does not depend on it
+# most clauses, and most clauses x K keys, per race block, which bound the
+# block's score, key and exponential arrays; numpy fills exponentials in
+# sequence, so the race stream does not depend on them
 _CLAUSE_BLOCK = 1024
+_SCAN_ENTRIES = 4_000_000
 
 # the lazy race keys K = sum_j k * (n_j / _CANDIDATE_SCALE)^T candidates,
 # n_j the sites of weight class [2^j, 2^(j+1)), so that a clause's tail hits

@@ -172,6 +172,8 @@ def check_expansion_exact(gph, r, c, cap=DEFAULT_ENUM_CAP):
     EnumerationBudgetError, before any work, when the number of subsets
     exceeds ``cap`` (use check_expansion_sampled instead).
     """
+    if not math.isfinite(c):  # a NaN c would pass every subset
+        raise ValueError(f"c must be finite, got {c}")
     for size, nb, _, subset in _subset_chunks(gph, r, cap):
         bad = np.flatnonzero(nb < (1.0 + c) * size)
         if len(bad):
@@ -196,6 +198,8 @@ def check_expansion_sampled(gph, r, c, trials, seed):
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     if gph.m == 0 or r < 1:
         return None  # no clause subset to violate expansion, as in the exact check
     rng = np.random.default_rng(seed)
@@ -256,6 +260,8 @@ def resolution_width_conditions(f, w, eps, cap=DEFAULT_ENUM_CAP):
     subset violates both).  Exact for any variable count, by the same
     chunked enumeration and ``cap`` as check_expansion_exact.
     """
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     gph = f if isinstance(f, IncidenceGraph) else incidence_graph(f)
     for size, nb, uq, subset in _subset_chunks(gph, w, cap):
         bad1 = np.flatnonzero(nb < size)

@@ -27,8 +27,9 @@ closed cube [0, 1]^d, checked where they enter (``WeightedSites``,
 ``knearest``), so each lies in a cell of the grid.  The walk returns each
 row's k weighted-nearest sites as a set, in increasing index, with their
 scores: ``knearest`` orders them by (score, index), Monte Carlo counting
-keys them as they are and groups them by ``set_codes``, and the
-sampler's exponential race (``generate``) keys them as its candidates.
+keys them as they are and groups them by ``set_codes``, the sampler's
+exponential race (``generate``) keys them as its candidates, and a
+relevance certificate reads a point's nearest outsider of A from its |A| + 1.
 ``k_nearest_sites`` ranks one point by the dense score row alone, a
 reference that builds no table.
 """
@@ -47,8 +48,6 @@ from .weights import check_weights
 # Monte Carlo points are drawn from the seeded stream in blocks of this
 # fixed size so that results are reproducible and prefix-extensible.
 _MC_BLOCK = 1 << 15
-# cap on distance-matrix entries processed at once
-_SCAN_ENTRIES = 4_000_000
 # a relative slack far larger than the float error of a score: the cell
 # table's lists keep it over their bound, and the race's tail bounds under
 # theirs
@@ -69,8 +68,7 @@ _RANK_ROWS = 1 << 12
 # coordinate difference in [0, 1] (a few ulps of 1), so the bounds hold for
 # the computed scores of every point of the cell
 _CELL_MARGIN = 2.0 ** -40
-# relevance_certificate's search: grid points per axis around s1, and radii
-# j * R_A for j = 1.._CERT_RADIUS_STEPS
+# relevance_certificate's grids around s1: points per axis, and how many
 _CERT_GRID = 64
 _CERT_RADIUS_STEPS = 16
 
@@ -440,12 +438,21 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, checkpoints=()):
         counts_at=counts_at)
 
 
+def _site_set(A, sites):
+    """``(idx, s1)``: the site set A, increasing, and its minimum-weight
+    site (ties by smaller index)."""
+    idx = np.asarray(sorted(A))
+    if not (len(idx) and idx.dtype.kind in "iu" and 0 <= idx[0]
+            and idx[-1] < sites.n and np.all(np.diff(idx) > 0)):
+        raise ValueError(f"A = {A!r} must be distinct site indices in "
+                         f"[0, {sites.n}), at least one")
+    return idx, int(idx[np.argmin(sites.weights[idx])])
+
+
 def compute_R_A(A, sites, g):
     """max over i in A of dist(s1, s_i) / (omega_1 + omega_i), where s1 is
     the minimum-weight site of A (ties by smaller index)."""
-    idx = np.asarray(sorted(A), dtype=int)
-    w = sites.weights[idx]
-    s1 = int(idx[np.argmin(w)])
+    idx, s1 = _site_set(A, sites)
     om = sites.normalized_weights
     dist = cross_distances(sites.positions[s1], sites.positions[idx], g)[0]
     return float((dist / (om[s1] + om[idx])).max())
@@ -459,10 +466,19 @@ class RelevanceCertificate:
     radius: float
 
 
-def _relevant_at(p, r, s1, outside_pos, outside_omega, sites, g):
-    dist = cross_distances(p, np.vstack((sites.positions[s1], outside_pos)), g)[0]
-    return bool(dist[0] <= sites.normalized_weights[s1] * r
-                and np.all(dist[1:] > outside_omega * r))
+def _certificate_points(seed_point, s1, R, sites, g):
+    """Candidate batches: the seed point (say, the Monte Carlo sample of A's
+    region), s1's position, then grid j = 1, 2, ... of ``_CERT_GRID``^d points
+    of half-side omega_1 (j + 1) R_A around s1, wrapped or clipped to [0, 1]."""
+    if seed_point is not None:
+        yield check_positions(seed_point, sites, g, "seed point")
+    centre = sites.positions[s1]
+    yield centre[None, :]
+    unit = np.indices((_CERT_GRID,) * g.d).reshape(g.d, -1).T  # row-major
+    unit = unit * (2.0 / (_CERT_GRID - 1)) - 1.0  # on [-1, 1]^d
+    for j in range(1, _CERT_RADIUS_STEPS + 1 if R > 0 else 1):
+        pts = unit * (sites.normalized_weights[s1] * (j + 1) * R) + centre
+        yield np.mod(pts, 1.0) if g.wrap else np.clip(pts, 0.0, 1.0)
 
 
 def relevance_certificate(A, sites, g, seed_point=None):
@@ -470,69 +486,34 @@ def relevance_certificate(A, sites, g, seed_point=None):
 
     A is relevant if some point p and radius r >= R_A satisfy
     dist(s1, p) <= omega_1 r while every site outside A is strictly
-    farther than omega_i r.  A returned certificate is sound (the
-    conditions are recomputed exactly); ``None`` means UNKNOWN, not
-    irrelevant.
+    farther than omega_i r.  A returned certificate is sound; ``None``
+    means UNKNOWN, not irrelevant.  A ValueError unless A is a nonempty set
+    of distinct site indices, not coincident (R_A > 0 or |A| = 1).
 
-    ``seed_point`` (e.g. the Monte Carlo sample point that discovered A's
-    region) is tried first with the radius induced by the region
-    membership; otherwise candidate points come from a regular grid
-    around s1 with ``_CERT_GRID`` points per axis, for radii j * R_A,
-    j = 1.._CERT_RADIUS_STEPS.
+    ``_rank_table`` ranks each batch of ``_certificate_points`` for |A| + 1,
+    which holds a point's nearest outsider (at most |A| members rank ahead).
+    In scores (dist / omega)^q, the first point where max(score of s1, R_A^q)
+    (1 + ``_TIE_GAP``) < the nearest outsider's score certifies A, at r =
+    max(R_A, max(R_A^q, the two scores' midpoint)^(1/q)); the slack covers
+    the rounding of a recomputed distance.  Point and radius may differ from
+    0.3.0's (grid j at radius j R_A alone): each point is tried at any r.
     """
-    key = tuple(sorted(int(i) for i in A))
-    idx = np.asarray(key, dtype=int)
-    w = sites.weights[idx]
-    s1 = int(idx[np.argmin(w)])
-    om = sites.normalized_weights
-    outside = np.setdiff1d(np.arange(sites.n), idx)
-    out_pos = sites.positions[outside]
-    out_om = om[outside]
-    R = compute_R_A(key, sites, g)
-
-    if len(outside) == 0:
+    idx, s1 = _site_set(A, sites)
+    R = compute_R_A(idx, sites, g)
+    if R == 0.0 and len(idx) >= 2:
+        raise ValueError("R_A = 0: coincident sites in A")
+    if len(idx) == sites.n:
         return RelevanceCertificate(sites.positions[s1].copy(), R)
-
-    if seed_point is not None:
-        p0 = np.asarray(seed_point, dtype=float)
-        member_d = cross_distances(p0, sites.positions[idx], g)[0]
-        r0 = float((member_d / om[idx]).max())
-        if r0 >= R and _relevant_at(p0, r0, s1, out_pos, out_om, sites, g):
-            return RelevanceCertificate(p0, r0)
-
-    if R == 0.0:
-        if len(key) >= 2:
-            raise ValueError("R_A = 0: coincident sites in A")
-        # single site: any radius below half the nearest outsider works
-        gap = cross_distances(sites.positions[s1][None, :], out_pos, g)[0] / out_om
-        r0 = 0.5 * float(gap.min())
-        if r0 > 0 and _relevant_at(sites.positions[s1], r0, s1, out_pos,
-                                   out_om, sites, g):
-            return RelevanceCertificate(sites.positions[s1].copy(), r0)
-        return None
-
-    s1_pos = sites.positions[s1]
-    for j in range(1, _CERT_RADIUS_STEPS + 1):
-        r = j * R
-        extent = om[s1] * (j + 1) * R
-        axis = np.linspace(-extent, extent, _CERT_GRID)
-        grids = np.meshgrid(*([axis] * g.d), indexing="ij")
-        cand = np.stack([c.ravel() for c in grids], axis=1) + s1_pos
-        cand = np.mod(cand, 1.0) if g.wrap else np.clip(cand, 0.0, 1.0)
-        d1 = cross_distances(cand, s1_pos[None, :], g)[:, 0]
-        cand = cand[d1 <= om[s1] * r]
-        if len(cand) == 0:
-            continue
-        step = max(1, _SCAN_ENTRIES // max(1, len(outside)))
-        for a in range(0, len(cand), step):
-            block = cand[a:a + step]
-            dco = cross_distances(block, out_pos, g)
-            good = np.all(dco > out_om[None, :] * r, axis=1)
-            hit = np.flatnonzero(good)
-            if len(hit):
-                p = block[hit[0]]
-                if _relevant_at(p, r, s1, out_pos, out_om, sites, g):
-                    return RelevanceCertificate(p.copy(), float(r))
+    q = g.score_power
+    for pts in _certificate_points(seed_point, s1, R, sites, g):
+        cand, scores = _rank_table(pts, sites, len(idx) + 1, g)
+        own = np.where(cand == s1, scores, np.inf).min(axis=1)
+        near = np.where(np.isin(cand, idx), np.inf, scores).min(axis=1)
+        hit = np.flatnonzero(np.maximum(own, R**q) * (1.0 + _TIE_GAP) < near)
+        if len(hit):
+            top = max(R**q, 0.5 * (own[hit[0]] + near[hit[0]]))
+            return RelevanceCertificate(pts[hit[0]].copy(),
+                                        max(R, float(top) ** (1.0 / q)))
     return None
 
 
@@ -555,12 +536,11 @@ def generate_worst_case_sites(n):
     sqrt_h_weight = 3.0 * n
     heavy_x = 0.18
     light_x0, light_x1 = 0.40, 0.62
-    light_x = (np.linspace(light_x0, light_x1, h) if h > 1
-               else np.array([light_x0]))
+    light_x = np.linspace(light_x0, light_x1, h)
     # smallest disk of influence among the light sites
     rho_min = (light_x0 - heavy_x) / sqrt_h_weight
     span = 1.8 * rho_min
-    heavy_y = 0.5 + (np.arange(h) - (h - 1) / 2.0) * (span / max(1, h - 1))
+    heavy_y = 0.5 + (np.arange(h) - (h - 1) / 2.0) * (span / (h - 1))
 
     pos = np.empty((n, 2))
     pos[:h, 0] = heavy_x

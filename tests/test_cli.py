@@ -306,6 +306,28 @@ def test_voronoi_count_rejects_sites_outside_the_unit_cube(tmp_path, positions,
     assert run_cli(args) == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["voronoi-count", "--sites-json", "{tmp}/nope.json", "-k", "2",
+      "--seed", "1"], "No such file"),
+    (["generate", "--model", "uniform", "--weights-file", "{tmp}/nope.txt",
+      "-n", "5", "-m", "10", "-k", "3", "--seed", "1"], "No such file"),
+    (["experiment", "--config", "{tmp}/nope.json"], "No such file"),
+    (["core", "--input", "{tmp}/nope.cnf"], "No such file"),
+    (["generate", "--model", "uniform", "-n", "5", "-m", "10", "-k", "3",
+      "--seed", "1", "-o", "{tmp}/no_dir/x.cnf"], "No such file"),
+    (["voronoi-count", "--sites-json", "{tmp}/no_weights.json", "-k", "1",
+      "--seed", "1"], "has no key 'weights'"),
+], ids=["sites_json", "weights_file", "config", "core_input", "output_dir",
+        "no_weights_key"])
+def test_unreadable_files_exit_with_an_error_line(argv, message, tmp_path):
+    # each ended in a traceback (FileNotFoundError, or KeyError: 'weights')
+    (tmp_path / "no_weights.json").write_text(
+        json.dumps({"positions": [[0.1, 0.2], [0.5, 0.5]]}))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    with pytest.raises(SystemExit, match="^error: .*" + message):
+        run_cli(argv)
+
+
 def test_experiment_subcommand_with_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "MOMENT_CHECK", "n_values": [100],

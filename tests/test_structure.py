@@ -193,6 +193,23 @@ def test_checkers_pass_with_no_subset_size(r):
     assert check_expansion_sampled(gph, r, 5.0, 10, seed=1) is None
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_checkers_reject_non_finite_c_and_eps(bad):
+    # a NaN fails every comparison, so unchecked it passed every subset,
+    # where c = 5 and eps = 9 find a witness on the same formula
+    f = _random_formula(20, 30, 3, 4.0, seed=5)
+    gph = incidence_graph(f)
+    assert check_expansion_exact(gph, 2, 5.0) is not None
+    assert check_expansion_sampled(gph, 2, 5.0, 100, 1) is not None
+    assert resolution_width_conditions(f, 3, 9.0) is not None
+    with pytest.raises(ValueError, match="^c must be finite"):
+        check_expansion_exact(gph, 2, bad)
+    with pytest.raises(ValueError, match="^c must be finite"):
+        check_expansion_sampled(gph, 2, bad, 100, 1)
+    with pytest.raises(ValueError, match="^eps must be finite"):
+        resolution_width_conditions(f, 3, bad)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_sampled_walk_tests_one_clause_subsets(k):
     # a clause alone violates expansion iff k < 1 + c; the walk's start

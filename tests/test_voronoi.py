@@ -392,6 +392,95 @@ def test_relevance_coincident_sites_error():
         relevance_certificate((0, 1), s, G1)
 
 
+def _plain_weighted_distances(points, sites, g):
+    """(rows, n) dist / omega by numpy's vector norm, not by the package's
+    p-norm kernel."""
+    diff = np.abs(np.atleast_2d(points)[:, None, :] - sites.positions)
+    if g.wrap:
+        diff = np.minimum(diff, 1.0 - diff)
+    return np.linalg.norm(diff, ord=g.p_norm, axis=2) / sites.normalized_weights
+
+
+def _old_search_certifies(A, sites, g, seed_point):
+    """Whether the search of 0.3.0 finds a certificate: the seed point at
+    its membership radius, s1's position at half its nearest outsider's
+    distance when R_A = 0, else each grid j at radius j R_A alone."""
+    key = sorted(A)
+    s1 = min(key, key=lambda i: (sites.weights[i], i))
+    outside = [i for i in range(sites.n) if i not in key]
+    R = compute_R_A(A, sites, g)
+
+    def holds(points, r):
+        wd = _plain_weighted_distances(points, sites, g)
+        return (wd[:, s1] <= r) & np.all(wd[:, outside] > r, axis=1)
+
+    if seed_point is not None:
+        r0 = _plain_weighted_distances(seed_point, sites, g)[0, key].max()
+        if r0 >= R and holds(seed_point, r0)[0]:
+            return True
+    centre = sites.positions[s1]
+    if R == 0.0:
+        r0 = 0.5 * _plain_weighted_distances(centre, sites, g)[0, outside].min()
+        return bool(r0 > 0 and holds(centre, r0)[0])
+    for j in range(1, voronoi._CERT_RADIUS_STEPS + 1):
+        half = sites.normalized_weights[s1] * (j + 1) * R
+        axis = np.linspace(-half, half, voronoi._CERT_GRID)
+        grid = np.meshgrid(*([axis] * g.d), indexing="ij")
+        pts = np.stack([c.ravel() for c in grid], axis=1) + centre
+        pts = np.mod(pts, 1.0) if g.wrap else np.clip(pts, 0.0, 1.0)
+        if holds(pts, j * R).any():
+            return True
+    return False
+
+
+def _assert_certifies(cert, A, sites, g):
+    """The definition, by ``weighted_distance``: r >= R_A, s1 within r,
+    every site outside A strictly beyond it."""
+    assert cert.radius >= compute_R_A(A, sites, g)
+    s1 = min(A, key=lambda i: (sites.weights[i], i))
+    assert weighted_distance(s1, cert.point, sites, g) <= cert.radius
+    for i in set(range(sites.n)) - set(A):
+        assert weighted_distance(i, cert.point, sites, g) > cert.radius
+
+
+def test_relevance_finds_every_certificate_the_old_search_finds():
+    # random site sets in d 1-2, p 1/2/inf, torus and cube, weighted and
+    # not, |A| 1-3: half of the A are the k-nearest set of a random point,
+    # so relevant, half random sets; a quarter of the calls get a seed point
+    rng = np.random.default_rng(2004)
+    outcomes = set()
+    for case in range(120):
+        g = GeometrySpec(d=int(rng.integers(1, 3)),
+                         p_norm=[1, 2, INFINITY][case % 3],
+                         wrap=bool(rng.integers(2)))
+        n = int(rng.integers(5, 61))
+        weights = (rng.permutation(power_law_weights(n, 2.5))
+                   if rng.integers(2) else None)
+        sites = random_sites(n, g, rng, weights)
+        size = int(rng.integers(1, 4))
+        point = rng.random(g.d)
+        if rng.integers(2):
+            A = k_nearest_sites(point, sites, size, g)[0]
+        else:
+            A = tuple(rng.choice(n, size, replace=False).tolist())
+        seed_point = point if rng.random() < 0.25 else None
+        cert = relevance_certificate(A, sites, g, seed_point=seed_point)
+        old = _old_search_certifies(A, sites, g, seed_point)
+        assert cert is not None or not old, (case, A)
+        if cert is not None:
+            _assert_certifies(cert, A, sites, g)
+        outcomes.add((cert is not None, old))
+    assert {(True, True), (False, False)} <= outcomes
+
+
+@pytest.mark.parametrize("A", [(-1, 3), (0, 0), (), (0, 5)],
+                         ids=["negative", "repeated", "empty", "n"])
+def test_relevance_rejects_a_malformed_site_set(A):
+    s = random_sites(5, G2, 3)
+    with pytest.raises(ValueError, match="distinct site indices"):
+        relevance_certificate(A, s, G2)
+
+
 def test_worst_case_structure():
     s = generate_worst_case_sites(4)
     assert s.n == 4
