@@ -222,6 +222,9 @@ def _cmd_experiment(args):
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config}: a config must be a JSON object, "
+                             f"not {type(data).__name__}")
     data.update({f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
                  if getattr(args, f.name, None) is not None})
     try:

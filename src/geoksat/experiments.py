@@ -129,6 +129,10 @@ def validate_config(cfg):
         raise ValueError(f"weights must be 'uniform' or 'powerlaw', not {cfg.weights!r}")
     if cfg.weights == "powerlaw" and cfg.beta is None:
         raise ValueError("powerlaw weights require beta")
+    if (cfg.weights == "uniform" and cfg.beta is not None
+            and cfg.kind in ("REGION_SCALING", "NICE_FRACTION", "CORE_DETECTION")):
+        raise ValueError(f"{cfg.kind} reads beta only with powerlaw weights: "
+                         "give weights 'powerlaw' or drop beta")
     missing = [x for x in _KINDS[cfg.kind][1] if getattr(cfg, x) is None]
     if missing:
         raise ValueError(f"{cfg.kind} requires {', '.join(missing)}")

@@ -13,18 +13,17 @@ probabilities proportional to the connection weight X(c, v), while T = 0
 deterministically takes the k variables of smallest weighted distance in
 increasing order (``knearest``).  T > 0 draws are one exponential race:
 each variable gets the key E_v / X(c, v) with E_v ~ Exp(1), and the k
-smallest keys, in order, have the sequential-draw law.  Every key is
-ranked in one form, as a log: log(score) + e * log(E_v), with score the
-rootless weighted-distance score and e = T * q / d (``_race_block``).  At
-T < 1 the race is lazy: each clause keys only its K weighted-nearest
-sites, selected from the site set's cell table for K
-(``voronoi._rank_table``), and the sites left out whose exponential is
-small enough to beat its k-th key, found by geometric skips.  At T >= 1
-every clause keys all n variables.  Every score a key is made from, tail
-hits included, comes from ``voronoi.weighted_score_matrix``.  Sign
-patterns are drawn uniformly without repetition per variable set until
-all 2^k are used.  Draw order is preserved in the clause literals for
-downstream niceness analysis.
+smallest keys, in order, have the sequential-draw law.  Every key is ranked
+in one form, as a log: log(score) + e * log(E_v), with score the rootless
+weighted-distance score and e = T * q / d (``_race_block``).  At T < 1 the
+race is lazy: each clause keys only its K weighted-nearest sites, selected
+from the site set's cell table for K (``voronoi._rank_table``), and the
+sites left out whose exponential is small enough to beat its k-th key,
+found by geometric skips.  At T >= 1 every clause keys all n variables (the
+walk at K = n).  Every score a key is made from, tail hits included, comes
+from ``voronoi.weighted_score_matrix``.  Sign patterns are drawn uniformly
+without repetition per variable set until all 2^k are used.  Draw order is
+preserved in the clause literals for downstream niceness analysis.
 """
 
 import math
@@ -181,17 +180,13 @@ def _race_block(points, sites, k, g, e, K, expo):
     log of (E / X(c, v))^(T*q/d) up to a constant, the same order (the
     Gumbel-top-k form of the race), and finite at every T, where the power
     itself leaves the float range.  A zero score or exponential keys as
-    -inf.  With K = n the candidates are all n sites and there is no tail
-    process; otherwise they are the row's K weighted-nearest sites, and
+    -inf.  The candidates are the row's K weighted-nearest sites from
+    ``_rank_table``: at K = n all n sites, with no tail process; otherwise
     every site left out scores at least the largest of theirs, the tail's
     bound.
     """
     n = sites.n
-    if K < n:
-        cand, scores = _rank_table(points, sites, K, g)
-    else:
-        cand = np.broadcast_to(np.arange(n), (len(points), n))
-        scores = weighted_score_matrix(points, sites, g)
+    cand, scores = _rank_table(points, sites, K, g)
     rows = len(cand)
     with np.errstate(divide="ignore"):  # a zero score or exponential: -inf
         keys = np.log(scores) + e * np.log(expo[:, :K])

@@ -22,19 +22,18 @@ so a row scores only its cell's list.  Random positions with multiplicative
 weights give O(n) non-empty order-k regions, so these lists stay short.
 A table starts as one cell listing all n sites, where ranking is the
 dense scan, and halves its cells as it ranks more rows; weighted and
-unweighted sites, and k = n, take it alike.  Sites and points lie in the
-closed cube [0, 1]^d, checked where they enter (``WeightedSites``,
-``knearest``), so each lies in a cell of the grid.  The walk returns each
-row's k weighted-nearest sites as a set, in increasing index, with their
-scores: ``knearest`` orders them by (score, index), Monte Carlo counting
-keys them as they are and groups them by ``set_codes``, the sampler's
-exponential race (``generate``) keys them as its candidates, and a
-relevance certificate reads a point's nearest outsider of A from its |A| + 1.
-``k_nearest_sites`` ranks one point by the dense score row alone, a
-reference that builds no table.
+unweighted sites take it alike, and k = n, where every site ranks, takes
+none.  Sites and points lie in the closed cube [0, 1]^d, checked where they
+enter (``WeightedSites``, ``knearest``), so each lies in a cell of the
+grid.  The walk returns each row's k weighted-nearest sites as a set, in
+increasing index, with their scores: ``knearest`` orders them by (score,
+index), Monte Carlo counting keys them as they are and groups them by
+``set_codes``, the sampler's exponential race (``generate``) keys them as
+its candidates, and a relevance certificate reads a point's nearest
+outsider of A from its |A| + 1.  ``k_nearest_sites`` ranks one point by the
+dense score row alone, a reference that builds no table.
 """
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -269,7 +268,9 @@ def _rank_table(points, sites, k, g):
     """``(cand, scores)``: each row's k weighted-nearest sites in
     increasing index, by the site set's cell table for k, and their scores.
 
-    The table first deepens by the depth rule (see ``_ROWS_PER_CELL``).
+    At k = n every row holds all n sites (a read-only broadcast) and its
+    dense scores, with no table.  Else the table first deepens by the depth
+    rule (see ``_ROWS_PER_CELL``).
     Each row then scores its cell's list by ``weighted_score_matrix``, with
     +inf past the list's length, and takes its k smallest by
     ``select_k_smallest``: the lists increase in site index, so that is the
@@ -280,6 +281,9 @@ def _rank_table(points, sites, k, g):
     length into widths 8, 16, 32, ... up to the table's width and scored in
     blocks of at most ``_RANK_ENTRIES``.
     """
+    if k == sites.n:
+        return (np.broadcast_to(np.arange(k), (len(points), k)),
+                weighted_score_matrix(points, sites, g))
     table = sites.table(g, k)
     table.rows += len(points)
     while (table.side ** sites.d < _CELLS_PER_SITE * sites.n / k
@@ -341,24 +345,25 @@ def knearest(points, sites, k, g):
     index: ``rank_k_smallest`` on ``weighted_score_matrix``, row for row.
 
     Points must lie in [0, 1]^d, as sites do, with d = ``g.d``.  The cell
-    table serves every row, weighted sites or not and k = n included, from
-    the first call: ``_rank_table`` selects each row's k nearest from the
-    list of its cell in the site set's table for k (``WeightedSites.table``)
-    and ``knearest`` orders them by (score, index).  For a cell of centre c
-    and side h and a site s, with delta the per-coordinate distance from c
-    to s (wrapped on the torus), the rootless score of every point of the
-    cell lies in [lo, up] / w^(q/d), lo = sum max(delta - h/2, 0)^q and up =
-    sum (delta + h/2)^q (max for p = inf).  With U the k-th smallest up,
-    every point of the cell has k sites of score at most U, so a site with
-    lo > U (1 + ``_TIE_GAP``) never ranks there and the list holds every
-    other site: the rows are exact by construction, with no fallback.  The
-    slack, and a half-side widened by ``_CELL_MARGIN``, cover the rounding
-    of the scores.  The table starts as one cell listing every site, the
-    dense scan, and halves its side, each child filtering its parent's list,
-    while it has fewer cells than min(``_CELLS_PER_SITE`` n / k, R /
-    ``_ROWS_PER_CELL``), R the rows it counts, this call included.  So a
-    call of few rows ranks as the scan does, a one-shot call stays coarse
-    and a Monte Carlo count deepens after its first block.
+    table serves every row, weighted sites or not and k < n, from the first
+    call: ``_rank_table`` selects each row's k nearest from the list of its
+    cell in the site set's table for k (``WeightedSites.table``), or all n
+    sites at k = n, and ``knearest`` orders them by (score, index).  For a
+    cell of centre c and side h and a site s, with delta the per-coordinate
+    distance from c to s (wrapped on the torus), the rootless score of
+    every point of the cell lies in [lo, up] / w^(q/d), lo = sum
+    max(delta - h/2, 0)^q and up = sum (delta + h/2)^q (max for p = inf).  With U the
+    k-th smallest up, every point of the cell has k sites of score at most
+    U, so a site with lo > U (1 + ``_TIE_GAP``) never ranks there and the
+    list holds every other site: the rows are exact by construction, with
+    no fallback.  The slack, and a half-side widened by ``_CELL_MARGIN``,
+    cover the rounding of the scores.  The table starts as one cell listing
+    every site, the dense scan, and halves its side, each child filtering
+    its parent's list, while it has fewer cells than
+    min(``_CELLS_PER_SITE`` n / k, R / ``_ROWS_PER_CELL``), R the rows it
+    counts, this call included.  So a call of few rows ranks as the scan
+    does, a one-shot call stays coarse and a Monte Carlo count deepens
+    after its first block.
     """
     pts = check_positions(points, sites, g, "points")
     if not 1 <= k <= sites.n:
@@ -405,7 +410,8 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, checkpoints=()):
     is a lower bound on the true number of non-empty regions.
     ``checkpoints`` are sample prefixes at which the running count is
     recorded (see RegionCountResult.counts_at).  Each block of sample
-    points takes its keys from ``_rank_table``, already sorted.
+    points takes its keys from ``_rank_table``, already sorted, and its new
+    keys from one ``np.unique`` over the ``set_codes`` of (seen, block).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -415,22 +421,19 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, checkpoints=()):
     seen = np.empty((0, k), dtype=np.int64)  # the keys found, in order
     rng = np.random.default_rng(seed)
     witnesses = {}
-    found = []  # sample index at which each key was first seen, increasing
-    done = 0
-    while done < samples:
-        block = min(_MC_BLOCK, samples - done)
-        pts = rng.random((block, g.d))
+    found = np.empty(0, dtype=np.int64)  # each key's first sample, in order
+    for done in range(0, samples, _MC_BLOCK):
+        pts = rng.random((min(_MC_BLOCK, samples - done), g.d))
         rows = _rank_table(pts, sites, k, g)[0]
-        codes = set_codes(np.concatenate((seen, rows)), sites.n)
-        uniq, first = np.unique(codes[len(seen):], return_index=True)
-        new = ~np.isin(uniq, codes[:len(seen)], assume_unique=True)
-        # in discovery order, so witnesses are the earliest points
-        fresh = np.sort(first[new])
+        first = np.unique(set_codes(np.concatenate((seen, rows)), sites.n),
+                          return_index=True)[1]
+        # seen's keys are distinct and first, and unique's sort is stable: a
+        # first occurrence past seen is new, in discovery order (witnesses)
+        fresh = np.sort(first[first >= len(seen)]) - len(seen)
         seen = np.concatenate((seen, rows[fresh]))
         witnesses.update(zip(map(tuple, rows[fresh].tolist()), pts[fresh]))
-        found.extend((done + fresh).tolist())
-        done += block
-    counts_at = {int(c): bisect.bisect_left(found, c)
+        found = np.concatenate((found, done + fresh))
+    counts_at = {int(c): int(np.searchsorted(found, c))
                  for c in checkpoints if 0 < c <= samples}
     return RegionCountResult(
         count=len(witnesses), keys=set(witnesses), witnesses=witnesses,

@@ -328,6 +328,19 @@ def test_unreadable_files_exit_with_an_error_line(argv, message, tmp_path):
         run_cli(argv)
 
 
+@pytest.mark.parametrize("content", ["[1, 2]", "3", '"x"', "null"],
+                         ids=["list", "int", "str", "null"])
+def test_config_that_is_not_a_json_object_exits_with_an_error_line(content,
+                                                                   tmp_path):
+    # a JSON array ended in AttributeError: 'list' object has no attribute
+    # 'update'
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    with pytest.raises(SystemExit, match="^error: .*cfg.json: a config must "
+                       "be a JSON object, not "):
+        run_cli(["experiment", "--config", str(cfg)])
+
+
 def test_experiment_subcommand_with_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "MOMENT_CHECK", "n_values": [100],

@@ -54,6 +54,19 @@ def test_config_json_round_trip():
                                     "beta": 3.0, "bogus": 1})
 
 
+@pytest.mark.parametrize("kind", ["REGION_SCALING", "NICE_FRACTION",
+                                  "CORE_DETECTION"])
+def test_beta_with_uniform_weights_is_rejected(kind):
+    # the three kinds draw uniform sites then, so beta was echoed and ignored
+    config = dict(kind=kind, n_values=(20,), k=2, d=2, p_norm=2,
+                  temperature=0.5, beta=2.5)
+    with pytest.raises(ValueError, match=f"{kind} reads beta only with "
+                       "powerlaw weights"):
+        ExperimentConfig(**config)
+    assert ExperimentConfig(**config, weights="powerlaw").beta == 2.5
+    assert ExperimentConfig(**{**config, "beta": None}).beta is None
+
+
 def test_config_with_a_region_count_method_is_rejected():
     # counting ranks through knearest alone; a record echoing the former
     # "method" option does not re-run silently

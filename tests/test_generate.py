@@ -73,6 +73,17 @@ def test_parameter_validation():
         sample_geometric_formula(3, 10, 2, G2, -0.5, None, 0)
 
 
+@pytest.mark.parametrize("sample", [
+    lambda ws: sample_nonuniform_formula(3, 10, 2, ws, 0),
+    lambda ws: sample_geometric_formula(3, 10, 2, G2, 0.5, ws, 0),
+], ids=["nonuniform", "geometric"])
+def test_samplers_reject_a_weight_sequence_of_the_wrong_length(sample):
+    for ws in (uniform_weights(2), uniform_weights(4)):
+        with pytest.raises(ValueError, match=f"weight sequence has length "
+                           f"{len(ws)}, expected 3"):
+            sample(ws)
+
+
 def test_uniform_pair_frequencies():
     f = sample_nonuniform_formula(3, 100_000, 2, uniform_weights(3), seed=11)
     sets = f.sorted_variable_sets()

@@ -42,6 +42,13 @@ def test_weighted_sites_invariants():
         WeightedSites(np.zeros((2, 1)), np.array([1.0, -1.0]))
 
 
+def test_positions_must_match_the_weights():
+    for pos in (np.zeros((3, 2)), np.zeros((2, 2, 1))):
+        with pytest.raises(ValueError,
+                           match=r"positions must be \(n, d\) matching weights"):
+            WeightedSites(pos, np.ones(2))
+
+
 def test_empty_site_set_is_rejected():
     for make in (lambda: random_sites(0, G2, 1),
                  lambda: WeightedSites(np.empty((0, 2)), np.empty(0))):
@@ -473,6 +480,27 @@ def test_relevance_finds_every_certificate_the_old_search_finds():
     assert {(True, True), (False, False)} <= outcomes
 
 
+@pytest.mark.parametrize("seed, permute, grid", [(429, False, 2),
+                                                  (2850, True, 7)])
+def test_relevance_needs_grids_past_the_first(seed, permute, grid):
+    # 14 power-law sites in the cube under the max norm, a random 3-set:
+    # about 1 seed in 200 is first certified by a grid past the first, so
+    # _CERT_RADIUS_STEPS = 16 is not cut to 1
+    g = GeometrySpec(d=2, p_norm=INFINITY, wrap=False)
+    rng = np.random.default_rng(seed)
+    weights = power_law_weights(14, 2.5)
+    sites = random_sites(14, g, rng,
+                         rng.permutation(weights) if permute else weights)
+    A = tuple(sorted(rng.choice(14, 3, replace=False).tolist()))
+    for steps in (1, grid - 1):
+        with mock.patch.object(voronoi, "_CERT_RADIUS_STEPS", steps):
+            assert relevance_certificate(A, sites, g) is None
+    assert voronoi._CERT_RADIUS_STEPS == 16
+    cert = relevance_certificate(A, sites, g)
+    assert cert is not None
+    _assert_certifies(cert, A, sites, g)
+
+
 @pytest.mark.parametrize("A", [(-1, 3), (0, 0), (), (0, 5)],
                          ids=["negative", "repeated", "empty", "n"])
 def test_relevance_rejects_a_malformed_site_set(A):
@@ -751,6 +779,30 @@ def test_knearest_backend_and_fallback_rows():
     m = 4 * 2 * 2 * 1998 + 1
     core = sample_geometric_formula(2000, m, 2, G2, 0.0, None, seed=7)
     assert (core.sites.table(G2, 2).side, core.sites.table(G2, 2).rows) == (64, m)
+
+
+def test_k_equals_n_ranks_every_site_without_a_table():
+    # at k = n every site ranks everywhere: the walk returns all n sites
+    # with their dense scores, and no caller builds a table for k = n
+    rng = np.random.default_rng(4)
+    pts = rng.random((300, 2))
+    for weights in (np.ones(5), rng.uniform(1, 3, 5)):
+        sites = WeightedSites(rng.random((5, 2)), weights)
+        cand, scores = voronoi._rank_table(pts, sites, 5, G2)
+        assert np.array_equal(cand, np.broadcast_to(np.arange(5), (300, 5)))
+        assert np.array_equal(scores, weighted_score_matrix(pts, sites, G2))
+        assert np.array_equal(knearest(pts, sites, 5, G2),
+                              rank_k_smallest(scores, 5))
+        assert count_regions_monte_carlo(sites, 5, 100, 1, G2).keys == {
+            (0, 1, 2, 3, 4)}
+        # T >= 1: the race keys all n sites, its candidates from the walk
+        with mock.patch.object(generate, "_rank_table",
+                               wraps=voronoi._rank_table) as ranked:
+            draw_geometric_clause_vars(pts, sites, 3, 1.5, G2, rng)
+        assert ranked.call_args.args[2] == 5
+        assert not sites._tables
+        knearest(pts, sites, 4, G2)
+        assert set(sites._tables) == {(4, G2)}
 
 
 def test_race_candidates_wrap_around_the_torus():
