@@ -109,6 +109,8 @@ def _add_model_args(p):
 def _validate_model_args(args):
     _check_required(args, "--model", "-n", "-k", "--seed")
     _check(args.n >= 1, "n must be >= 1")
+    _check(args.m is None or args.delta is None,
+           "give -m or --delta, not both")
     if args.m is None:
         _check(args.delta is not None, "give -m or --delta")
         _check(0 < args.delta < math.inf, "delta must be > 0 and finite")
@@ -152,10 +154,8 @@ def _cmd_generate(args):
     _validate_model_args(args)
     formula, inst, comments = _build_formula(args)
     out = _out_path(args.output)
-    if out is None:
-        emit_dimacs(formula, sys.stdout, comments)
-    else:
-        emit_dimacs(formula, out, comments)
+    emit_dimacs(formula, sys.stdout if out is None else out, comments)
+    if out is not None:
         print(f"wrote {formula.m} clauses to {out}")
     if inst is not None and args.sites_out:
         save_sites(inst.sites, _out_path(args.sites_out))

@@ -116,6 +116,8 @@ def validate_config(cfg):
         value = getattr(cfg, name)
         if value is not None and value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    if cfg.m is not None and cfg.delta is not None:
+        raise ValueError("give m or delta, not both")
     if cfg.delta is not None and not 0 < cfg.delta < math.inf:
         raise ValueError(f"delta must be > 0 and finite, got {cfg.delta}")
     if cfg.c is not None and not math.isfinite(cfg.c):
@@ -197,7 +199,6 @@ def nice_fraction_audit(sites, g, k, T, audit, seed):
     and ranked by ``knearest``.  At T = 0 a clause's draw is its k-nearest
     ranking, so every clause is nice.
     """
-    check_temperature(T)
     if T == 0:
         return audit
     rng = np.random.default_rng(seed)

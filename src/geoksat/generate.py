@@ -223,19 +223,15 @@ def _race_block(points, sites, k, g, e, K, expo):
         he = np.fmod(tail[hr, i[fresh]], tau[hr])
         hit = weighted_score_matrix(points[hr], sites, g, hs[:, None])[:, 0]
         hk = np.log(hit) + e * np.log(he)
-    # only hits up to the k-th key can rank
+    # merge each row's k best candidates with its tail hits up to the k-th
+    # key (no other hit can rank), by (key, index), and take the first k
     beat = hk <= kth[hr]
-    hr, hs, hk = hr[beat], hs[beat], hk[beat]
-    if len(hr):
-        # merge each row's tail hits with its k best candidates, by (key, index)
-        won = np.unique(hr)
-        row = np.concatenate((np.repeat(won, k), hr))
-        key = np.concatenate((best[won].ravel(), hk))
-        site = np.concatenate((ranked[won].ravel(), hs))
-        order = np.lexsort((site, key, row))
-        first = np.searchsorted(row[order], won)
-        ranked[won] = site[order][first[:, None] + np.arange(k)]
-    return ranked, np.flatnonzero(over)
+    row = np.concatenate((np.repeat(np.arange(rows), k), hr[beat]))
+    key = np.concatenate((best.ravel(), hk[beat]))
+    site = np.concatenate((ranked.ravel(), hs[beat]))
+    order = np.lexsort((site, key, row))
+    first = np.searchsorted(row[order], np.arange(rows))
+    return site[order][first[:, None] + np.arange(k)], np.flatnonzero(over)
 
 
 def _race(pts, sites, k, T, g, rng, K):
@@ -285,8 +281,10 @@ def draw_geometric_clause_vars(clause_positions, sites, k, T, g, rng):
     below the threshold that lets them beat its k-th key; those are found
     by geometric skips and keyed with their exponential truncated to the
     threshold.  Same law, with K + O(1) exponentials per clause.  At
-    T >= 1 every clause keys all n sites.
+    T >= 1 every clause keys all n sites.  A ValueError unless T is a
+    finite number >= 0.
     """
+    check_temperature(T)
     pts = check_positions(clause_positions, sites, g, "clause positions")
     if T == 0:
         return knearest(pts, sites, k, g)
@@ -346,7 +344,6 @@ def sample_geometric_formula(n, m, k, g, T, ws, seed):
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    check_temperature(T)
     w = _resolve_weights(ws, n) if ws is not None else None
 
     rng = np.random.default_rng(seed)

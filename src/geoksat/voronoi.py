@@ -6,9 +6,8 @@ size-k set A is the set of points whose k weighted-nearest sites are
 exactly A.  Regions are never constructed explicitly; non-empty regions
 are discovered by Monte Carlo sampling of k-nearest queries.  Every
 distance here comes from ``geometry.pnorm_scores``, and every weighted
-score from ``weighted_score_matrix``: of all n sites for the one-point
-reference, of chosen candidate indices for the cell table and the
-sampler's race.  Every "k smallest" is ``select_k_smallest``: each row's
+score from ``weighted_score_matrix``, one body over given site indices,
+all n by default.  Every "k smallest" is ``select_k_smallest``: each row's
 k smallest entries by (value, index), in increasing index, with their
 values; ``rank_k_smallest`` orders that selection.
 
@@ -209,8 +208,9 @@ def random_sites(n, g, seed_or_rng, weights=None):
 
 
 def weighted_score_matrix(points, sites, g, cand=None):
-    """(rows, n) scores of every site, or (rows, C) scores of the site
-    indices ``cand``: dist^q / w^(q/d) with q = ``g.score_power``.
+    """(rows, C) scores dist^q / w^(q/d), q = ``g.score_power``, of the site
+    indices ``cand``, one list per row (rows, C) or shared (1, C), all n by
+    default.
 
     The package's one weighted score: the one-point reference, the cell
     table and the race's tail hits all take it.  Avoids q-th roots;
@@ -219,15 +219,13 @@ def weighted_score_matrix(points, sites, g, cand=None):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if cand is None:
-        scores = pnorm_scores(pts, sites.positions, g)
-    else:
-        # a take per coordinate, each a contiguous (rows, C) block, is several
-        # times faster than the (rows, C, d) fancy index
-        others = np.moveaxis(np.take(sites.positions.T, cand, axis=1), 0, -1)
-        scores = pnorm_scores(pts, others, g)
+        cand = np.arange(sites.n)[None, :]
+    # a take per coordinate, each a contiguous block, is several times
+    # faster than the (rows, C, d) fancy index; a (1, C) row broadcasts
+    others = np.moveaxis(np.take(sites.positions.T, cand, axis=1), 0, -1)
+    scores = pnorm_scores(pts, others, g)
     if not sites.unweighted:
-        wq = sites.weights ** (g.score_power / sites.d)
-        scores /= wq if cand is None else wq[cand]
+        scores /= (sites.weights ** (g.score_power / sites.d))[cand]
     return scores
 
 
@@ -498,8 +496,7 @@ def relevance_certificate(A, sites, g, seed_point=None):
     In scores (dist / omega)^q, the first point where max(score of s1, R_A^q)
     (1 + ``_TIE_GAP``) < the nearest outsider's score certifies A, at r =
     max(R_A, max(R_A^q, the two scores' midpoint)^(1/q)); the slack covers
-    the rounding of a recomputed distance.  Point and radius may differ from
-    0.3.0's (grid j at radius j R_A alone): each point is tried at any r.
+    the rounding of a recomputed distance.
     """
     idx, s1 = _site_set(A, sites)
     R = compute_R_A(idx, sites, g)

@@ -124,8 +124,16 @@ _TEMPERATURE = "temperature must be >= 0 and finite"
     (["experiment", "--kind", "NICE_FRACTION", "--n-values", "50", "--seeds", "1",
       "-k", "3", "--d", "2", "--p-norm", "2", "-T", "0.5", "--delta", "inf"],
      "delta must be > 0 and finite"),
+    # -m and --delta each set the clause count: unchecked, -m won and delta
+    # was ignored, or echoed in a record that sampled m clauses
+    (["generate", "--model", "uniform", "-n", "10", "-k", "2", "-m", "5",
+      "--delta", "nan", "--seed", "1"], "give -m or --delta, not both"),
+    (["core", "--model", "geometric", "-n", "10", "-k", "2", "-m", "50",
+      "--delta", "-3", "--seed", "1"], "give -m or --delta, not both"),
+    (_NICE + ["-m", "7", "--delta", "3"], "give m or delta, not both"),
 ], ids=["generate_inf", "powerlaw_nan", "experiment_nan", "delta_inf",
-        "beta_inf", "moments_beta_inf", "experiment_delta_inf"])
+        "beta_inf", "moments_beta_inf", "experiment_delta_inf",
+        "generate_m_and_delta", "core_m_and_delta", "experiment_m_and_delta"])
 def test_non_finite_temperature_is_rejected(argv, message, tmp_path):
     with pytest.raises(SystemExit, match="^error: " + message):
         run_cli(argv + ["-o", str(tmp_path / "out")])

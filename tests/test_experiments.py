@@ -208,7 +208,8 @@ def test_nice_fraction_draws_every_point_before_the_race():
 
 _NON_FINITE = {"temperature": "temperature must be >= 0 and finite",
                "delta": "delta must be > 0 and finite",
-               "beta": "beta must be > 2", "c": "c must be finite"}
+               "beta": "beta must be > 2", "c": "c must be finite",
+               "m": "give m or delta, not both"}
 
 
 @pytest.mark.parametrize("field, value", [
@@ -221,7 +222,9 @@ _NON_FINITE = {"temperature": "temperature must be >= 0 and finite",
     pytest.param("delta", math.inf, id="delta-inf"),
     pytest.param("beta", math.inf, id="beta-inf"),
     pytest.param("c", math.nan, id="c-nan"),
-    pytest.param("c", -math.inf, id="c-minus-inf")])
+    pytest.param("c", -math.inf, id="c-minus-inf"),
+    # beside the config's delta: unchecked, m was sampled and delta echoed
+    pytest.param("m", 7, id="m-with-delta")])
 def test_temperature_must_be_finite_and_non_negative(field, value):
     config = dict(kind="NICE_FRACTION", n_values=(50,), k=3, d=2, p_norm=2,
                   temperature=0.5, delta=1.0)

@@ -550,6 +550,11 @@ def test_class_candidates_on_the_border_hold_each_class_nearest(g, monkeypatch):
     # a call of a few clauses takes the lazy race too (0.3.0)
     (0.5, False, "9fba4dbf0297ba88139230a3882eedb7d2c84a717ee912acca69eee4343995ea", 5),
     (0.5, True, "32b5461dde92874eba633d420f470268b4b1919091d6ab46e2d17d5343531ff7", 5),
+    # the lazy race over two clause blocks, tail hits merged
+    (0.3, False, "cb00c49327f3831194d3789e5726caefa7cd80243b4b76c69adfbd55a9a56682", 1500),
+    (0.3, True, "2c2147e757f29b3812731635718a1225c6cd83ea89187506bdbd523b705ab542", 1500),
+    (0.9, False, "5cfde207ab65ab031a4a96347a112c8c4b3ca6c6f158163e499710ae3546a79d", 1500),
+    (0.9, True, "ab27d166ccb2d56a1436b88ae07fb61c14a327663b12b9e28d7bad213a61527e", 1500),
 ])
 def test_streams_at_zero_and_high_temperature_are_unchanged(T, weighted, digest, m):
     # T = 0 and T >= 1 keep the digests of 0.1.0; the T < 1 pins are those
@@ -559,7 +564,33 @@ def test_streams_at_zero_and_high_temperature_are_unchanged(T, weighted, digest,
     assert hashlib.sha256(lits.astype("<i8").tobytes()).hexdigest() == digest
 
 
+def test_stream_with_late_rows_is_unchanged(monkeypatch):
+    # two tail exponentials per clause: hundreds of the 1500 rows run out
+    # and finish after the last block, over budget rounds of their own
+    late, race_block = [], generate._race_block
+
+    def spy(*args):
+        ranked, over = race_block(*args)
+        late.append(len(over))
+        return ranked, over
+
+    monkeypatch.setattr(generate, "_TAIL_BUDGET", 2)
+    monkeypatch.setattr(generate, "_race_block", spy)
+    ws = power_law_weights(300, 2.5)
+    lits = sample_geometric_formula(300, 1500, 3, G2, 0.5, ws, seed=61).formula.literals
+    assert sum(late[:2]) > 100 and len(late) > 3
+    assert (hashlib.sha256(lits.astype("<i8").tobytes()).hexdigest()
+            == "90645156aa5672880077bd65f42ded9a6cd438b537db581fad9436a4ed6f3462")
+
+
 @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, -0.5])
 def test_non_finite_temperatures_are_rejected(T):
     with pytest.raises(ValueError, match="temperature must be >= 0 and finite"):
         sample_geometric_formula(20, 10, 2, G2, T, None, 0)
+    # the draws check T themselves: unchecked, they returned draws, from the
+    # lazy race (K < n) at n = 300 and T < 1, else from the full race
+    for n in (5, 300):
+        sites = voronoi.random_sites(n, G2, 1, power_law_weights(n, 2.5))
+        rng = np.random.default_rng(2)
+        with pytest.raises(ValueError, match="temperature must be >= 0 and finite"):
+            draw_geometric_clause_vars(rng.random((20, 2)), sites, 3, T, G2, rng)

@@ -313,7 +313,7 @@ def test_region_count_table_keys_equal_scan_keys_at_ties():
     res = count_regions_monte_carlo(s, 3, 40_000, 3, G2)
     _assert_matches_reference(res, s, 3, 40_000, 3, G2)
     assert s.table(G2, 3).rows == 40_000
-    # k = n: every site is in every key, and knearest scans
+    # k = n: every site is in every key, which the walk returns with no table
     every = count_regions_monte_carlo(WeightedSites(s.positions[:3], np.ones(3)),
                                       3, 100, 0, G2)
     assert every.keys == {(0, 1, 2)}
@@ -768,7 +768,7 @@ def test_knearest_backend_and_fallback_rows():
     border = np.vstack((pts, [[1.0, 0.5], [0.5, 1.0], [1.0, 1.0]]))
     run(WeightedSites(at_one, np.ones(200)), pts=border)
     run(WeightedSites(at_one, rng.uniform(1, 3, 200)), pts=border)
-    # k = n takes the table, as k = n - 1 does
+    # k = n - 1 takes the table, k = n the walk with no table
     four = WeightedSites(pos[:4], np.ones(4))
     run(four, g=flat)
     run(four, k=4, g=flat)
