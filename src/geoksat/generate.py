@@ -33,9 +33,9 @@ import numpy as np
 
 from .geometry import GeometrySpec
 from .sampling import sequential_weighted_draws
-from .voronoi import (_TIE_GAP, WeightedSites, _rank_table, check_positions,
-                      knearest, random_sites, rank_k_smallest, set_codes,
-                      weighted_score_matrix)
+from .voronoi import (_TIE_GAP, WeightedSites, _deepen, _rank_table,
+                      check_positions, knearest, random_sites,
+                      rank_k_smallest, set_codes, weighted_score_matrix)
 
 # most clauses, and most clauses x K keys, per race block, which bound the
 # block's score, key and exponential arrays; numpy fills exponentials in
@@ -223,15 +223,18 @@ def _race_block(points, sites, k, g, e, K, expo):
         he = np.fmod(tail[hr, i[fresh]], tau[hr])
         hit = weighted_score_matrix(points[hr], sites, g, hs[:, None])[:, 0]
         hk = np.log(hit) + e * np.log(he)
-    # merge each row's k best candidates with its tail hits up to the k-th
-    # key (no other hit can rank), by (key, index), and take the first k
+    # only a tail hit up to its row's k-th key can rank; every other row's
+    # ranking is in (key, index) order already.  Merge each row that has
+    # one with its k best candidates by (key, index), and take the first k
     beat = hk <= kth[hr]
-    row = np.concatenate((np.repeat(np.arange(rows), k), hr[beat]))
-    key = np.concatenate((best.ravel(), hk[beat]))
-    site = np.concatenate((ranked.ravel(), hs[beat]))
+    changed, slot = np.unique(hr[beat], return_inverse=True)
+    row = np.concatenate((np.repeat(np.arange(len(changed)), k), slot))
+    key = np.concatenate((best[changed].ravel(), hk[beat]))
+    site = np.concatenate((ranked[changed].ravel(), hs[beat]))
     order = np.lexsort((site, key, row))
-    first = np.searchsorted(row[order], np.arange(rows))
-    return site[order][first[:, None] + np.arange(k)], np.flatnonzero(over)
+    first = np.searchsorted(row[order], np.arange(len(changed)))
+    ranked[changed] = site[order][first[:, None] + np.arange(k)]
+    return ranked, np.flatnonzero(over)
 
 
 def _race(pts, sites, k, T, g, rng, K):
@@ -243,10 +246,14 @@ def _race(pts, sites, k, T, g, rng, K):
     them all finish after the last block, in row order, with twice as many
     tail exponentials at each round (the first ones kept), so the stream
     does not depend on the block size.  With K = n a row draws exactly n
-    exponentials.
+    exponentials.  When K < n the cell table for K deepens for every row
+    before the first block (``voronoi._deepen``), so no block ranks on a
+    coarser table than the last.
     """
     e = T * g.score_power / g.d
     budget = _TAIL_BUDGET if K < sites.n else 0
+    if K < sites.n:
+        _deepen(sites, K, g, len(pts))
     step = min(_CLAUSE_BLOCK, max(1, _SCAN_ENTRIES // K))
     out = np.empty((len(pts), k), dtype=np.int64)
     late = [np.empty(0, dtype=np.int64)]
@@ -327,7 +334,11 @@ def _apply_sign_patterns(drawn, pattern_u):
         p = (free > j[:, None]).argmax(axis=1)
         used[row, p] = True
         pat[order[at]] = p
-    rank_of = np.argsort(np.argsort(drawn, axis=1), axis=1)
+    # each variable's rank in its clause's set: the count of smaller ones
+    rank_of = np.zeros_like(drawn)
+    for j in range(k):
+        for other in range(k):
+            rank_of[:, j] += drawn[:, other] < drawn[:, j]
     var = drawn + 1
     return np.where((pat[:, None] >> rank_of) & 1, -var, var)
 

@@ -20,8 +20,10 @@ proved by score bounds over the cell's box (``geometry.box_score_bounds``),
 so a row scores only its cell's list.  Random positions with multiplicative
 weights give O(n) non-empty order-k regions, so these lists stay short.
 A table starts as one cell listing all n sites, where ranking is the
-dense scan, and halves its cells as it ranks more rows; weighted and
-unweighted sites take it alike, and k = n, where every site ranks, takes
+dense scan, and halves its cells as it ranks more rows (``_deepen``); a
+pass that ranks its rows in blocks, a Monte Carlo count or the race,
+deepens for all of them before its first block.  Weighted and unweighted
+sites take it alike, and k = n, where every site ranks, takes
 none.  Sites and points lie in the closed cube [0, 1]^d, checked where they
 enter (``WeightedSites``, ``knearest``), so each lies in a cell of the
 grid.  The walk returns each row's k weighted-nearest sites as a set, in
@@ -35,7 +37,7 @@ dense score row alone, a reference that builds no table.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -50,7 +52,7 @@ _MC_BLOCK = 1 << 15
 # table's lists keep it over their bound, and the race's tail bounds under
 # theirs
 _TIE_GAP = 1e-9
-# the depth rule of the cell table (``_rank_table``): from one cell, halved
+# the depth rule of the cell table (``_deepen``): from one cell, halved
 # while it has fewer cells than _CELLS_PER_SITE n / K and than one per
 # _ROWS_PER_CELL rows ranked
 _CELLS_PER_SITE = 8
@@ -78,7 +80,8 @@ class WeightedSites:
 
     A site set keeps the cell tables that ``knearest`` and the sampler's
     race build for it on first use (``table``, one per (k, metric),
-    deepened as they rank more rows)."""
+    deepened by ``_deepen`` for the rows they have ranked and are about to
+    rank)."""
 
     positions: np.ndarray
     weights: np.ndarray
@@ -123,7 +126,8 @@ class WeightedSites:
     def table(self, g, K):
         """The ``_CellTable`` for K-nearest queries under ``g``: one cell
         listing every site on first use, kept, one per (K, g);
-        ``_rank_table`` deepens it as it ranks more rows."""
+        ``_deepen`` halves it for the rows counted and those about to be
+        ranked."""
         key = (K, g)
         if key not in self._tables:
             self._tables[key] = _CellTable(
@@ -177,9 +181,11 @@ class _CellTable:
                                .reshape(axis))
                 others.append(sites.positions[c, j].reshape(shape))
             lo, up = box_score_bounds(centres, half, others, g)
-            wc = wq[c].reshape(shape)
-            lo = (lo / wc).reshape(-1, c.shape[1])
-            up = (up / wc).reshape(-1, c.shape[1])
+            if not sites.unweighted:
+                wc = wq[c].reshape(shape)
+                lo, up = lo / wc, up / wc
+            lo = lo.reshape(-1, c.shape[1])
+            up = up.reshape(-1, c.shape[1])
             inherited = np.repeat(self.length[a:a + step], 2**d)
             pad = np.arange(c.shape[1]) >= inherited[:, None]
             lo[pad] = up[pad] = np.inf
@@ -243,7 +249,8 @@ def select_k_smallest(values, k):
     kept = np.take_along_axis(values, sel, axis=1)
     if k < n:
         after = np.take_along_axis(values, part[:, k:k + 1], axis=1)[:, 0]
-        for r in np.flatnonzero(after <= kept.max(axis=1)):
+        # a fold over the k columns: max along a short axis takes ~50 ns a row
+        for r in np.flatnonzero(after <= reduce(np.maximum, kept.T)):
             sel[r] = np.sort(np.argsort(values[r], kind="stable")[:k])
             kept[r] = values[r, sel[r]]
     return sel, kept
@@ -262,13 +269,26 @@ def rank_k_smallest(values, k):
     return _by_value(*select_k_smallest(values, k))
 
 
+def _deepen(sites, k, g, rows):
+    """The site set's cell table for k, halved by the depth rule (see
+    ``_ROWS_PER_CELL``) as if ``rows`` more rows had been counted; they are
+    not added to ``table.rows``.  A caller that will rank R rows in several
+    passes deepens for R before its first, so that no pass ranks on a
+    coarser table than the last."""
+    table = sites.table(g, k)
+    while (table.side ** sites.d < _CELLS_PER_SITE * sites.n / k
+           and table.side ** sites.d * _ROWS_PER_CELL < table.rows + rows):
+        table.split(sites, g, k)
+    return table
+
+
 def _rank_table(points, sites, k, g):
     """``(cand, scores)``: each row's k weighted-nearest sites in
     increasing index, by the site set's cell table for k, and their scores.
 
     At k = n every row holds all n sites (a read-only broadcast) and its
-    dense scores, with no table.  Else the table first deepens by the depth
-    rule (see ``_ROWS_PER_CELL``).
+    dense scores, with no table.  Else the table first deepens for these
+    rows (``_deepen``), which it then counts in ``table.rows``.
     Each row then scores its cell's list by ``weighted_score_matrix``, with
     +inf past the list's length, and takes its k smallest by
     ``select_k_smallest``: the lists increase in site index, so that is the
@@ -282,11 +302,8 @@ def _rank_table(points, sites, k, g):
     if k == sites.n:
         return (np.broadcast_to(np.arange(k), (len(points), k)),
                 weighted_score_matrix(points, sites, g))
-    table = sites.table(g, k)
+    table = _deepen(sites, k, g, len(points))
     table.rows += len(points)
-    while (table.side ** sites.d < _CELLS_PER_SITE * sites.n / k
-           and table.side ** sites.d * _ROWS_PER_CELL < table.rows):
-        table.split(sites, g, k)
     side = table.side
     out = np.empty((len(points), k), dtype=np.int64)
     kept = np.empty((len(points), k))
@@ -359,9 +376,9 @@ def knearest(points, sites, k, g):
     every site, the dense scan, and halves its side, each child filtering
     its parent's list, while it has fewer cells than
     min(``_CELLS_PER_SITE`` n / k, R / ``_ROWS_PER_CELL``), R the rows it
-    counts, this call included.  So a call of few rows ranks as the scan
-    does, a one-shot call stays coarse and a Monte Carlo count deepens
-    after its first block.
+    counts, this call included (``_deepen``).  So a call of few rows ranks
+    as the scan does, a one-shot call stays coarse, and a Monte Carlo count
+    or the race deepens for all its rows before its first block.
     """
     pts = check_positions(points, sites, g, "points")
     if not 1 <= k <= sites.n:
@@ -407,15 +424,20 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, checkpoints=()):
     nondecreasing under prefix-extension of the sample stream.  The count
     is a lower bound on the true number of non-empty regions.
     ``checkpoints`` are sample prefixes at which the running count is
-    recorded (see RegionCountResult.counts_at).  Each block of sample
-    points takes its keys from ``_rank_table``, already sorted, and its new
-    keys from one ``np.unique`` over the ``set_codes`` of (seen, block).
+    recorded (see RegionCountResult.counts_at).  The cell table deepens
+    for all ``samples`` rows before the first block (``_deepen``).  Each
+    block of sample points takes its keys from ``_rank_table``, already
+    sorted, and its new keys as the first occurrences past ``seen`` among
+    the ``set_codes`` of (seen, block): one ``np.argsort`` of the codes,
+    then the least index of each run of equal codes.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     check_positions(np.empty((0, g.d)), sites, g, "sample points")
     if not 1 <= k <= sites.n:
         raise ValueError(f"k = {k} must satisfy 1 <= k <= site count {sites.n}")
+    if k < sites.n:
+        _deepen(sites, k, g, samples)
     seen = np.empty((0, k), dtype=np.int64)  # the keys found, in order
     rng = np.random.default_rng(seed)
     witnesses = {}
@@ -423,10 +445,12 @@ def count_regions_monte_carlo(sites, k, samples, seed, g, checkpoints=()):
     for done in range(0, samples, _MC_BLOCK):
         pts = rng.random((min(_MC_BLOCK, samples - done), g.d))
         rows = _rank_table(pts, sites, k, g)[0]
-        first = np.unique(set_codes(np.concatenate((seen, rows)), sites.n),
-                          return_index=True)[1]
-        # seen's keys are distinct and first, and unique's sort is stable: a
-        # first occurrence past seen is new, in discovery order (witnesses)
+        codes = set_codes(np.concatenate((seen, rows)), sites.n)
+        order = np.argsort(codes)
+        runs = np.flatnonzero(np.diff(codes[order], prepend=-1))
+        first = np.minimum.reduceat(order, runs)
+        # seen's keys are distinct and first: a code whose least index is
+        # past seen is new, found first there (witnesses, in that order)
         fresh = np.sort(first[first >= len(seen)]) - len(seen)
         seen = np.concatenate((seen, rows[fresh]))
         witnesses.update(zip(map(tuple, rows[fresh].tolist()), pts[fresh]))

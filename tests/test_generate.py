@@ -448,6 +448,71 @@ def test_race_candidates_at_a_tie_take_the_smaller_index(monkeypatch):
     assert np.array_equal(np.sort(knearest(pts, sites, 7, G2), axis=1), ties)
 
 
+def _race_by_one_sort(points, sites, k, g, e, K, expo):
+    """``(ranked, over)`` as ``_race_block`` returns them, from one
+    (row, key, site) ``lexsort`` of every site of every row: the K
+    candidates keyed by their exponentials, the tail's hits by theirs
+    truncated to tau, and every other site at +inf.  ``ranked`` is set on
+    the rows not in ``over``."""
+    rows, n = len(points), sites.n
+    cand, scores = _rank_table(points, sites, K, g)
+    full = weighted_score_matrix(points, sites, g)
+    key = np.full((rows, n), np.inf)
+    over = np.zeros(rows, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        own = np.log(scores) + e * np.log(expo[:, :K])
+        kth = np.sort(own, axis=1)[:, k - 1]
+        tau = np.exp((kth - np.log(scores.max(axis=1) / (1.0 + _TIE_GAP))) / e)
+        tau[np.isnan(tau)] = np.inf
+        for r in range(rows):
+            at = -1
+            for x in expo[r, K:]:
+                at += int(min(x / tau[r], n)) + 1
+                if at >= n:
+                    break
+                if at not in cand[r]:
+                    key[r, at] = (np.log(full[r, at])
+                                  + e * np.log(np.fmod(x, tau[r])))
+            else:
+                over[r] = True
+    np.put_along_axis(key, cand, own, axis=1)
+    row, site = np.indices((rows, n)).reshape(2, -1)
+    order = np.lexsort((site, key.ravel(), row)).reshape(rows, n)
+    return site[order[:, :k]], np.flatnonzero(over)
+
+
+def test_race_merge_equals_one_sort_of_every_site(monkeypatch):
+    # T = 0.9 and two tail exponentials per clause: many rows have a tail
+    # hit up to their k-th key, and many run out.  Every site is there
+    # twice, and some clauses sit on a site, where the two copies score 0
+    # and key -inf: the merge keeps the (key, index) order there
+    rng = np.random.default_rng(83)
+    pos = rng.random((120, 2))
+    sites = WeightedSites(np.vstack((pos, pos)),
+                          np.tile(power_law_weights(120, 2.5), 2))
+    pts = np.vstack((rng.random((1500, 2)), pos[:40]))
+    monkeypatch.setattr(generate, "_TAIL_BUDGET", 2)
+    race_block, merged = generate._race_block, []
+
+    def spy(points, sites, k, g, e, K, expo):
+        ranked, over = race_block(points, sites, k, g, e, K, expo)
+        ref, ref_over = _race_by_one_sort(points, sites, k, g, e, K, expo)
+        assert np.array_equal(over, ref_over)
+        done = np.setdiff1d(np.arange(len(points)), over)
+        assert np.array_equal(ranked[done], ref[done])
+        cand = _rank_table(points, sites, K, g)[0]
+        merged.append(sum(not np.isin(r, c).all()
+                          for r, c in zip(ref[done], cand[done])))
+        return ranked, over
+
+    monkeypatch.setattr(generate, "_race_block", spy)
+    drawn = draw_geometric_clause_vars(pts, sites, 3, 0.9, G2, rng)
+    assert generate._candidate_count(sites, 3, 0.9) < sites.n
+    assert sum(merged) > 0.1 * len(pts)  # rows that rank a tail hit
+    on_site = np.arange(40)
+    assert np.array_equal(drawn[-40:, :2], np.c_[on_site, on_site + 120])
+
+
 def test_lazy_race_stream_does_not_depend_on_blocks_or_budget_rounds(monkeypatch):
     # weighted sites with tails, and a tail budget of two exponentials, so
     # that many rows finish after the last block, some after several rounds

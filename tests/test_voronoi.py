@@ -293,8 +293,8 @@ def test_region_count_methods_agree():
     weighted = WeightedSites(s.positions, power_law_weights(300, 2.5))
     res = count_regions_monte_carlo(weighted, 2, 20_000, 7, G2)
     _assert_matches_reference(res, weighted, 2, 20_000, 7, G2)
-    # in d = 1 one block of 32,768 rows deepens the table to 2048 cells and
-    # the second block to 4096 (8 n / K = 2400 cells)
+    # in d = 1 a count of 40,000 rows deepens the table to 4096 cells before
+    # its first block (8 n / K = 2400 cells), one of 32,768 rows to 2048
     line = WeightedSites(s.positions[:, :1], power_law_weights(300, 2.5))
     res = count_regions_monte_carlo(line, 1, 40_000, 7, G1)
     _assert_matches_reference(res, line, 1, 40_000, 7, G1)
@@ -803,6 +803,49 @@ def test_k_equals_n_ranks_every_site_without_a_table():
         assert not sites._tables
         knearest(pts, sites, 4, G2)
         assert set(sites._tables) == {(4, G2)}
+
+
+def _final_side(n, d, k, rows):
+    """The depth rule's grid side after ``rows`` rows on a fresh table: the
+    least power of two whose grid has at least 8 n / k cells or one per 16
+    rows."""
+    side = 1
+    while side ** d < 8 * n / k and side ** d * 16 < rows:
+        side *= 2
+    return side
+
+
+def test_passes_reach_their_final_depth_before_their_first_block():
+    # a race over four clause blocks and a count over four sample blocks
+    # split their table before the first _rank_table call and never after;
+    # the table still counts exactly the rows ranked
+    calls, rank_table = [], voronoi._rank_table
+
+    def spy(points, sites, k, g):
+        table = sites.table(g, k)
+        side = table.side
+        out = rank_table(points, sites, k, g)
+        calls.append((side, table.side, len(points)))
+        return out
+
+    rng = np.random.default_rng(9)
+    sites = random_sites(2000, G2, 3, power_law_weights(2000, 2.5))
+    K = generate._candidate_count(sites, 3, 0.5)
+    with mock.patch.object(generate, "_rank_table", spy):
+        draw_geometric_clause_vars(rng.random((3000, 2)), sites, 3, 0.5, G2, rng)
+    side = _final_side(2000, 2, K, 3000)
+    assert side > _final_side(2000, 2, K, generate._CLAUSE_BLOCK)
+    assert len(calls) >= 3 and {c[:2] for c in calls} == {(side, side)}
+    assert sites.table(G2, K).rows == sum(c[2] for c in calls)
+
+    calls.clear()
+    plain = random_sites(2000, G2, 4)
+    with mock.patch.object(voronoi, "_rank_table", spy):
+        count_regions_monte_carlo(plain, 3, 100_000, 1, G2)
+    side = _final_side(2000, 2, 3, 100_000)
+    assert side > _final_side(2000, 2, 3, voronoi._MC_BLOCK)
+    assert len(calls) == 4 and {c[:2] for c in calls} == {(side, side)}
+    assert plain.table(G2, 3).rows == 100_000
 
 
 def test_race_candidates_wrap_around_the_torus():
